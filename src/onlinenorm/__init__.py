@@ -1,6 +1,6 @@
 """Batch-free streaming normalization, reference normalizers, and experiments."""
 
-from .emulation import EmulationState, VarianceEmulationState, batched_mean, batched_variance
+from .emulation import emulate_stream
 from .net import (
     DivergenceError,
     MetricsRecord,
@@ -31,6 +31,7 @@ from .reference import (
     BatchNorm,
     DegenerateBatchError,
     LayerNorm,
+    PopulationNorm,
     exact_backward,
     exact_normalize,
     jacobian_dense,
@@ -41,16 +42,11 @@ from .tensor import (
     SIGMA_FLOOR,
     FeatureMap,
     ShapeError,
-    add,
-    dot,
     feature_mean,
     feature_var,
-    l2_norm,
     make_rng,
-    matmul,
     relu,
     relu_backward,
-    scale,
 )
 
 __version__ = "0.1.0"

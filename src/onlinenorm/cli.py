@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import emulation, online, selftest
+from . import selftest
 from .config import ConfigError, parse_config
 from .datasets import DatasetSpec, generate_dataset
 from .experiments import (
@@ -25,7 +25,7 @@ from .experiments import (
     write_sweep_csv,
 )
 from .net import DivergenceError, TrainConfig, train, write_metrics_csv
-from .tensor import FeatureMap, make_rng
+from .tensor import make_rng
 
 USAGE_EXIT, CONFIG_EXIT, RUNTIME_EXIT = 1, 2, 3
 
@@ -170,20 +170,15 @@ def _cmd_sweep(args) -> int:
     out = _outdir(args)
     write_sweep_csv(out / "sweep.csv", result)
     finite = result.final_loss[~result.diverged]
-    print(f"{result.final_loss.size} cells, best loss {finite.min():.4f}")
+    best = f"best loss {finite.min():.4f}" if finite.size else "no finite cell, every cell diverged"
+    print(f"{result.final_loss.size} cells, {best}")
     return 0
 
 
 def _cmd_emulate_check(args) -> int:
     rng = make_rng(args.seed if args.seed is not None else 0)
     steps = args.steps - args.steps % args.n
-    xs = rng.uniform(-1.0, 1.0, size=steps)
-    mus, vars_ = emulation.emulate_stream(xs, args.n, args.alpha)
-    state = online.OnlineNormState(1, alpha_f=args.alpha, alpha_b=0.99)
-    worst = 0.0
-    for t, x in enumerate(xs):
-        online.forward_sample(state, FeatureMap([x]))
-        worst = max(worst, abs(state.mu[0] - mus[t]), abs(state.var[0] - vars_[t]))
+    worst = selftest.emulation_deviation(rng.uniform(-1.0, 1.0, size=steps), args.n, args.alpha)
     print(f"max streaming/batched deviation over {steps} steps: {worst:.3e}")
     return 0 if worst <= 1e-10 else RUNTIME_EXIT
 

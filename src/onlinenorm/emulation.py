@@ -1,25 +1,25 @@
-"""Group-wise emulation of the streaming estimators via 1-D convolution.
+"""Closed-form group emulation of the streaming forward estimators.
 
 A decayed running mean mu_t = a*mu_{t-1} + (1-a)*x_t, processed in groups
-of n samples, satisfies
+of n samples, advances a whole group at once by the decay-power
+convolution: at position l of the group,
 
-    M_cur = a^n * M_prev + (1-a) * (X_window (*) A)
+    mu[l]  = a^{l+1} * mu_last + (1-a) * sum_{j<=l} a^{l-j} * x[j]
 
-where M_prev holds the previous group's outputs, X_window is the
-(2n-1)-long concatenation of the previous group (minus its first element)
-with the current group, and A = (1, a, ..., a^{n-1}). With zero-initialized
-buffers this reproduces the streaming trajectory exactly; weight updates
-then happen on group boundaries only.
+where mu_last is the previous group's final mean. The running variance
+obeys var_t = a*var_{t-1} + v_t with the per-step input
+v_t = a*(1-a)*(x_t - mu_{t-1})^2, so once the group's means are known
 
-The running variance obeys var_t = a*var_{t-1} + v_t with the per-step
-input v_t = a*(1-a)*(x_t - mu_{t-1})^2, so one group advances as
+    var[l] = a^{l+1} * var_last + sum_{j<=l} a^{l-j} * v[j].
 
-    S_cur[l] = a^{l+1} * s_last + sum_{j=0..l} a^j * v[l-j]
+Both sums are one lower-triangular (n x n) matrix L[l, j] = a^{l-j}
+applied to the group. Seeds match the streaming initialization mu = 0,
+var = 1, so the trajectory equals the streaming one up to rounding.
 
-carrying only the previous group's final variance s_last; the decayed
-prefix sums are the leading half of the full convolution of v with A.
-Group sizes stay small here, so both convolutions run as direct O(n^2)
-loops.
+This is a reference, not the training path: the streaming kernel in
+`online` runs groups by looping over samples, because the backward
+accumulator eps_y has a time-varying coefficient and output-RMS scaling is
+sequential, and an (n x n) matrix per layer would cost O(n^2) memory.
 """
 
 from __future__ import annotations
@@ -29,104 +29,34 @@ import numpy as np
 from .tensor import ShapeError
 
 
-def _powers(alpha: float, n: int) -> np.ndarray:
-    """(1, alpha, ..., alpha^{n-1}) by repeated multiplication."""
-    a = np.empty(n)
-    a[0] = 1.0
-    for k in range(1, n):
-        a[k] = a[k - 1] * alpha
-    return a
-
-
-class EmulationState:
-    """Buffers for group-wise computation of the decayed running mean."""
-
-    def __init__(self, n: int, alpha: float):
-        if n < 1:
-            raise ValueError(f"group size must be >= 1, got {n}")
-        if not (0.0 < alpha < 1.0):
-            raise ValueError(f"decay must be in (0,1), got {alpha}")
-        self.n = int(n)
-        self.alpha = float(alpha)
-        self.A = _powers(alpha, n)
-        self.alpha_n = self.A[-1] * alpha
-        self.M_prev = np.zeros(n)
-        self.X_prev = np.zeros(n)
-
-    def step(self, x_cur: np.ndarray) -> np.ndarray:
-        x_cur = np.asarray(x_cur, dtype=np.float64).reshape(-1)
-        if x_cur.size != self.n:
-            raise ShapeError(f"group has {x_cur.size} samples, state expects {self.n}")
-        n = self.n
-        window = np.concatenate([self.X_prev[1:], x_cur])
-        rev = self.A[::-1]
-        conv = np.empty(n)
-        for l in range(n):
-            conv[l] = np.dot(window[l : l + n], rev)
-        m_cur = self.alpha_n * self.M_prev + (1.0 - self.alpha) * conv
-        self.M_prev = m_cur
-        self.X_prev = x_cur.copy()
-        return m_cur
-
-
-def batched_mean(state: EmulationState, x_cur: np.ndarray) -> np.ndarray:
-    """Running-mean outputs for one group of n samples; advances the state."""
-    return state.step(x_cur)
-
-
-class VarianceEmulationState:
-    """Group-wise running variance, driven by an internal mean emulator.
-
-    Seeds match the streaming initialization mu = 0, var = 1.
-    """
-
-    def __init__(self, n: int, alpha: float, var_init: float = 1.0):
-        self.mean = EmulationState(n, alpha)
-        self.n = self.mean.n
-        self.alpha = self.mean.alpha
-        self.s_last = float(var_init)
-        self.mu_last = 0.0
-
-    def step(self, x_cur: np.ndarray) -> np.ndarray:
-        x_cur = np.asarray(x_cur, dtype=np.float64).reshape(-1)
-        if x_cur.size != self.n:
-            raise ShapeError(f"group has {x_cur.size} samples, state expects {self.n}")
-        n, a = self.n, self.alpha
-        mu_prev_last = self.mu_last
-        m_cur = self.mean.step(x_cur)
-        # mu one step behind each position: previous group's tail, then m_cur.
-        mu_behind = np.concatenate([[mu_prev_last], m_cur[:-1]])
-        v = a * (1.0 - a) * (x_cur - mu_behind) ** 2
-        A = self.mean.A
-        s_cur = np.empty(n)
-        for l in range(n):
-            s_cur[l] = a * A[l] * self.s_last + np.dot(v[: l + 1][::-1], A[: l + 1])
-        self.s_last = float(s_cur[-1])
-        self.mu_last = float(m_cur[-1])
-        return s_cur
-
-
-def batched_variance(state: VarianceEmulationState, x_cur: np.ndarray) -> np.ndarray:
-    """Running-variance outputs for one group of n samples; advances the state."""
-    return state.step(x_cur)
-
-
 def emulate_stream(
     xs: np.ndarray, n: int, alpha: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Run a whole scalar stream through the group emulators.
+    """Run a scalar stream through the closed form, n samples at a time.
 
     Stream length must be a multiple of n. Returns the per-step (mean,
     variance) trajectories, concatenated across groups.
     """
+    if n < 1:
+        raise ValueError(f"group size must be >= 1, got {n}")
+    if not (0.0 < alpha < 1.0):
+        raise ValueError(f"decay must be in (0,1), got {alpha}")
     xs = np.asarray(xs, dtype=np.float64).reshape(-1)
     if xs.size % n != 0:
         raise ShapeError(f"stream length {xs.size} not a multiple of group size {n}")
-    mean_state = EmulationState(n, alpha)
-    var_state = VarianceEmulationState(n, alpha)
-    mus, vars_ = [], []
+    steps = np.arange(n)
+    # a^|l-j| with the upper triangle zeroed: a^(l-j) for j <= l.
+    lower = np.tril(alpha ** np.abs(np.subtract.outer(steps, steps)))
+    carry = alpha ** (steps + 1)
+    mus = np.empty(xs.size)
+    vars_ = np.empty(xs.size)
+    mu_last, var_last = 0.0, 1.0
     for start in range(0, xs.size, n):
-        group = xs[start : start + n]
-        mus.append(batched_mean(mean_state, group))
-        vars_.append(batched_variance(var_state, group))
-    return np.concatenate(mus), np.concatenate(vars_)
+        x = xs[start : start + n]
+        mu = carry * mu_last + (1.0 - alpha) * (lower @ x)
+        delta = x - np.concatenate(([mu_last], mu[:-1]))
+        var = carry * var_last + lower @ (alpha * (1.0 - alpha) * delta * delta)
+        mus[start : start + n] = mu
+        vars_[start : start + n] = var
+        mu_last, var_last = mu[-1], var[-1]
+    return mus, vars_

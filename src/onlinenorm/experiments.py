@@ -33,7 +33,7 @@ from .net import (
 )
 from .online import OnlineNormState, backward_sample, forward_sample
 from .reference import BatchNorm
-from .tensor import FeatureMap, make_rng, relu, relu_backward
+from .tensor import make_rng, relu, relu_backward
 
 
 @dataclass
@@ -254,10 +254,10 @@ def equilibrium_experiment(
     for t in range(steps):
         u = rng.normal(size=dim)
         a = float(np.dot(w, u))
-        _, cache = forward_sample(state, FeatureMap([a]))
+        _, cache = forward_sample(state, np.full((1, 1, 1), a))
         y_grad = -float(rng.choice([-1.0, 1.0]))
-        x_grad = backward_sample(state, FeatureMap([y_grad]), cache)
-        g = float(x_grad.data[0, 0]) * u
+        x_grad = backward_sample(state, np.full((1, 1, 1), y_grad), cache)
+        g = float(x_grad[0, 0, 0]) * u
         gnorm = float(np.linalg.norm(g))
         if not np.isfinite(gnorm):
             raise DivergenceError(f"gradient diverged at step {t}")

@@ -2,9 +2,11 @@
 
 Dense layers, one small valid-padding conv layer, ReLU, softmax
 cross-entropy, SGD with momentum and L2 decay, and the batch-size scaling
-rules for learning rate and momentum. The training loop drives any of the
-normalizer kinds; the streaming normalizer is fed one sample at a time
-with a strict forward/backward interleaving.
+rules for learning rate and momentum. The training loop runs one group
+of samples at a time through the whole network, layer by layer, for every
+normalizer kind. The streaming normalizer runs the group's samples through
+its stream in order; weights change only between groups, so a group of B
+gives exactly what B single-sample passes would.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .online import OnlineNorm
-from .reference import BatchNorm, LayerNorm, _center
-from .tensor import FeatureMap, ShapeError, make_rng, relu, relu_backward
+from .reference import BatchNorm, LayerNorm, PopulationNorm
+from .tensor import ShapeError, make_rng, relu, relu_backward
 
 NORMALIZER_KINDS = ("online", "batch", "layer", "exact-population", "none")
 
@@ -219,75 +221,15 @@ def scale_hyperparams(
     return eta_new, mu_new, eta_star
 
 
-class _OnlineAdapter:
-    def __init__(self, features: int, cfg: TrainConfig):
-        self.layer = OnlineNorm(features, alpha_f=cfg.alpha_f, alpha_b=cfg.alpha_b)
-
-    def forward_sample(self, a: np.ndarray) -> np.ndarray:
-        return self.layer.forward(FeatureMap(a)).data[:, 0]
-
-    def backward_sample(self, g: np.ndarray) -> np.ndarray:
-        return self.layer.backward(FeatureMap(g)).data[:, 0]
-
-    def eval_sample(self, a: np.ndarray) -> np.ndarray:
-        return self.layer.forward_eval(FeatureMap(a)).data[:, 0]
-
-    def param_triples(self):
-        return self.layer.param_triples()
-
-    def eps_maxima(self) -> tuple[float, float]:
-        st = self.layer.state
-        return float(np.abs(st.eps_y).max()), float(np.abs(st.eps_1).max())
-
-
-class _BatchAdapter:
-    def __init__(self, features: int):
-        self.layer = BatchNorm(features)
-
-    def forward(self, a: np.ndarray, training: bool) -> np.ndarray:
-        return self.layer.forward(a, training=training)
-
-    def backward(self, g: np.ndarray) -> np.ndarray:
-        return self.layer.backward(g)
-
-    def param_triples(self):
-        return []
-
-
-class _ExactAdapter(_BatchAdapter):
-    """Population normalization: statistics of whichever full batch arrives."""
-
-    def forward(self, a: np.ndarray, training: bool) -> np.ndarray:
-        # Evaluation normalizes the presented population directly instead of
-        # using decayed running statistics.
-        d, _ = _center(a, axis=0)
-        sigma = np.maximum(np.sqrt((d * d).mean(axis=0)), self.layer.sigma_floor)
-        if training:
-            return self.layer.forward(a, training=True)
-        return d / sigma
-
-
-class _LayerAdapter:
-    def __init__(self, features: int):
-        self.layer = LayerNorm(features)
-
-    def forward(self, a: np.ndarray, training: bool) -> np.ndarray:
-        return self.layer.forward(a, training=training)
-
-    def backward(self, g: np.ndarray) -> np.ndarray:
-        return self.layer.backward(g)
-
-    def param_triples(self):
-        return []
-
-
 def _make_normalizer(kind: str, features: int, cfg: TrainConfig):
     if kind == "online":
-        return _OnlineAdapter(features, cfg)
-    if kind in ("batch", "exact-population"):
-        return _ExactAdapter(features) if kind == "exact-population" else _BatchAdapter(features)
+        return OnlineNorm(features, alpha_f=cfg.alpha_f, alpha_b=cfg.alpha_b)
+    if kind == "batch":
+        return BatchNorm(features)
+    if kind == "exact-population":
+        return PopulationNorm(features)
     if kind == "layer":
-        return _LayerAdapter(features)
+        return LayerNorm(features)
     if kind == "none":
         return None
     raise ValueError(f"unknown normalizer {kind!r}")
@@ -298,7 +240,6 @@ class Mlp:
 
     def __init__(self, sizes, cfg: TrainConfig, rng):
         self.cfg = cfg
-        self.kind = cfg.normalizer
         self.dense = []
         self.norms = []
         for i in range(len(sizes) - 2):
@@ -308,9 +249,7 @@ class Mlp:
         self._pre = []
 
     def layers(self):
-        out = list(self.dense)
-        out += [n for n in self.norms if n is not None and n.param_triples()]
-        return out
+        return self.dense + [n for n in self.norms if isinstance(n, OnlineNorm)]
 
     def step_all(self) -> None:
         for layer in self.layers():
@@ -327,27 +266,25 @@ class Mlp:
     def eps_maxima(self) -> tuple[float, float]:
         ey = e1 = 0.0
         for n in self.norms:
-            if isinstance(n, _OnlineAdapter):
-                a, b = n.eps_maxima()
-                ey = max(ey, a)
-                e1 = max(e1, b)
+            if isinstance(n, OnlineNorm):
+                ey = max(ey, float(np.abs(n.state.eps_y).max()))
+                e1 = max(e1, float(np.abs(n.state.eps_1).max()))
         return ey, e1
 
-    # Batch path: every normalizer kind except the streaming one.
     def forward_batch(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        if self.kind == "online":
-            raise RuntimeError("streaming normalizer cannot take batched training passes")
+        """Logits for a (B, dim) group; training advances normalizer state."""
         self._pre = []
         h = x
         for dense, norm in zip(self.dense[:-1], self.norms):
             a = dense.forward(h)
             if norm is not None:
-                a = norm.forward(a, training)
+                a = norm.forward(a, training=training)
             self._pre.append(a)
             h = relu(a)
         return self.dense[-1].forward(h)
 
     def backward_batch(self, grad: np.ndarray) -> None:
+        """Accumulate parameter gradients for the last training forward_batch."""
         g = self.dense[-1].backward(grad)
         for dense, norm, pre in zip(
             reversed(self.dense[:-1]), reversed(self.norms), reversed(self._pre)
@@ -357,47 +294,15 @@ class Mlp:
                 g = norm.backward(g)
             g = dense.backward(g)
 
-    def eval_batch(self, x: np.ndarray) -> np.ndarray:
-        if self.kind == "online":
-            return np.stack([self._eval_sample(row) for row in x])
-        return self.forward_batch(x, training=False)
-
-    # Streaming path: one sample at a time, strict interleaving.
-    def forward_sample(self, x: np.ndarray) -> np.ndarray:
-        self._pre = []
-        h = x[None, :]
-        for dense, norm in zip(self.dense[:-1], self.norms):
-            a = dense.forward(h)[0]
-            a = norm.forward_sample(a)
-            self._pre.append(a)
-            h = relu(a)[None, :]
-        return self.dense[-1].forward(h)[0]
-
-    def backward_sample(self, grad: np.ndarray) -> None:
-        g = self.dense[-1].backward(grad[None, :])[0]
-        for dense, norm, pre in zip(
-            reversed(self.dense[:-1]), reversed(self.norms), reversed(self._pre)
-        ):
-            g = relu_backward(g, pre)
-            g = norm.backward_sample(g)
-            g = dense.backward(g[None, :])[0]
-
-    def _eval_sample(self, x: np.ndarray) -> np.ndarray:
-        h = x[None, :]
-        for dense, norm in zip(self.dense[:-1], self.norms):
-            a = dense.forward(h)[0]
-            a = norm.eval_sample(a)
-            h = relu(a)[None, :]
-        return self.dense[-1].forward(h)[0]
-
-
-def _check_loss(loss: float, limit: float) -> None:
-    if not np.isfinite(loss) or abs(loss) > limit:
-        raise DivergenceError(f"loss diverged: {loss}")
-
 
 def train(cfg: TrainConfig, train_set, val_set=None) -> tuple[list[MetricsRecord], Mlp]:
     """Run the training loop and return (metrics records, trained network).
+
+    Each epoch walks a fresh permutation in groups of batch_size samples,
+    one optimizer step per group. The streaming normalizer sums per-sample
+    gradients and keeps the trailing partial group; the other kinds average
+    and drop it. exact-population takes one group of the whole set. A
+    record's loss is the mean per-sample loss since the previous record.
 
     On divergence the offending record is appended before DivergenceError is
     raised; the partial records stay available on the exception as
@@ -411,91 +316,64 @@ def train(cfg: TrainConfig, train_set, val_set=None) -> tuple[list[MetricsRecord
     rng = make_rng(cfg.seed)
     sizes = [train_set.dim] + [cfg.hidden] * cfg.depth + [train_set.n_classes]
     net = Mlp(sizes, cfg, rng)
+    sum_gradients = cfg.normalizer == "online"
+    group = train_set.n if cfg.normalizer == "exact-population" else cfg.batch_size
+    stop = train_set.n if sum_gradients else train_set.n - group + 1
     records: list[MetricsRecord] = []
     step = 0
     interval_losses: list[float] = []
+    interval_sizes: list[int] = []
     interval_hits = 0
-    interval_count = 0
 
     def flush(epoch: int) -> None:
-        nonlocal interval_losses, interval_hits, interval_count
+        nonlocal interval_losses, interval_sizes, interval_hits
         if not interval_losses:
             return
-        loss = float(np.mean(interval_losses))
+        loss = float(np.average(interval_losses, weights=interval_sizes))
         if val_set is not None:
             acc = evaluate_accuracy(net, val_set)
         else:
-            acc = interval_hits / max(interval_count, 1)
+            acc = interval_hits / sum(interval_sizes)
         ey, e1 = net.eps_maxima()
         records.append(
             MetricsRecord(step, epoch, loss, acc, net.weight_norm(), ey, e1)
         )
         interval_losses = []
+        interval_sizes = []
         interval_hits = 0
-        interval_count = 0
 
     try:
         for epoch in range(cfg.epochs):
             order = rng.permutation(train_set.n)
-            if cfg.normalizer == "online":
-                pending = 0
-                for idx in order:
-                    x, label = train_set.x[idx], int(train_set.labels[idx])
-                    logits = net.forward_sample(x)
-                    loss, probs = softmax_xent_forward(logits[None, :], np.array([label]))
-                    net.backward_sample(softmax_xent_backward(probs, np.array([label]))[0])
-                    pending += 1
-                    interval_losses.append(loss)
-                    interval_hits += int(np.argmax(logits) == label)
-                    interval_count += 1
-                    if pending == cfg.batch_size:
-                        net.step_all()
-                        pending = 0
-                        step += 1
-                        _check_loss(loss, cfg.divergence_limit)
-                        if cfg.eval_interval and step % cfg.eval_interval == 0:
-                            flush(epoch)
-                if pending:
-                    net.step_all()
-                    step += 1
-            elif cfg.normalizer == "exact-population":
-                logits = net.forward_batch(train_set.x[order], training=True)
-                loss, probs = softmax_xent_forward(logits, train_set.labels[order])
-                net.backward_batch(softmax_xent_backward(probs, train_set.labels[order]))
+            for start in range(0, stop, group):
+                sel = order[start : start + group]
+                labels = train_set.labels[sel]
+                logits = net.forward_batch(train_set.x[sel], training=True)
+                loss, probs = softmax_xent_forward(logits, labels)
+                grad = softmax_xent_backward(probs, labels)
+                if sum_gradients:
+                    grad *= sel.size
+                net.backward_batch(grad)
                 net.step_all()
                 step += 1
                 interval_losses.append(loss)
-                interval_hits += int((np.argmax(logits, axis=1) == train_set.labels[order]).sum())
-                interval_count += train_set.n
-                _check_loss(loss, cfg.divergence_limit)
-            else:
-                for start in range(0, train_set.n - cfg.batch_size + 1, cfg.batch_size):
-                    sel = order[start : start + cfg.batch_size]
-                    logits = net.forward_batch(train_set.x[sel], training=True)
-                    loss, probs = softmax_xent_forward(logits, train_set.labels[sel])
-                    net.backward_batch(softmax_xent_backward(probs, train_set.labels[sel]))
-                    net.step_all()
-                    step += 1
-                    interval_losses.append(loss)
-                    interval_hits += int((np.argmax(logits, axis=1) == train_set.labels[sel]).sum())
-                    interval_count += sel.size
-                    _check_loss(loss, cfg.divergence_limit)
-                    if cfg.eval_interval and step % cfg.eval_interval == 0:
-                        flush(epoch)
+                interval_sizes.append(sel.size)
+                interval_hits += int((np.argmax(logits, axis=1) == labels).sum())
+                if not np.isfinite(loss) or abs(loss) > cfg.divergence_limit:
+                    raise DivergenceError(f"loss diverged: {loss}")
+                if cfg.eval_interval and step % cfg.eval_interval == 0:
+                    flush(epoch)
             if not cfg.eval_interval:
                 flush(epoch)
         flush(cfg.epochs - 1)
     except DivergenceError as exc:
         ey, e1 = net.eps_maxima()
-        bad = interval_losses[-1] if interval_losses else float("nan")
-        records.append(
-            MetricsRecord(step, min(epoch, cfg.epochs - 1), bad, 0.0, net.weight_norm(), ey, e1)
-        )
+        records.append(MetricsRecord(step, epoch, loss, 0.0, net.weight_norm(), ey, e1))
         exc.records = records
         raise
     return records, net
 
 
 def evaluate_accuracy(net: Mlp, dataset) -> float:
-    logits = net.eval_batch(dataset.x)
+    logits = net.forward_batch(dataset.x, training=False)
     return float((np.argmax(logits, axis=1) == dataset.labels).mean())

@@ -26,6 +26,14 @@ on average, orthogonal to the normalized output (first stage) and mean-free
 
 Both accumulators stay bounded for bounded gradient streams. Strict
 one-backward-per-forward ordering is enforced through the cache handshake.
+
+Every function takes a float64 block of shape (n, features, spatial): n
+consecutive samples, n = 1 being the streaming step. The recurrences loop
+over the samples in order, vectorized across features, so a block is
+bit-identical to n single-sample calls. Training may run a whole block
+forward before its backward because the forward statistics never read the
+backward accumulators, and the weights feeding the layer change only
+between blocks. Values are not checked for finiteness.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import SIGMA_FLOOR, FeatureMap, ShapeError, feature_var
+from .tensor import SIGMA_FLOOR, ShapeError, as_block, feature_mean, feature_var
 
 
 class InterleaveError(RuntimeError):
@@ -44,12 +52,17 @@ class InterleaveError(RuntimeError):
 
 @dataclass
 class ForwardCache:
-    """Values one forward pass must hand to its matching backward pass."""
+    """Values one forward pass over a block must hand to its matching backward pass.
 
-    y: FeatureMap | None = None
+    y is the normalized (n, features, spatial) block, sigma_used the (n,
+    features) divisors each sample was normalized with, and z and zeta the
+    layer-scaled block and its per-sample RMS.
+    """
+
+    y: np.ndarray | None = None
     sigma_used: np.ndarray | None = None
-    z: FeatureMap | None = None
-    zeta: float | None = None
+    z: np.ndarray | None = None
+    zeta: np.ndarray | None = None
     token: int | None = None
 
 
@@ -100,89 +113,111 @@ class OnlineNormState:
         self._consumed = 0
 
 
-def forward_sample(state: OnlineNormState, x: FeatureMap) -> tuple[FeatureMap, ForwardCache]:
-    """Normalize one sample with the running statistics, then advance them."""
-    if x.features != state.features:
-        raise ShapeError(f"sample has {x.features} features, state has {state.features}")
-    sigma = np.sqrt(state.var)
-    np.maximum(sigma, state.sigma_floor, out=sigma)
-    y = FeatureMap((x.data - state.mu[:, None]) / sigma[:, None])
+def _block(x, features: int) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 3 or x.shape[1] != features:
+        raise ShapeError(f"expected an (n, {features}, spatial) block, got shape {x.shape}")
+    return x
 
-    mx = x.data.mean(axis=1)
+
+def forward_sample(state: OnlineNormState, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+    """Normalize each sample of a block with the running statistics, then advance them."""
+    x = _block(x, state.features)
+    n = x.shape[0]
+    mx = feature_mean(x)
     vx = feature_var(x)
-    delta = mx - state.mu
-    state.mu = state.alpha_f * state.mu + (1.0 - state.alpha_f) * mx
-    state.var = (
-        state.alpha_f * state.var
-        + (1.0 - state.alpha_f) * vx
-        + state.alpha_f * (1.0 - state.alpha_f) * delta * delta
-    )
-    state._tick += 1
-    return y, ForwardCache(y=y, sigma_used=sigma, token=state._tick)
+    y = np.empty_like(x)
+    sigma_used = np.empty((n, state.features))
+    af, cf = state.alpha_f, 1.0 - state.alpha_f
+    mu, var = state.mu, state.var
+    for t in range(n):
+        sigma = sigma_used[t] = np.maximum(np.sqrt(var), state.sigma_floor)
+        y[t] = (x[t] - mu[:, None]) / sigma[:, None]
+        delta = mx[t] - mu
+        mu = af * mu + cf * mx[t]
+        var = af * var + cf * vx[t] + af * cf * delta * delta
+    state.mu, state.var = mu, var
+    state._tick += n
+    return y, ForwardCache(y=y, sigma_used=sigma_used, token=state._tick)
 
 
-def forward_inference(state: OnlineNormState, x: FeatureMap) -> FeatureMap:
-    """Normalize with the current statistics without advancing the state."""
-    if x.features != state.features:
-        raise ShapeError(f"sample has {x.features} features, state has {state.features}")
+def forward_inference(state: OnlineNormState, x: np.ndarray) -> np.ndarray:
+    """Normalize a block with the current statistics without advancing the state."""
+    x = _block(x, state.features)
     sigma = np.maximum(np.sqrt(state.var), state.sigma_floor)
-    return FeatureMap((x.data - state.mu[:, None]) / sigma[:, None])
+    return (x - state.mu[:, None]) / sigma[:, None]
 
 
 def layer_scale_forward(
-    y: FeatureMap, cache: ForwardCache | None = None, sigma_floor: float = SIGMA_FLOOR
-) -> tuple[FeatureMap, float]:
-    """Divide the sample by its RMS over all features and spatial positions."""
-    zeta = float(np.sqrt(np.mean(y.data * y.data)))
-    z = FeatureMap(y.data / max(zeta, sigma_floor))
+    y: np.ndarray, cache: ForwardCache | None = None, sigma_floor: float = SIGMA_FLOOR
+) -> tuple[np.ndarray, np.ndarray]:
+    """Divide each sample by its RMS over all features and spatial positions.
+
+    Returns the scaled block and the (n,) per-sample RMS values.
+    """
+    n = y.shape[0]
+    zeta = np.sqrt((y * y).reshape(n, -1).mean(axis=1))
+    z = y / np.maximum(zeta, sigma_floor)[:, None, None]
     if cache is not None:
         cache.z = z
         cache.zeta = zeta
     return z, zeta
 
 
-def layer_scale_backward(z_grad: FeatureMap, cache: ForwardCache) -> FeatureMap:
-    """Exact gradient of the RMS scaling: (z' - z * mean(z z')) / zeta."""
+def layer_scale_backward(
+    z_grad: np.ndarray, cache: ForwardCache, sigma_floor: float = SIGMA_FLOOR
+) -> np.ndarray:
+    """Exact gradient of the RMS scaling, per sample.
+
+    (z' - z * mean(z z')) / zeta where the forward divided by zeta, and
+    z' / floor where it divided by the floor.
+    """
     if cache.z is None or cache.zeta is None:
         raise InterleaveError("cache holds no layer-scaling record")
     z = cache.z
-    if z_grad.data.shape != z.data.shape:
-        raise ShapeError(f"gradient shape {z_grad.data.shape} vs output {z.data.shape}")
-    coupling = float(np.mean(z.data * z_grad.data))
-    return FeatureMap((z_grad.data - z.data * coupling) / cache.zeta)
+    if z_grad.shape != z.shape:
+        raise ShapeError(f"gradient shape {z_grad.shape} vs output {z.shape}")
+    n = z.shape[0]
+    scaled = cache.zeta >= sigma_floor
+    coupling = np.where(scaled, (z * z_grad).reshape(n, -1).mean(axis=1), 0.0)
+    divisor = np.where(scaled, cache.zeta, sigma_floor)
+    return (z_grad - z * coupling[:, None, None]) / divisor[:, None, None]
 
 
 def backward_sample(
-    state: OnlineNormState, y_grad: FeatureMap, cache: ForwardCache
-) -> FeatureMap:
-    """Run the two-stage control process on one sample's gradient.
+    state: OnlineNormState, y_grad: np.ndarray, cache: ForwardCache
+) -> np.ndarray:
+    """Run the two-stage control process over a block of sample gradients.
 
     Must be called exactly once per forward_sample, in order; the cache from
-    the matching forward carries y_t and the sigma used for its division.
+    the matching forward carries each y_t and the sigma used for its division.
     """
     if cache.token is None or cache.token != state._tick:
         raise InterleaveError("cache does not belong to the most recent forward pass")
     if cache.token == state._consumed:
         raise InterleaveError("backward already ran for this forward pass")
     y = cache.y
-    if y_grad.data.shape != y.data.shape:
-        raise ShapeError(f"gradient shape {y_grad.data.shape} vs output {y.data.shape}")
+    if y_grad.shape != y.shape:
+        raise ShapeError(f"gradient shape {y_grad.shape} vs output {y.shape}")
 
-    cb = 1.0 - state.alpha_b
-    xt = y_grad.data - cb * state.eps_y[:, None] * y.data
-    state.eps_y = state.eps_y + (xt * y.data).mean(axis=1)
-
-    if state.scale_by_output_rms:
-        divisor = np.maximum(np.sqrt(state.out_ms), state.sigma_floor)
-    else:
-        divisor = cache.sigma_used
-    xg = xt / divisor[:, None] - cb * state.eps_1[:, None]
-    state.eps_1 = state.eps_1 + xg.mean(axis=1)
-    if state.scale_by_output_rms:
-        state.out_ms = state.alpha_b * state.out_ms + cb * (xg * xg).mean(axis=1)
-
+    ab, cb = state.alpha_b, 1.0 - state.alpha_b
+    floor = state.sigma_floor
+    eps_y, eps_1, out_ms = state.eps_y, state.eps_1, state.out_ms
+    xg = np.empty_like(y)
+    for t in range(y.shape[0]):
+        xt = y_grad[t] - cb * eps_y[:, None] * y[t]
+        eps_y = eps_y + feature_mean(xt * y[t])
+        if state.scale_by_output_rms:
+            divisor = np.maximum(np.sqrt(out_ms), floor)
+        else:
+            divisor = cache.sigma_used[t]
+        xg[t] = xt / divisor[:, None] - cb * eps_1[:, None]
+        eps_1 = eps_1 + feature_mean(xg[t])
+        if state.scale_by_output_rms:
+            out_ms = ab * out_ms + cb * feature_mean(xg[t] * xg[t])
+    state.eps_y, state.eps_1, state.out_ms = eps_y, eps_1, out_ms
     state._consumed = cache.token
-    return FeatureMap(xg)
+    return xg
 
 
 class AffineParams:
@@ -197,19 +232,19 @@ class AffineParams:
         self.v_bias = np.zeros(features)
 
 
-def affine_forward(p: AffineParams, z: FeatureMap) -> FeatureMap:
-    if z.features != p.gain.size:
-        raise ShapeError(f"sample has {z.features} features, params have {p.gain.size}")
-    return FeatureMap(p.gain[:, None] * z.data + p.bias[:, None])
+def affine_forward(p: AffineParams, z: np.ndarray) -> np.ndarray:
+    if z.ndim != 3 or z.shape[1] != p.gain.size:
+        raise ShapeError(f"block shape {z.shape}, params have {p.gain.size} features")
+    return p.gain[:, None] * z + p.bias[:, None]
 
 
-def affine_backward(p: AffineParams, z: FeatureMap, out_grad: FeatureMap) -> FeatureMap:
-    """Accumulate gain/bias gradients (summed over spatial) and pass the rest back."""
-    if out_grad.data.shape != z.data.shape:
-        raise ShapeError(f"gradient shape {out_grad.data.shape} vs input {z.data.shape}")
-    p.d_gain += (out_grad.data * z.data).sum(axis=1)
-    p.d_bias += out_grad.data.sum(axis=1)
-    return FeatureMap(p.gain[:, None] * out_grad.data)
+def affine_backward(p: AffineParams, z: np.ndarray, out_grad: np.ndarray) -> np.ndarray:
+    """Accumulate gain/bias gradients (summed over samples and spatial) and pass the rest back."""
+    if out_grad.shape != z.shape:
+        raise ShapeError(f"gradient shape {out_grad.shape} vs input {z.shape}")
+    p.d_gain += (out_grad * z).sum(axis=(0, 2))
+    p.d_bias += out_grad.sum(axis=(0, 2))
+    return p.gain[:, None] * out_grad
 
 
 _HEADER = struct.Struct("<Qdd")
@@ -247,9 +282,12 @@ def load_state(blob: bytes) -> OnlineNormState:
 class OnlineNorm:
     """Composed streaming normalizer: normalization, optional affine, layer scaling.
 
-    A single instance is a stateful stream processor and must see a strict
-    forward/backward interleaving during training; distinct instances are
-    independent.
+    Takes (n, features) or (n, features, spatial) blocks, like BatchNorm and
+    LayerNorm. A training pass runs the n samples through the stream in
+    order; it gives the same result as n single-sample passes provided the
+    parameters change only between blocks. A single instance is a stateful
+    stream processor and must see a strict forward/backward interleaving
+    during training; distinct instances are independent.
     """
 
     def __init__(
@@ -272,35 +310,35 @@ class OnlineNorm:
         self.affine = AffineParams(features) if affine else None
         self.layer_scaling = bool(layer_scaling)
         self._cache: ForwardCache | None = None
-        self._affine_in: FeatureMap | None = None
+        self._affine_in: np.ndarray | None = None
 
-    def forward(self, x: FeatureMap) -> FeatureMap:
-        out, cache = forward_sample(self.state, x)
+    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
+        """Training advances the statistics; evaluation freezes them and keeps no cache."""
+        xb, squeeze = as_block(x)
+        if training:
+            out, cache = forward_sample(self.state, xb)
+        else:
+            out, cache = forward_inference(self.state, xb), None
         if self.affine is not None:
-            self._affine_in = out
+            if training:
+                self._affine_in = out
             out = affine_forward(self.affine, out)
         if self.layer_scaling:
             out, _ = layer_scale_forward(out, cache, self.state.sigma_floor)
-        self._cache = cache
-        return out
+        if training:
+            self._cache = cache
+        return out[:, :, 0] if squeeze else out
 
-    def backward(self, grad: FeatureMap) -> FeatureMap:
+    def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise InterleaveError("backward before any forward")
+        grad, squeeze = as_block(grad)
         if self.layer_scaling:
-            grad = layer_scale_backward(grad, self._cache)
+            grad = layer_scale_backward(grad, self._cache, self.state.sigma_floor)
         if self.affine is not None:
             grad = affine_backward(self.affine, self._affine_in, grad)
-        return backward_sample(self.state, grad, self._cache)
-
-    def forward_eval(self, x: FeatureMap) -> FeatureMap:
-        """Inference path: frozen statistics, no state change, no cache."""
-        out = forward_inference(self.state, x)
-        if self.affine is not None:
-            out = affine_forward(self.affine, out)
-        if self.layer_scaling:
-            out, _ = layer_scale_forward(out, None, self.state.sigma_floor)
-        return out
+        out = backward_sample(self.state, grad, self._cache)
+        return out[:, :, 0] if squeeze else out
 
     def param_triples(self):
         if self.affine is None:

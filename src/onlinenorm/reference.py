@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import SIGMA_FLOOR, FeatureMap, ShapeError
+from .tensor import SIGMA_FLOOR, FeatureMap, ShapeError, as_block
 
 
 class DegenerateBatchError(ValueError):
@@ -76,16 +76,6 @@ def jacobian_dense(values) -> np.ndarray:
     return ((n * np.eye(n) - 1.0) - np.outer(y, y)) / (n * sigma)
 
 
-def _as_bfs(x: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Coerce (batch, features) or (batch, features, spatial) to 3-D."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 2:
-        return x[:, :, None], True
-    if x.ndim == 3:
-        return x, False
-    raise ShapeError(f"expected 2-D or 3-D batch, got {x.ndim}-D")
-
-
 class BatchNorm:
     """Per-feature exact normalization over the batch (and spatial) dimension.
 
@@ -103,7 +93,7 @@ class BatchNorm:
         self._cache = None
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        xb, squeeze = _as_bfs(x)
+        xb, squeeze = as_block(x)
         b, f, s = xb.shape
         if f != self.features:
             raise ShapeError(f"batch has {f} features, layer has {self.features}")
@@ -126,7 +116,7 @@ class BatchNorm:
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward before training-mode forward")
-        gb, squeeze = _as_bfs(grad)
+        gb, squeeze = as_block(grad)
         y, sigma, count = self._cache
         if gb.shape != y.shape:
             raise ShapeError(f"gradient shape {gb.shape} vs output {y.shape}")
@@ -134,6 +124,21 @@ class BatchNorm:
         coupling = (w * y).sum(axis=(0, 2)) / count
         out = (w - coupling[None, :, None] * y) / sigma[None, :, None]
         return out[:, :, 0] if squeeze else out
+
+
+class PopulationNorm(BatchNorm):
+    """Exact population normalization of whichever full batch arrives.
+
+    Trains like BatchNorm on one batch holding the whole population, and
+    evaluation normalizes the presented population with its own statistics
+    instead of running ones.
+    """
+
+    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
+        if training:
+            return super().forward(x, training=True)
+        d, _ = _center(np.asarray(x, dtype=np.float64), axis=0)
+        return d / np.maximum(np.sqrt((d * d).mean(axis=0)), self.sigma_floor)
 
 
 def layer_norm_forward(x) -> tuple[np.ndarray, float, float]:

@@ -2,7 +2,8 @@
 
 Each check returns (name, passed, detail); the CLI prints one line per
 check. These are quick smoke versions of the formal properties; the full
-suite lives in the test tree.
+suite lives in the test tree. The streaming checks feed the kernel one
+(1, 1, 1) block per step.
 """
 
 from __future__ import annotations
@@ -10,7 +11,11 @@ from __future__ import annotations
 import numpy as np
 
 from . import emulation, online, reference
-from .tensor import FeatureMap, make_rng
+from .tensor import make_rng
+
+
+def _scalar(x) -> np.ndarray:
+    return np.full((1, 1, 1), float(x))
 
 
 def _forward_mean_equivalence() -> tuple[str, bool, str]:
@@ -21,7 +26,7 @@ def _forward_mean_equivalence() -> tuple[str, bool, str]:
         eps = 0.0
         for _ in range(3000):
             x = float(rng.uniform(-1.0, 1.0))
-            online.forward_sample(state, FeatureMap([x]))
+            online.forward_sample(state, _scalar(x))
             eps += x - (1.0 - alpha) * eps
             worst = max(worst, abs(state.mu[0] - (1.0 - alpha) * eps))
     return "forward mean control/estimator equivalence", worst < 1e-10, f"max gap {worst:.2e}"
@@ -35,22 +40,18 @@ def _backward_equivalence() -> tuple[str, bool, str]:
     worst = 0.0
     for _ in range(3000):
         x = float(rng.uniform(-1.0, 1.0))
-        y, cache = online.forward_sample(state, FeatureMap([x]))
+        y, cache = online.forward_sample(state, _scalar(x))
         g = float(rng.uniform(-1.0, 1.0))
-        online.backward_sample(state, FeatureMap([g]), cache)
-        yv = y.data[0, 0]
+        online.backward_sample(state, _scalar(g), cache)
+        yv = y[0, 0, 0]
         mu_y = (1.0 - (1.0 - alpha_b) * yv * yv) * mu_y + (1.0 - alpha_b) * g * yv
         worst = max(worst, abs(mu_y - (1.0 - alpha_b) * state.eps_y[0]))
     return "backward control/estimator equivalence", worst < 1e-10, f"max gap {worst:.2e}"
 
 
 def _layer_scale_unit_ms() -> tuple[str, bool, str]:
-    rng = make_rng(3)
-    worst = 0.0
-    for _ in range(50):
-        y = FeatureMap(rng.normal(size=(8, 4)))
-        z, _ = online.layer_scale_forward(y)
-        worst = max(worst, abs(float((z.data**2).mean()) - 1.0))
+    z, _ = online.layer_scale_forward(make_rng(3).normal(size=(50, 8, 4)))
+    worst = float(np.abs((z**2).mean(axis=(1, 2)) - 1.0).max())
     return "layer scaling pins mean square at one", worst < 1e-12, f"max |ms-1| {worst:.2e}"
 
 
@@ -65,10 +66,9 @@ def _layer_scale_gradient() -> tuple[str, bool, str]:
             z = v / max(np.sqrt((v * v).mean()), 1e-5)
             return float(np.dot(loss_w, z))
 
-        fm = FeatureMap(y)
         cache = online.ForwardCache()
-        z, _ = online.layer_scale_forward(fm, cache)
-        got = online.layer_scale_backward(FeatureMap(loss_w), cache).ravel()
+        online.layer_scale_forward(y.reshape(1, 6, 1), cache)
+        got = online.layer_scale_backward(loss_w.reshape(1, 6, 1), cache).ravel()
         fd = np.empty(6)
         for i in range(6):
             up, down = y.copy(), y.copy()
@@ -109,17 +109,23 @@ def _batch_two_degeneracy() -> tuple[str, bool, str]:
     return "batch-two output exactly +-1 with zero gradient", ok, ""
 
 
+def emulation_deviation(xs: np.ndarray, n: int, alpha: float) -> float:
+    """Largest gap between the streaming kernel's mean/variance trajectory and emulate_stream's."""
+    mus, vars_ = emulation.emulate_stream(xs, n, alpha)
+    state = online.OnlineNormState(1, alpha_f=alpha, alpha_b=0.99)
+    worst = 0.0
+    for t, x in enumerate(np.reshape(xs, (-1, 1, 1, 1))):
+        online.forward_sample(state, x)
+        worst = max(worst, abs(state.mu[0] - mus[t]), abs(state.var[0] - vars_[t]))
+    return worst
+
+
 def _emulation_equivalence() -> tuple[str, bool, str]:
     worst = 0.0
     for n in (1, 2, 3, 5, 8):
         for alpha in (0.5, 0.99, 0.999):
             rng = make_rng(100 * n + int(1000 * alpha))
-            xs = rng.uniform(-1.0, 1.0, size=10 * n)
-            mus, vars_ = emulation.emulate_stream(xs, n, alpha)
-            state = online.OnlineNormState(1, alpha_f=alpha, alpha_b=0.99)
-            for t, x in enumerate(xs):
-                online.forward_sample(state, FeatureMap([x]))
-                worst = max(worst, abs(state.mu[0] - mus[t]), abs(state.var[0] - vars_[t]))
+            worst = max(worst, emulation_deviation(rng.uniform(-1.0, 1.0, size=10 * n), n, alpha))
     return "group emulation matches streaming", worst < 1e-10, f"max gap {worst:.2e}"
 
 
@@ -129,8 +135,8 @@ def _accumulator_boundedness() -> tuple[str, bool, str]:
     head = 0.0
     tail = 0.0
     for t in range(20000):
-        y, cache = online.forward_sample(state, FeatureMap([float(rng.uniform(-1, 1))]))
-        online.backward_sample(state, FeatureMap([float(rng.uniform(-1, 1))]), cache)
+        y, cache = online.forward_sample(state, _scalar(rng.uniform(-1, 1)))
+        online.backward_sample(state, _scalar(rng.uniform(-1, 1)), cache)
         mag = max(abs(state.eps_y[0]), abs(state.eps_1[0]))
         if t < 1000:
             head = max(head, mag)
@@ -142,8 +148,7 @@ def _accumulator_boundedness() -> tuple[str, bool, str]:
 def _serialization_roundtrip() -> tuple[str, bool, str]:
     rng = make_rng(23)
     state = online.OnlineNormState(5, alpha_f=0.97, alpha_b=0.9)
-    for _ in range(50):
-        online.forward_sample(state, FeatureMap(rng.normal(size=(5, 3))))
+    online.forward_sample(state, rng.normal(size=(50, 5, 3)))
     clone = online.load_state(online.save_state(state))
     same = (
         np.array_equal(clone.mu, state.mu)

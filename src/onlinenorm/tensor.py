@@ -1,9 +1,9 @@
 """Dense-array substrate shared by every other module.
 
 Everything is float64: the verification tolerances sit near 1e-10, which
-float32 cannot hold. Per-sample activations travel as a FeatureMap, a
-feature-major (features, spatial) block; fully connected layers use
-spatial = 1.
+float32 cannot hold. Activations travel as blocks of shape (n, features)
+or (n, features, spatial): n samples, each a feature-major map; fully
+connected layers use spatial = 1. FeatureMap holds one validated sample.
 """
 
 from __future__ import annotations
@@ -57,31 +57,42 @@ class FeatureMap:
         return f"FeatureMap(features={self.features}, spatial={self.spatial})"
 
 
-def feature_mean(m: FeatureMap) -> np.ndarray:
-    """Arithmetic mean over each feature's spatial values."""
-    return m.data.mean(axis=1)
+def _values(m) -> np.ndarray:
+    return m.data if isinstance(m, FeatureMap) else np.asarray(m, dtype=np.float64)
 
 
-def feature_var(m: FeatureMap) -> np.ndarray:
+def _spatial_mean(v: np.ndarray) -> np.ndarray:
+    # Same sum and division as v.mean(axis=-1), without its per-call overhead.
+    return np.add.reduce(v, axis=-1) / v.shape[-1]
+
+
+def feature_mean(m) -> np.ndarray:
+    """Arithmetic mean over each feature's spatial values.
+
+    Takes a FeatureMap or any array whose last axis is spatial, such as an
+    (n, features, spatial) block.
+    """
+    return _spatial_mean(_values(m))
+
+
+def feature_var(m) -> np.ndarray:
     """Population variance over each feature's spatial values (zero for spatial=1)."""
-    d = m.data - m.data.mean(axis=1, keepdims=True)
-    return (d * d).mean(axis=1)
+    v = _values(m)
+    d = v - _spatial_mean(v)[..., None]
+    return _spatial_mean(d * d)
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul shapes {a.shape} x {b.shape}")
-    return a @ b
+def as_block(x) -> tuple[np.ndarray, bool]:
+    """Coerce (n, features) or (n, features, spatial) to a 3-D float64 block.
 
-
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if np.shape(a) != np.shape(b):
-        raise ShapeError(f"add shapes {np.shape(a)} vs {np.shape(b)}")
-    return a + b
-
-
-def scale(a: np.ndarray, c: float) -> np.ndarray:
-    return a * float(c)
+    The flag says whether the input was 2-D, so callers can squeeze back.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 2:
+        return x[:, :, None], True
+    if x.ndim == 3:
+        return x, False
+    raise ShapeError(f"expected 2-D or 3-D batch, got {x.ndim}-D")
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -93,19 +104,6 @@ def relu_backward(grad: np.ndarray, pre: np.ndarray) -> np.ndarray:
     if np.shape(grad) != np.shape(pre):
         raise ShapeError(f"relu_backward shapes {np.shape(grad)} vs {np.shape(pre)}")
     return np.where(pre > 0.0, grad, 0.0)
-
-
-def dot(u: np.ndarray, v: np.ndarray) -> float:
-    u = np.asarray(u, dtype=np.float64).reshape(-1)
-    v = np.asarray(v, dtype=np.float64).reshape(-1)
-    if u.size != v.size:
-        raise ShapeError(f"dot lengths {u.size} vs {v.size}")
-    return float(np.dot(u, v))
-
-
-def l2_norm(v: np.ndarray) -> float:
-    v = np.asarray(v, dtype=np.float64).reshape(-1)
-    return float(np.sqrt(np.dot(v, v)))
 
 
 def make_rng(seed: int) -> np.random.Generator:

@@ -19,7 +19,7 @@ from onlinenorm.experiments import (
 from onlinenorm.net import TrainConfig, scale_hyperparams, train
 from onlinenorm.online import OnlineNormState, backward_sample, forward_sample
 from onlinenorm.reference import BatchNorm, exact_backward, exact_normalize
-from onlinenorm.tensor import FeatureMap, make_rng
+from onlinenorm.tensor import make_rng
 
 
 def report(number, passed, detail):
@@ -29,7 +29,8 @@ def report(number, passed, detail):
 
 
 def scalar(x):
-    return FeatureMap([float(x)])
+    """One sample with one feature: a (1, 1, 1) block."""
+    return np.full((1, 1, 1), float(x))
 
 
 def test_criterion_01_gradient_oracle_suite():
@@ -109,7 +110,7 @@ def test_criterion_03_control_estimator_equivalences():
             y, cache = forward_sample(state, scalar(rng.uniform(-1.0, 1.0)))
             g = float(rng.uniform(-1.0, 1.0))
             backward_sample(state, scalar(g), cache)
-            yv = y.data[0, 0]
+            yv = y[0, 0, 0]
             mu_y = (1.0 - (1.0 - alpha) * yv * yv) * mu_y + (1.0 - alpha) * g * yv
             worst_b = max(worst_b, abs(mu_y - (1.0 - alpha) * state.eps_y[0]))
     elapsed = time.time() - t0
@@ -128,7 +129,7 @@ def test_criterion_04_asymptotic_moments():
     ys = np.empty(xs.size)
     for t, x in enumerate(xs):
         y, _ = forward_sample(state, scalar(x))
-        ys[t] = y.data[0, 0]
+        ys[t] = y[0, 0, 0]
     half = ys[50_000:]
     mean = float(half.mean())
     var = float(half.var())
@@ -273,8 +274,8 @@ def test_criterion_12_layer_scaling_gradient():
             return float(np.dot(loss_w, v / np.sqrt((v * v).mean())))
 
         cache = ForwardCache()
-        layer_scale_forward(FeatureMap(y), cache)
-        got = layer_scale_backward(FeatureMap(loss_w), cache).ravel()
+        layer_scale_forward(y.reshape(1, n, 1), cache)
+        got = layer_scale_backward(loss_w.reshape(1, n, 1), cache).ravel()
         h = 1e-6
         fd = np.empty(n)
         for i in range(n):

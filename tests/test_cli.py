@@ -132,6 +132,27 @@ def test_sweep_subcommand_writes_csv(tmp_path, capsys):
     assert len(rows) == 3
 
 
+def test_sweep_with_every_cell_divergent_exits_zero(tmp_path, capsys):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(
+        "eta = 1.0\nmomentum = 0.0\nepochs = 1\nbatch_size = 4\nnormalizer = online\n"
+        "hidden = 8\nsamples = 120\ndim = 4\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "s"
+    with np.errstate(all="ignore"):
+        code, stdout, _ = run_cli(
+            ["sweep", "--config", str(cfg), "--alpha-f-grid", "0.9,0.99",
+             "--alpha-b-grid", "0.5", "--out", str(out)],
+            capsys,
+        )
+    assert code == 0
+    assert "no finite cell" in stdout
+    with open(out / "sweep.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [row[3] for row in rows[1:]] == ["1", "1"]
+
+
 def test_seed_override_changes_run(tmp_path, capsys):
     out_a, out_b, out_c = (tmp_path / n for n in "abc")
     for out, seed in ((out_a, "1"), (out_b, "1"), (out_c, "2")):

@@ -1,23 +1,17 @@
 import numpy as np
 import pytest
 
-from onlinenorm.emulation import (
-    EmulationState,
-    VarianceEmulationState,
-    batched_mean,
-    batched_variance,
-    emulate_stream,
-)
+from onlinenorm.emulation import emulate_stream
 from onlinenorm.online import OnlineNormState, forward_sample
-from onlinenorm.tensor import FeatureMap, ShapeError, make_rng
+from onlinenorm.tensor import ShapeError, make_rng
 
 
 def streaming_trajectory(xs, alpha):
     """Oracle: the per-step streaming statistics."""
     state = OnlineNormState(1, alpha_f=alpha, alpha_b=0.99)
     mus, vars_ = [], []
-    for x in xs:
-        forward_sample(state, FeatureMap([float(x)]))
+    for x in np.reshape(xs, (-1, 1, 1, 1)):
+        forward_sample(state, x)
         mus.append(state.mu[0])
         vars_.append(state.var[0])
     return np.array(mus), np.array(vars_)
@@ -34,18 +28,15 @@ def test_group_of_one_reduces_to_streaming_recurrence():
 
 
 def test_zero_input_stays_zero():
-    state = EmulationState(4, 0.99)
-    for _ in range(5):
-        out = batched_mean(state, np.zeros(4))
-        assert np.array_equal(out, np.zeros(4))
+    mus, _ = emulate_stream(np.zeros(20), 4, 0.99)
+    assert np.array_equal(mus, np.zeros(20))
 
 
 def test_mean_matches_streaming_on_random_stream():
     alpha = 0.97
     rng = make_rng(51)
     xs = rng.normal(size=64)
-    state = EmulationState(4, alpha)
-    got = np.concatenate([batched_mean(state, xs[i : i + 4]) for i in range(0, 64, 4)])
+    got, _ = emulate_stream(xs, 4, alpha)
     ref_mu, _ = streaming_trajectory(xs, alpha)
     assert np.abs(got - ref_mu).max() < 1e-12
 
@@ -63,8 +54,7 @@ def test_variance_matches_streaming_on_random_stream():
     alpha = 0.95
     rng = make_rng(52)
     xs = rng.normal(size=128)
-    state = VarianceEmulationState(8, alpha)
-    got = np.concatenate([batched_variance(state, xs[i : i + 8]) for i in range(0, 128, 8)])
+    _, got = emulate_stream(xs, 8, alpha)
     _, ref_var = streaming_trajectory(xs, alpha)
     assert np.abs(got - ref_var).max() < 1e-10
 
@@ -94,27 +84,17 @@ def test_group_splitting_is_associative():
     assert np.abs(big_var - ref_var).max() < 1e-10
 
 
-def test_powers_built_by_repeated_multiplication():
-    state = EmulationState(5, 0.9)
-    expect = 1.0
-    for k in range(5):
-        assert state.A[k] == expect
-        expect *= 0.9
-
-
 def test_group_length_mismatch_errors():
-    state = EmulationState(4, 0.9)
     with pytest.raises(ShapeError):
-        batched_mean(state, np.zeros(3))
-    vstate = VarianceEmulationState(4, 0.9)
+        emulate_stream(np.zeros(3), 4, 0.9)
     with pytest.raises(ShapeError):
-        batched_variance(vstate, np.zeros(5))
+        emulate_stream(np.zeros(5), 4, 0.9)
     with pytest.raises(ShapeError):
         emulate_stream(np.zeros(10), 4, 0.9)
 
 
 def test_invalid_construction():
     with pytest.raises(ValueError):
-        EmulationState(0, 0.9)
+        emulate_stream(np.zeros(4), 0, 0.9)
     with pytest.raises(ValueError):
-        EmulationState(4, 1.0)
+        emulate_stream(np.zeros(4), 4, 1.0)

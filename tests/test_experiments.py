@@ -156,6 +156,19 @@ def test_sweep_determinism():
     assert np.array_equal(a.final_loss, b.final_loss)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_sweep_records_divergent_cell_and_continues():
+    data, _ = sweep_setup()
+    base = TrainConfig(eta=1.0, momentum=0.0, l2=0.0, batch_size=4, epochs=1,
+                       seed=0, normalizer="online", hidden=8)
+    # A backward decay of 0.5 drives this network to non-finite values.
+    result = decay_sweep([0.99], [0.5, 0.99], base, data)
+    assert result.diverged.tolist() == [[True, False]]
+    assert result.final_loss[0, 0] == np.inf
+    assert np.isfinite(result.final_loss[0, 1])
+
+
 def test_sweep_rejects_bad_grids():
     data, base = sweep_setup()
     with pytest.raises(ValueError):

@@ -17,7 +17,7 @@ from onlinenorm.net import (
     write_metrics_csv,
 )
 from onlinenorm.online import OnlineNorm
-from onlinenorm.tensor import FeatureMap, ShapeError, make_rng
+from onlinenorm.tensor import ShapeError, make_rng
 
 from helpers import logistic_oracle
 
@@ -265,13 +265,13 @@ def test_streaming_norm_scale_invariance_after_requilibration():
     worst = 0.0
     for t in range(steps + 50):
         u = rng.normal(size=6)
-        a = w @ u
-        ya = base.forward_eval(FeatureMap(a))
-        yb = scaled.forward_eval(FeatureMap(c * a))
-        base.forward(FeatureMap(a))
-        scaled.forward(FeatureMap(c * a))
+        a = (w @ u)[None, :]
+        ya = base.forward(a, training=False)
+        yb = scaled.forward(c * a, training=False)
+        base.forward(a)
+        scaled.forward(c * a)
         if t >= steps:
-            worst = max(worst, float(np.abs(ya.data - yb.data).max()))
+            worst = max(worst, float(np.abs(ya - yb).max()))
     assert worst <= 1e-3
 
 
@@ -326,6 +326,19 @@ def test_divergence_emits_record_then_halts():
     assert len(records) >= 1
     last = records[-1]
     assert not np.isfinite(last.loss) or abs(last.loss) > 1e3
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_online_divergence_raises_divergence_error_with_records():
+    data = small_blobs(seed=2)
+    cfg = TrainConfig(eta=1e4, momentum=0.0, l2=0.0, batch_size=8, epochs=3,
+                      normalizer="online", hidden=8, seed=2)
+    with pytest.raises(DivergenceError) as err:
+        train(cfg, data)
+    records = err.value.records
+    assert len(records) >= 1
+    assert not np.isfinite(records[-1].loss)
 
 
 def test_exact_population_normalizer_trains_full_batch():

@@ -4,16 +4,11 @@ import pytest
 from onlinenorm.tensor import (
     FeatureMap,
     ShapeError,
-    add,
-    dot,
     feature_mean,
     feature_var,
-    l2_norm,
     make_rng,
-    matmul,
     relu,
     relu_backward,
-    scale,
 )
 
 
@@ -78,39 +73,9 @@ def test_relu_backward_masks_nonpositive():
     assert np.array_equal(relu_backward(g, pre), np.array([0.0, 0.0, 5.0]))
 
 
-def test_dot_is_squared_norm():
-    rng = make_rng(3)
-    v = rng.normal(size=9)
-    assert dot(v, v) == pytest.approx(l2_norm(v) ** 2, rel=1e-12)
-
-
-def test_matmul_matches_naive_triple_loop():
-    rng = make_rng(4)
-    a = rng.normal(size=(5, 7))
-    b = rng.normal(size=(7, 3))
-    expect = np.zeros((5, 3))
-    for i in range(5):
-        for j in range(3):
-            for k in range(7):
-                expect[i, j] += a[i, k] * b[k, j]
-    assert np.abs(matmul(a, b) - expect).max() < 1e-12
-
-
-def test_add_and_scale():
-    a = np.array([1.0, 2.0])
-    assert np.array_equal(add(a, np.array([0.5, -1.0])), np.array([1.5, 1.0]))
-    assert np.array_equal(scale(a, -2.0), np.array([-2.0, -4.0]))
-
-
 def test_shape_mismatch_errors():
     with pytest.raises(ShapeError):
-        matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-    with pytest.raises(ShapeError):
-        dot(np.zeros(3), np.zeros(4))
-    with pytest.raises(ShapeError):
         relu_backward(np.zeros(3), np.zeros(4))
-    with pytest.raises(ShapeError):
-        add(np.zeros(3), np.zeros(4))
 
 
 def test_featuremap_invariants():
