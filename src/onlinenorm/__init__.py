@@ -35,8 +35,6 @@ from .reference import (
     exact_backward,
     exact_normalize,
     jacobian_dense,
-    layer_norm_backward,
-    layer_norm_forward,
 )
 from .tensor import (
     SIGMA_FLOOR,

@@ -78,19 +78,15 @@ class OnlineNormState:
         features: int,
         alpha_f: float = 0.999,
         alpha_b: float = 0.99,
-        sigma_floor: float = SIGMA_FLOOR,
         scale_by_output_rms: bool = False,
     ):
         if features < 1:
             raise ValueError(f"features must be >= 1, got {features}")
         if not (0.0 < alpha_f < 1.0) or not (0.0 < alpha_b < 1.0):
             raise ValueError(f"decay factors must be in (0,1): {alpha_f}, {alpha_b}")
-        if sigma_floor <= 0.0:
-            raise ValueError("sigma_floor must be positive")
         self.features = int(features)
         self.alpha_f = float(alpha_f)
         self.alpha_b = float(alpha_b)
-        self.sigma_floor = float(sigma_floor)
         self.scale_by_output_rms = bool(scale_by_output_rms)
         self.mu = np.zeros(features)
         self.var = np.ones(features)
@@ -131,7 +127,7 @@ def forward_sample(state: OnlineNormState, x: np.ndarray) -> tuple[np.ndarray, F
     af, cf = state.alpha_f, 1.0 - state.alpha_f
     mu, var = state.mu, state.var
     for t in range(n):
-        sigma = sigma_used[t] = np.maximum(np.sqrt(var), state.sigma_floor)
+        sigma = sigma_used[t] = np.maximum(np.sqrt(var), SIGMA_FLOOR)
         y[t] = (x[t] - mu[:, None]) / sigma[:, None]
         delta = mx[t] - mu
         mu = af * mu + cf * mx[t]
@@ -144,12 +140,12 @@ def forward_sample(state: OnlineNormState, x: np.ndarray) -> tuple[np.ndarray, F
 def forward_inference(state: OnlineNormState, x: np.ndarray) -> np.ndarray:
     """Normalize a block with the current statistics without advancing the state."""
     x = _block(x, state.features)
-    sigma = np.maximum(np.sqrt(state.var), state.sigma_floor)
+    sigma = np.maximum(np.sqrt(state.var), SIGMA_FLOOR)
     return (x - state.mu[:, None]) / sigma[:, None]
 
 
 def layer_scale_forward(
-    y: np.ndarray, cache: ForwardCache | None = None, sigma_floor: float = SIGMA_FLOOR
+    y: np.ndarray, cache: ForwardCache | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Divide each sample by its RMS over all features and spatial positions.
 
@@ -157,16 +153,14 @@ def layer_scale_forward(
     """
     n = y.shape[0]
     zeta = np.sqrt((y * y).reshape(n, -1).mean(axis=1))
-    z = y / np.maximum(zeta, sigma_floor)[:, None, None]
+    z = y / np.maximum(zeta, SIGMA_FLOOR)[:, None, None]
     if cache is not None:
         cache.z = z
         cache.zeta = zeta
     return z, zeta
 
 
-def layer_scale_backward(
-    z_grad: np.ndarray, cache: ForwardCache, sigma_floor: float = SIGMA_FLOOR
-) -> np.ndarray:
+def layer_scale_backward(z_grad: np.ndarray, cache: ForwardCache) -> np.ndarray:
     """Exact gradient of the RMS scaling, per sample.
 
     (z' - z * mean(z z')) / zeta where the forward divided by zeta, and
@@ -178,9 +172,9 @@ def layer_scale_backward(
     if z_grad.shape != z.shape:
         raise ShapeError(f"gradient shape {z_grad.shape} vs output {z.shape}")
     n = z.shape[0]
-    scaled = cache.zeta >= sigma_floor
+    scaled = cache.zeta >= SIGMA_FLOOR
     coupling = np.where(scaled, (z * z_grad).reshape(n, -1).mean(axis=1), 0.0)
-    divisor = np.where(scaled, cache.zeta, sigma_floor)
+    divisor = np.where(scaled, cache.zeta, SIGMA_FLOOR)
     return (z_grad - z * coupling[:, None, None]) / divisor[:, None, None]
 
 
@@ -201,14 +195,13 @@ def backward_sample(
         raise ShapeError(f"gradient shape {y_grad.shape} vs output {y.shape}")
 
     ab, cb = state.alpha_b, 1.0 - state.alpha_b
-    floor = state.sigma_floor
     eps_y, eps_1, out_ms = state.eps_y, state.eps_1, state.out_ms
     xg = np.empty_like(y)
     for t in range(y.shape[0]):
         xt = y_grad[t] - cb * eps_y[:, None] * y[t]
         eps_y = eps_y + feature_mean(xt * y[t])
         if state.scale_by_output_rms:
-            divisor = np.maximum(np.sqrt(out_ms), floor)
+            divisor = np.maximum(np.sqrt(out_ms), SIGMA_FLOOR)
         else:
             divisor = cache.sigma_used[t]
         xg[t] = xt / divisor[:, None] - cb * eps_1[:, None]
@@ -247,40 +240,65 @@ def affine_backward(p: AffineParams, z: np.ndarray, out_grad: np.ndarray) -> np.
     return p.gain[:, None] * out_grad
 
 
-_HEADER = struct.Struct("<Qdd")
+# A record opens with _MAGIC and a version. A record without the magic is the
+# unversioned layout, which opens with its uint64 feature count; no real
+# feature count matches the magic's eight bytes.
+_MAGIC = b"ONLNORM\x00"
+_VERSION = 2
+_HEADER = struct.Struct("<8sIIQdd")
+_LEGACY_HEADER = struct.Struct("<Qdd")
 
 
 def save_state(state: OnlineNormState) -> bytes:
     """Serialize to a flat binary record.
 
-    Layout, all little-endian: uint64 feature count, float64 forward decay,
-    float64 backward decay, then four float64 blocks of `features` values
-    each: mu, var, eps_y, eps_1.
+    Layout, all little-endian: the 8-byte magic b"ONLNORM\\0", uint32
+    version (2), uint32 flags (1 if scale_by_output_rms, else 0), uint64
+    feature count, float64 forward decay, float64 backward decay, then five
+    float64 blocks of `features` values each: mu, var, eps_y, eps_1, out_ms.
     """
-    head = _HEADER.pack(state.features, state.alpha_f, state.alpha_b)
-    body = np.concatenate([state.mu, state.var, state.eps_y, state.eps_1])
+    head = _HEADER.pack(
+        _MAGIC, _VERSION, int(state.scale_by_output_rms), state.features, state.alpha_f, state.alpha_b
+    )
+    body = np.concatenate([state.mu, state.var, state.eps_y, state.eps_1, state.out_ms])
     return head + body.astype("<f8").tobytes()
 
 
 def load_state(blob: bytes) -> OnlineNormState:
-    """Inverse of save_state."""
-    if len(blob) < _HEADER.size:
+    """Inverse of save_state.
+
+    Also reads the unversioned record: uint64 feature count, the two
+    float64 decays, then mu, var, eps_y and eps_1. It predates output-RMS
+    mode, so it loads with the mode off and out_ms at one.
+    """
+    versioned = blob[: len(_MAGIC)] == _MAGIC
+    header = _HEADER if versioned else _LEGACY_HEADER
+    if len(blob) < header.size:
         raise ValueError("state record truncated: missing header")
-    features, alpha_f, alpha_b = _HEADER.unpack_from(blob)
-    expected = _HEADER.size + 4 * features * 8
+    if versioned:
+        _, version, flags, features, alpha_f, alpha_b = header.unpack_from(blob)
+        if version != _VERSION or flags not in (0, 1):
+            raise ValueError(f"unsupported state record: version {version}, flags {flags}")
+        blocks = 5
+    else:
+        features, alpha_f, alpha_b = header.unpack_from(blob)
+        flags, blocks = 0, 4
+    expected = header.size + blocks * features * 8
     if len(blob) != expected:
         raise ValueError(f"state record has {len(blob)} bytes, expected {expected}")
-    flat = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size).astype(np.float64)
-    state = OnlineNormState(int(features), alpha_f=alpha_f, alpha_b=alpha_b)
-    state.mu = flat[0:features].copy()
-    state.var = flat[features : 2 * features].copy()
-    state.eps_y = flat[2 * features : 3 * features].copy()
-    state.eps_1 = flat[3 * features : 4 * features].copy()
+    flat = np.frombuffer(blob, dtype="<f8", offset=header.size).astype(np.float64)
+    flat = flat.reshape(blocks, features)
+    state = OnlineNormState(
+        int(features), alpha_f=alpha_f, alpha_b=alpha_b, scale_by_output_rms=bool(flags)
+    )
+    state.mu, state.var, state.eps_y, state.eps_1 = (row.copy() for row in flat[:4])
+    if blocks == 5:
+        state.out_ms = flat[4].copy()
     return state
 
 
 class OnlineNorm:
-    """Composed streaming normalizer: normalization, optional affine, layer scaling.
+    """Composed streaming normalizer: normalization, affine, then layer scaling.
 
     Takes (n, features) or (n, features, spatial) blocks, like BatchNorm and
     LayerNorm. A training pass runs the n samples through the stream in
@@ -290,25 +308,9 @@ class OnlineNorm:
     during training; distinct instances are independent.
     """
 
-    def __init__(
-        self,
-        features: int,
-        alpha_f: float = 0.999,
-        alpha_b: float = 0.99,
-        affine: bool = True,
-        layer_scaling: bool = True,
-        scale_by_output_rms: bool = False,
-        sigma_floor: float = SIGMA_FLOOR,
-    ):
-        self.state = OnlineNormState(
-            features,
-            alpha_f=alpha_f,
-            alpha_b=alpha_b,
-            sigma_floor=sigma_floor,
-            scale_by_output_rms=scale_by_output_rms,
-        )
-        self.affine = AffineParams(features) if affine else None
-        self.layer_scaling = bool(layer_scaling)
+    def __init__(self, features: int, alpha_f: float = 0.999, alpha_b: float = 0.99):
+        self.state = OnlineNormState(features, alpha_f=alpha_f, alpha_b=alpha_b)
+        self.affine = AffineParams(features)
         self._cache: ForwardCache | None = None
         self._affine_in: np.ndarray | None = None
 
@@ -316,15 +318,11 @@ class OnlineNorm:
         """Training advances the statistics; evaluation freezes them and keeps no cache."""
         xb, squeeze = as_block(x)
         if training:
-            out, cache = forward_sample(self.state, xb)
+            y, cache = forward_sample(self.state, xb)
+            self._affine_in = y
         else:
-            out, cache = forward_inference(self.state, xb), None
-        if self.affine is not None:
-            if training:
-                self._affine_in = out
-            out = affine_forward(self.affine, out)
-        if self.layer_scaling:
-            out, _ = layer_scale_forward(out, cache, self.state.sigma_floor)
+            y, cache = forward_inference(self.state, xb), None
+        out, _ = layer_scale_forward(affine_forward(self.affine, y), cache)
         if training:
             self._cache = cache
         return out[:, :, 0] if squeeze else out
@@ -333,15 +331,11 @@ class OnlineNorm:
         if self._cache is None:
             raise InterleaveError("backward before any forward")
         grad, squeeze = as_block(grad)
-        if self.layer_scaling:
-            grad = layer_scale_backward(grad, self._cache, self.state.sigma_floor)
-        if self.affine is not None:
-            grad = affine_backward(self.affine, self._affine_in, grad)
+        grad = layer_scale_backward(grad, self._cache)
+        grad = affine_backward(self.affine, self._affine_in, grad)
         out = backward_sample(self.state, grad, self._cache)
         return out[:, :, 0] if squeeze else out
 
     def param_triples(self):
-        if self.affine is None:
-            return []
         a = self.affine
         return [(a.gain, a.d_gain, a.v_gain), (a.bias, a.d_bias, a.v_bias)]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import SIGMA_FLOOR, FeatureMap, ShapeError, as_block
+from .tensor import SIGMA_FLOOR, ShapeError, as_block
 
 
 class DegenerateBatchError(ValueError):
@@ -84,10 +84,9 @@ class BatchNorm:
     a single value and no variance.
     """
 
-    def __init__(self, features: int, stats_decay: float = 0.99, sigma_floor: float = SIGMA_FLOOR):
+    def __init__(self, features: int, stats_decay: float = 0.99):
         self.features = int(features)
         self.stats_decay = float(stats_decay)
-        self.sigma_floor = float(sigma_floor)
         self.running_mu = np.zeros(features)
         self.running_var = np.ones(features)
         self._cache = None
@@ -102,14 +101,14 @@ class BatchNorm:
                 raise ShapeError("batch normalization needs batch size >= 2")
             d, mu = _center(xb, axis=(0, 2))
             var = (d * d).mean(axis=(0, 2))
-            sigma = np.maximum(np.sqrt(var), self.sigma_floor)
+            sigma = np.maximum(np.sqrt(var), SIGMA_FLOOR)
             y = d / sigma[None, :, None]
             a = self.stats_decay
             self.running_mu = a * self.running_mu + (1.0 - a) * mu.reshape(-1)
             self.running_var = a * self.running_var + (1.0 - a) * var
             self._cache = (y, sigma, b * s)
         else:
-            sigma = np.maximum(np.sqrt(self.running_var), self.sigma_floor)
+            sigma = np.maximum(np.sqrt(self.running_var), SIGMA_FLOOR)
             y = (xb - self.running_mu[None, :, None]) / sigma[None, :, None]
         return y[:, :, 0] if squeeze else y
 
@@ -138,25 +137,14 @@ class PopulationNorm(BatchNorm):
         if training:
             return super().forward(x, training=True)
         d, _ = _center(np.asarray(x, dtype=np.float64), axis=0)
-        return d / np.maximum(np.sqrt((d * d).mean(axis=0)), self.sigma_floor)
-
-
-def layer_norm_forward(x) -> tuple[np.ndarray, float, float]:
-    """Exact normalization across the features (and spatial) of one sample."""
-    flat = x.ravel() if isinstance(x, FeatureMap) else np.asarray(x, dtype=np.float64).reshape(-1)
-    return exact_normalize(flat)
-
-
-def layer_norm_backward(y: np.ndarray, y_grad: np.ndarray, sigma: float) -> np.ndarray:
-    return exact_backward(y, y_grad, sigma)
+        return d / np.maximum(np.sqrt((d * d).mean(axis=0)), SIGMA_FLOOR)
 
 
 class LayerNorm:
     """Stateless per-sample normalizer over the feature dimension, batched."""
 
-    def __init__(self, features: int, sigma_floor: float = SIGMA_FLOOR):
+    def __init__(self, features: int):
         self.features = int(features)
-        self.sigma_floor = float(sigma_floor)
         self._cache = None
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
@@ -166,7 +154,7 @@ class LayerNorm:
         if x.shape[1] < 2:
             raise ShapeError("layer normalization needs at least 2 elements per sample")
         d, _ = _center(x, axis=1)
-        sigma = np.maximum(np.sqrt((d * d).mean(axis=1)), self.sigma_floor)
+        sigma = np.maximum(np.sqrt((d * d).mean(axis=1)), SIGMA_FLOOR)
         y = d / sigma[:, None]
         if training:
             self._cache = (y, sigma)

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from onlinenorm import selftest
 from onlinenorm.cli import main
 
 
@@ -24,18 +25,48 @@ def test_unknown_subcommand_exits_one(capsys):
     assert code == 1
 
 
+SELFTEST_CHECKS = [
+    "forward mean control/estimator equivalence",
+    "backward control/estimator equivalence",
+    "layer scaling pins mean square at one",
+    "layer scaling gradient vs finite differences",
+    "exact backward orthogonal to 1 and y",
+    "batch-two output exactly +-1 with zero gradient",
+    "group emulation matches streaming",
+    "backward accumulators stay bounded",
+    "state serialization round-trips",
+    "dense Jacobian consistent with backward",
+]
+
+
 def test_selftest_passes(capsys):
     code, out, _ = run_cli(["selftest"], capsys)
     assert code == 0
     lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
-    assert len(lines) >= 8
-    assert all(l.startswith("PASS") for l in lines)
+    assert [l.split(" (")[0] for l in lines] == [f"PASS {name}" for name in SELFTEST_CHECKS]
+
+
+def test_selftest_failing_check_exits_three(monkeypatch, capsys):
+    failing = ("always fails", lambda: {"gap": 1.0}, lambda f: f["gap"] < 1e-10)
+    monkeypatch.setattr(selftest, "CHECKS", (failing, selftest.CHECKS[0]))
+    code, out, _ = run_cli(["selftest"], capsys)
+    assert code == 3
+    lines = out.splitlines()
+    assert lines[0] == "FAIL always fails (gap 1)"
+    assert lines[1].startswith("PASS ")
 
 
 def test_emulate_check_reports_deviation(capsys):
     code, out, _ = run_cli(["emulate-check", "--n", "4", "--steps", "64"], capsys)
     assert code == 0
     assert "deviation" in out
+
+
+def test_emulate_check_deviation_above_tolerance_exits_three(monkeypatch, capsys):
+    monkeypatch.setattr(selftest, "emulation_deviation", lambda xs, n, alpha: 2e-10)
+    code, out, _ = run_cli(["emulate-check", "--n", "4", "--steps", "64"], capsys)
+    assert code == 3
+    assert "deviation over 64 steps: 2.000e-10" in out
 
 
 def test_train_writes_metrics_csv(tmp_path, capsys):

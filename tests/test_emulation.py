@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from onlinenorm import emulation
 from onlinenorm.emulation import emulate_stream
 from onlinenorm.online import OnlineNormState, forward_sample
+from onlinenorm.selftest import emulation_deviation
 from onlinenorm.tensor import ShapeError, make_rng
 
 
@@ -63,11 +65,7 @@ def test_variance_matches_streaming_on_random_stream():
 @pytest.mark.parametrize("alpha", [0.5, 0.99, 0.999])
 def test_equivalence_grid(n, alpha):
     rng = make_rng(1000 * n + int(alpha * 1000))
-    xs = rng.uniform(-2, 2, size=10 * n)
-    mus, vars_ = emulate_stream(xs, n, alpha)
-    ref_mu, ref_var = streaming_trajectory(xs, alpha)
-    assert np.abs(mus - ref_mu).max() < 1e-10
-    assert np.abs(vars_ - ref_var).max() < 1e-10
+    assert emulation_deviation(rng.uniform(-2, 2, size=10 * n), n, alpha) < 1e-10
 
 
 def test_group_splitting_is_associative():
@@ -75,13 +73,18 @@ def test_group_splitting_is_associative():
     k = 6
     rng = make_rng(53)
     xs = rng.normal(size=4 * k)
-    ref_mu, ref_var = streaming_trajectory(xs, alpha)
-    small_mu, small_var = emulate_stream(xs, k, alpha)
-    big_mu, big_var = emulate_stream(xs, 2 * k, alpha)
-    assert np.abs(small_mu - ref_mu).max() < 1e-10
-    assert np.abs(big_mu - ref_mu).max() < 1e-10
-    assert np.abs(small_var - ref_var).max() < 1e-10
-    assert np.abs(big_var - ref_var).max() < 1e-10
+    assert emulation_deviation(xs, k, alpha) < 1e-10
+    assert emulation_deviation(xs, 2 * k, alpha) < 1e-10
+
+
+def test_emulation_deviation_reports_nan(monkeypatch):
+    def nan_at_end(xs, n, alpha):
+        mus, vars_ = emulate_stream(xs, n, alpha)
+        mus[-1] = np.nan
+        return mus, vars_
+
+    monkeypatch.setattr(emulation, "emulate_stream", nan_at_end)
+    assert np.isnan(emulation_deviation(make_rng(54).normal(size=12), 4, 0.9))
 
 
 def test_group_length_mismatch_errors():

@@ -16,7 +16,8 @@ from onlinenorm.net import (
     train,
     write_metrics_csv,
 )
-from onlinenorm.online import OnlineNorm
+from onlinenorm.online import OnlineNormState, forward_inference, forward_sample
+from onlinenorm.selftest import central_differences
 from onlinenorm.tensor import ShapeError, make_rng
 
 from helpers import logistic_oracle
@@ -157,13 +158,8 @@ def test_softmax_backward_matches_finite_differences():
     labels = np.array([1, 0, 3])
     _, probs = softmax_xent_forward(logits, labels)
     got = softmax_xent_backward(probs, labels)
-    h = 1e-6
-    for i in range(logits.size):
-        up, dn = logits.copy(), logits.copy()
-        up.flat[i] += h
-        dn.flat[i] -= h
-        fd = (softmax_xent_forward(up, labels)[0] - softmax_xent_forward(dn, labels)[0]) / (2 * h)
-        assert got.flat[i] == pytest.approx(fd, rel=1e-6, abs=1e-9)
+    fd = central_differences(lambda v: softmax_xent_forward(v, labels)[0], logits, 1e-6)
+    assert got == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
 
 def test_conv_weight_gradients_match_finite_differences():
@@ -259,17 +255,17 @@ def test_streaming_norm_scale_invariance_after_requilibration():
     rng = make_rng(66)
     w = rng.normal(size=(4, 6))
     c = 3.7
-    base = OnlineNorm(4, alpha_f=alpha_f, alpha_b=0.99, affine=False, layer_scaling=False)
-    scaled = OnlineNorm(4, alpha_f=alpha_f, alpha_b=0.99, affine=False, layer_scaling=False)
+    base = OnlineNormState(4, alpha_f=alpha_f, alpha_b=0.99)
+    scaled = OnlineNormState(4, alpha_f=alpha_f, alpha_b=0.99)
     steps = int(10 / (1 - alpha_f))
     worst = 0.0
     for t in range(steps + 50):
         u = rng.normal(size=6)
-        a = (w @ u)[None, :]
-        ya = base.forward(a, training=False)
-        yb = scaled.forward(c * a, training=False)
-        base.forward(a)
-        scaled.forward(c * a)
+        a = (w @ u)[None, :, None]
+        ya = forward_inference(base, a)
+        yb = forward_inference(scaled, c * a)
+        forward_sample(base, a)
+        forward_sample(scaled, c * a)
         if t >= steps:
             worst = max(worst, float(np.abs(ya - yb).max()))
     assert worst <= 1e-3

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,10 @@ from onlinenorm.online import (
     layer_scale_forward,
     load_state,
     save_state,
+)
+from onlinenorm import online
+from onlinenorm.selftest import (
+    accumulator_maxima, backward_gap, central_differences, forward_mean_gap, layer_scale_fd_error,
 )
 from onlinenorm.tensor import ShapeError, make_rng
 
@@ -94,13 +100,21 @@ def test_asymptotic_variance_near_inverse_alpha():
 
 @pytest.mark.parametrize("alpha", [0.5, 0.99, 0.999])
 def test_forward_mean_control_estimator_equivalence(alpha):
-    rng = make_rng(12)
-    state = OnlineNormState(1, alpha_f=alpha, alpha_b=0.99)
-    eps = 0.0
-    for x in rng.uniform(-1.0, 1.0, size=2000):
-        forward_sample(state, scalar(x))
-        eps += x - (1 - alpha) * eps
-        assert abs(state.mu[0] - (1 - alpha) * eps) < 1e-10
+    assert forward_mean_gap(make_rng(12).uniform(-1.0, 1.0, size=2000), alpha) < 1e-10
+
+
+def test_measurements_report_nan_not_the_largest_finite_gap(monkeypatch):
+    # A NaN in the last sample poisons every later figure; each measurement
+    # must return NaN, which fails any tolerance, rather than the finite
+    # maximum of the samples before it.
+    pairs = make_rng(13).uniform(-1.0, 1.0, size=(1200, 2))
+    pairs[-1, 0] = np.nan
+    assert np.isnan(forward_mean_gap(pairs[:, 0], 0.9))
+    assert np.isnan(backward_gap(pairs, 0.99))
+    head, tail = accumulator_maxima(pairs)
+    assert np.isfinite(head) and np.isnan(tail)
+    monkeypatch.setattr(online, "layer_scale_backward", lambda g, cache: np.full(g.shape, np.nan))
+    assert np.isnan(layer_scale_fd_error(5, 3))
 
 
 def test_accumulated_centered_output_bounded():
@@ -187,13 +201,7 @@ def test_layer_scale_backward_matches_finite_differences():
     cache = ForwardCache()
     layer_scale_forward(sample(y), cache)
     got = layer_scale_backward(sample(loss_w), cache).ravel()
-    h = 1e-6
-    fd = np.empty(6)
-    for i in range(6):
-        up, dn = y.copy(), y.copy()
-        up[i] += h
-        dn[i] -= h
-        fd[i] = (loss(up) - loss(dn)) / (2 * h)
+    fd = central_differences(loss, y, 1e-6)
     assert np.abs(got - fd).max() / np.abs(fd).max() < 1e-7
 
 
@@ -215,13 +223,7 @@ def test_layer_scale_backward_below_floor_matches_finite_differences():
     cache = ForwardCache()
     layer_scale_forward(sample(y), cache)
     got = layer_scale_backward(sample(loss_w), cache).ravel()
-    h = 1e-9
-    fd = np.empty(2)
-    for i in range(2):
-        up, dn = y.copy(), y.copy()
-        up[i] += h
-        dn[i] -= h
-        fd[i] = (loss(up) - loss(dn)) / (2 * h)
+    fd = central_differences(loss, y, 1e-9)
     assert np.abs(got - fd).max() / np.abs(fd).max() < 1e-7
     assert np.array_equal(got, loss_w / 1e-5)
 
@@ -246,31 +248,12 @@ def test_first_backward_divides_by_initial_sigma():
 
 
 def test_backward_control_estimator_equivalence():
-    alpha_b = 0.99
-    rng = make_rng(17)
-    state = OnlineNormState(1, alpha_f=0.99, alpha_b=alpha_b)
-    mu_y = 0.0
-    for _ in range(2000):
-        y, cache = forward_sample(state, scalar(rng.uniform(-1, 1)))
-        g = float(rng.uniform(-1, 1))
-        backward_sample(state, scalar(g), cache)
-        yv = y[0, 0, 0]
-        mu_y = (1 - (1 - alpha_b) * yv * yv) * mu_y + (1 - alpha_b) * g * yv
-        assert abs(mu_y - (1 - alpha_b) * state.eps_y[0]) < 1e-10
+    pairs = make_rng(17).uniform(-1.0, 1.0, size=(2000, 2))  # (input, gradient) rows
+    assert backward_gap(pairs, 0.99) < 1e-10
 
 
 def test_accumulators_bounded_on_long_run():
-    rng = make_rng(18)
-    state = OnlineNormState(1, alpha_f=0.99, alpha_b=0.99)
-    head = tail = 0.0
-    for t in range(20_000):
-        _, cache = forward_sample(state, scalar(rng.uniform(-1, 1)))
-        backward_sample(state, scalar(rng.uniform(-1, 1)), cache)
-        mag = max(abs(state.eps_y[0]), abs(state.eps_1[0]))
-        if t < 1000:
-            head = max(head, mag)
-        else:
-            tail = max(tail, mag)
+    head, tail = accumulator_maxima(make_rng(18).uniform(-1.0, 1.0, size=(20_000, 2)))
     assert tail <= 10.0 * head
 
 
@@ -392,21 +375,39 @@ def test_var_stays_nonnegative():
 
 
 def test_serialization_roundtrip_and_continuation():
-    rng = make_rng(24)
-    state = OnlineNormState(4, alpha_f=0.97, alpha_b=0.9)
-    for _ in range(100):
-        _, cache = forward_sample(state, sample(rng.normal(size=(4, 2))))
-        backward_sample(state, sample(rng.normal(size=(4, 2))), cache)
-    clone = load_state(save_state(state))
-    for name in ("mu", "var", "eps_y", "eps_1"):
-        assert np.array_equal(getattr(clone, name), getattr(state, name))
-    assert clone.alpha_f == state.alpha_f and clone.alpha_b == state.alpha_b
-    # both continue identically on the same stream
-    xs = rng.normal(size=(10, 4, 2))
-    for x in xs:
-        a, _ = forward_sample(state, sample(x))
-        b, _ = forward_sample(clone, sample(x))
-        assert np.array_equal(a, b)
+    for output_rms in (False, True):
+        rng = make_rng(24)
+        state = OnlineNormState(4, alpha_f=0.97, alpha_b=0.9, scale_by_output_rms=output_rms)
+        for _ in range(100):
+            _, cache = forward_sample(state, sample(rng.normal(size=(4, 2))))
+            backward_sample(state, sample(rng.normal(size=(4, 2))), cache)
+        clone = load_state(save_state(state))
+        for name in ("mu", "var", "eps_y", "eps_1", "out_ms"):
+            assert np.array_equal(getattr(clone, name), getattr(state, name))
+        assert clone.alpha_f == state.alpha_f and clone.alpha_b == state.alpha_b
+        assert clone.scale_by_output_rms == output_rms
+        # both continue identically, forward and backward, on the same stream
+        for x, g in zip(rng.normal(size=(10, 4, 2)), rng.normal(size=(10, 4, 2))):
+            a, cache_a = forward_sample(state, sample(x))
+            b, cache_b = forward_sample(clone, sample(x))
+            assert np.array_equal(a, b)
+            ga = backward_sample(state, sample(g), cache_a)
+            gb = backward_sample(clone, sample(g), cache_b)
+            assert np.array_equal(ga, gb)
+
+
+def test_serialization_reads_unversioned_records():
+    mu, var, eps_y, eps_1 = (np.arange(3.0) + k for k in range(4))
+    body = np.concatenate([mu, var, eps_y, eps_1]).astype("<f8").tobytes()
+    blob = struct.pack("<Qdd", 3, 0.9, 0.8) + body
+    state = load_state(blob)
+    assert (state.features, state.alpha_f, state.alpha_b) == (3, 0.9, 0.8)
+    for name, expect in (("mu", mu), ("var", var), ("eps_y", eps_y), ("eps_1", eps_1)):
+        assert np.array_equal(getattr(state, name), expect)
+    assert not state.scale_by_output_rms
+    assert np.array_equal(state.out_ms, np.ones(3))
+    with pytest.raises(ValueError):
+        load_state(blob[:-8])
 
 
 def test_serialization_rejects_bad_blobs():
@@ -416,6 +417,8 @@ def test_serialization_rejects_bad_blobs():
         load_state(blob[:10])
     with pytest.raises(ValueError):
         load_state(blob + b"\x00" * 8)
+    with pytest.raises(ValueError):
+        load_state(blob[:8] + struct.pack("<I", 3) + blob[12:])  # unknown version
 
 
 def test_state_trajectory_bit_identical_for_same_stream():

@@ -4,7 +4,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onlinenorm.emulation import emulate_stream
 from onlinenorm.net import Mlp, TrainConfig
 from onlinenorm.online import (
     ForwardCache,
@@ -14,6 +13,7 @@ from onlinenorm.online import (
     layer_scale_backward,
     layer_scale_forward,
 )
+from onlinenorm.selftest import emulation_deviation
 from onlinenorm.tensor import make_rng
 
 decays = st.floats(0.5, 0.9999)
@@ -95,13 +95,7 @@ def test_layer_scaling_block_is_bit_identical_to_single_samples(n, features, spa
 @given(n=st.integers(1, 64), groups=st.integers(1, 4), alpha=decays, seed=seeds)
 def test_closed_form_emulation_matches_streaming(n, groups, alpha, seed):
     xs = make_rng(seed).uniform(-2.0, 2.0, size=n * groups)
-    mus, vars_ = emulate_stream(xs, n, alpha)
-    state = OnlineNormState(1, alpha_f=alpha, alpha_b=0.99)
-    worst = 0.0
-    for t, x in enumerate(xs.reshape(-1, 1, 1, 1)):
-        forward_sample(state, x)
-        worst = max(worst, abs(state.mu[0] - mus[t]), abs(state.var[0] - vars_[t]))
-    assert worst <= 1e-10
+    assert emulation_deviation(xs, n, alpha) <= 1e-10
 
 
 @settings(max_examples=20, deadline=None)

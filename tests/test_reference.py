@@ -8,21 +8,15 @@ from onlinenorm.reference import (
     exact_backward,
     exact_normalize,
     jacobian_dense,
-    layer_norm_backward,
-    layer_norm_forward,
 )
+from onlinenorm import reference
+from onlinenorm.selftest import central_differences, exact_backward_errors
 from onlinenorm.tensor import ShapeError, make_rng
 
 
 def linear_loss_fd(x, loss_w, h=1e-5):
     """Central finite differences of loss_w . exact_normalize(x)."""
-    fd = np.empty(x.size)
-    for i in range(x.size):
-        up, dn = x.copy(), x.copy()
-        up[i] += h
-        dn[i] -= h
-        fd[i] = (np.dot(loss_w, exact_normalize(up)[0]) - np.dot(loss_w, exact_normalize(dn)[0])) / (2 * h)
-    return fd
+    return central_differences(lambda v: np.dot(loss_w, exact_normalize(v)[0]), x, h)
 
 
 # ------------------------------------------------------------------ forward
@@ -104,6 +98,14 @@ def test_backward_orthogonality():
         assert abs(np.dot(xg, y)) <= 1e-9 * np.linalg.norm(xg) * np.linalg.norm(y)
 
 
+def test_exact_backward_errors_report_nan(monkeypatch):
+    # A NaN gradient must come back as NaN in both figures, not be skipped
+    # by the nonzero-gradient guard or dropped by the running maximum.
+    monkeypatch.setattr(reference, "exact_backward", lambda y, g, sigma: np.full(y.shape, np.nan))
+    fd_err, cosine = exact_backward_errors(9, 1, sizes=(5,))
+    assert np.isnan(fd_err) and np.isnan(cosine)
+
+
 def test_projection_factorization_identity():
     rng = make_rng(36)
     y, _, _ = exact_normalize(rng.normal(size=12))
@@ -147,13 +149,7 @@ def test_jacobian_matches_numerical_jacobian():
     rng = make_rng(39)
     x = rng.normal(size=7)
     j = jacobian_dense(x)
-    h = 1e-6
-    num = np.empty((7, 7))
-    for i in range(7):
-        up, dn = x.copy(), x.copy()
-        up[i] += h
-        dn[i] -= h
-        num[:, i] = (exact_normalize(up)[0] - exact_normalize(dn)[0]) / (2 * h)
+    num = np.array([central_differences(lambda v: exact_normalize(v)[0][k], x, 1e-6) for k in range(7)])
     assert np.abs(j - num).max() < 1e-6
 
 
@@ -203,13 +199,7 @@ def test_batch_norm_backward_matches_finite_differences():
     bn = BatchNorm(2)
     bn.forward(x, training=True)
     got = bn.backward(loss_w)
-    h = 1e-5
-    fd = np.empty_like(x)
-    for i in range(x.size):
-        up, dn = x.copy(), x.copy()
-        up.flat[i] += h
-        dn.flat[i] -= h
-        fd.flat[i] = (loss(up) - loss(dn)) / (2 * h)
+    fd = central_differences(loss, x, 1e-5)
     assert np.abs(got - fd).max() / np.abs(fd).max() < 1e-7
 
 
@@ -245,15 +235,16 @@ def test_batch_norm_running_statistics_drive_inference():
 
 
 def test_layer_norm_two_features():
-    y, _, _ = layer_norm_forward(np.array([1.0, 3.0]))
-    assert np.array_equal(y, np.array([-1.0, 1.0]))
+    y = LayerNorm(2).forward(np.array([[1.0, 3.0]]))
+    assert np.array_equal(y, np.array([[-1.0, 1.0]]))
 
 
 def test_layer_norm_gradient_orthogonality():
     rng = make_rng(46)
     x = rng.normal(size=9)
-    y, _, sigma = layer_norm_forward(x)
-    g = layer_norm_backward(y, rng.normal(size=9), sigma)
+    ln = LayerNorm(9)
+    y = ln.forward(x[None, :])[0]
+    g = ln.backward(rng.normal(size=(1, 9)))[0]
     assert abs(np.dot(g, np.ones(9))) <= 1e-9 * np.linalg.norm(g) * 3.0
     assert abs(np.dot(g, y)) <= 1e-9 * np.linalg.norm(g) * np.linalg.norm(y)
 
@@ -262,15 +253,16 @@ def test_layer_norm_matches_finite_differences():
     rng = make_rng(47)
     x = rng.normal(size=8)
     loss_w = rng.normal(size=8)
-    y, _, sigma = layer_norm_forward(x)
-    got = layer_norm_backward(y, loss_w, sigma)
+    ln = LayerNorm(8)
+    ln.forward(x[None, :])
+    got = ln.backward(loss_w[None, :])[0]
     fd = linear_loss_fd(x, loss_w)
     assert np.abs(got - fd).max() / np.abs(fd).max() < 1e-7
 
 
 def test_layer_norm_short_sample_errors():
     with pytest.raises(ShapeError):
-        layer_norm_forward(np.array([1.0]))
+        LayerNorm(1).forward(np.array([[1.0]]))
 
 
 def test_layer_norm_batched_adapter_matches_rowwise():
@@ -279,5 +271,5 @@ def test_layer_norm_batched_adapter_matches_rowwise():
     x = rng.normal(size=(5, 6))
     y = ln.forward(x, training=True)
     for i in range(5):
-        expect, _, _ = layer_norm_forward(x[i])
+        expect, _, _ = exact_normalize(x[i])
         assert np.allclose(y[i], expect, atol=1e-14)
