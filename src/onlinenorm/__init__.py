@@ -12,13 +12,10 @@ from .net import (
 from .config import ConfigError, parse_config, serialize_config
 from .datasets import Dataset, DatasetSpec, generate_dataset
 from .online import (
-    AffineParams,
     ForwardCache,
     InterleaveError,
     OnlineNorm,
     OnlineNormState,
-    affine_backward,
-    affine_forward,
     backward_sample,
     forward_inference,
     forward_sample,

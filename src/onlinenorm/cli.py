@@ -176,8 +176,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_emulate_check(args) -> int:
-    rng = make_rng(args.seed if args.seed is not None else 0)
+    if args.n < 1:
+        raise ValueError(f"--n must be >= 1, got {args.n}")
     steps = args.steps - args.steps % args.n
+    if steps < 1:
+        raise ValueError(f"--steps must be at least --n, got --steps {args.steps} and --n {args.n}")
+    rng = make_rng(args.seed if args.seed is not None else 0)
     worst = selftest.emulation_deviation(rng.uniform(-1.0, 1.0, size=steps), args.n, args.alpha)
     print(f"max streaming/batched deviation over {steps} steps: {worst:.3e}")
     return 0 if worst <= 1e-10 else RUNTIME_EXIT

@@ -21,21 +21,8 @@ class ConfigError(ValueError):
         super().__init__(prefix + message)
 
 
-_TRAIN_KEYS = {
-    "eta": float,
-    "momentum": float,
-    "l2": float,
-    "batch_size": int,
-    "epochs": int,
-    "seed": int,
-    "normalizer": str,
-    "alpha_f": float,
-    "alpha_b": float,
-    "hidden": int,
-    "depth": int,
-    "eval_interval": int,
-    "divergence_limit": float,
-}
+# Every TrainConfig field is a key, parsed as the type of its default.
+_TRAIN_KEYS = {f.name: type(f.default) for f in fields(TrainConfig)}
 
 _DATASET_KEYS = {
     "dataset": ("kind", str),
@@ -94,15 +81,26 @@ def parse_config(text: str) -> tuple[TrainConfig, DatasetSpec]:
     return cfg, spec
 
 
+def _writable(value) -> bool:
+    """Whether parse_config reads the line `key = value` back as value."""
+    text = str(value)
+    return "#" not in text and text == text.strip() and len(text.splitlines()) <= 1
+
+
 def serialize_config(cfg: TrainConfig, spec: DatasetSpec) -> str:
-    """Emit config text that parse_config maps back to equal objects."""
-    lines = []
-    for f in fields(TrainConfig):
-        lines.append(f"{f.name} = {getattr(cfg, f.name)}")
+    """Emit config text that parse_config maps back to equal objects.
+
+    Raises ConfigError for a value the format cannot hold: one with a `#`,
+    a line break, or leading or trailing whitespace.
+    """
     reverse = {attr: key for key, (attr, _) in _DATASET_KEYS.items()}
+    pairs = [(f.name, getattr(cfg, f.name)) for f in fields(TrainConfig)]
     for f in fields(DatasetSpec):
         value = getattr(spec, f.name)
         if f.name in ("images_path", "labels_path") and not value:
             continue
-        lines.append(f"{reverse[f.name]} = {value}")
-    return "\n".join(lines) + "\n"
+        pairs.append((reverse[f.name], value))
+    for key, value in pairs:
+        if not _writable(value):
+            raise ConfigError(f"value {value!r} for {key} cannot be written as a config line")
+    return "".join(f"{key} = {value}\n" for key, value in pairs)

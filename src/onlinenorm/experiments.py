@@ -31,9 +31,9 @@ from .net import (
     softmax_xent_forward,
     train,
 )
-from .online import OnlineNormState, backward_sample, forward_sample
+from .online import OnlineNormState, backward_sample, forward_sample, layer_scale_forward
 from .reference import BatchNorm
-from .tensor import make_rng, relu, relu_backward
+from .tensor import SIGMA_FLOOR, make_rng, relu, relu_backward
 
 
 @dataclass
@@ -120,6 +120,8 @@ def gradient_bias_experiment(
     normalizing per batch. The full-dataset batch is always appended and
     must come out at zero angle.
     """
+    if repetitions < 1:
+        raise ValueError(f"repetitions (--reps) must be >= 1, got {repetitions}")
     for b in batch_sizes:
         if b < 2:
             raise ValueError(f"batch size {b} below the batch-normalization minimum of 2")
@@ -176,15 +178,14 @@ def activation_growth_experiment(
     compound through depth; RMS is recorded after normalization (and after
     the optional per-sample RMS rescaling), before ReLU.
     """
-    if depth < 1 or noise < 0.0:
-        raise ValueError("depth must be >= 1 and noise >= 0")
+    if depth < 1 or width < 1 or noise < 0.0:
+        raise ValueError(f"depth and width must be >= 1 and noise >= 0, got {depth}, {width}, {noise}")
     rng = make_rng(seed)
     x0 = rng.normal(size=(samples, width))
     weights = [rng.normal(0.0, np.sqrt(2.0 / width), size=(width, width)) for _ in range(depth)]
 
     def scale_rows(h: np.ndarray) -> np.ndarray:
-        rms = np.sqrt((h * h).mean(axis=1, keepdims=True))
-        return h / np.maximum(rms, 1e-5)
+        return layer_scale_forward(h[:, :, None])[0][:, :, 0]
 
     # Clean pass: per-layer exact population coefficients.
     mus, sigmas = [], []
@@ -194,8 +195,8 @@ def activation_growth_experiment(
         mu = a.mean(axis=0)
         sigma = a.std(axis=0)
         mus.append(mu)
-        sigmas.append(np.maximum(sigma, 1e-5))
-        y = (a - mu) / np.maximum(sigma, 1e-5)
+        sigmas.append(np.maximum(sigma, SIGMA_FLOOR))
+        y = (a - mu) / np.maximum(sigma, SIGMA_FLOOR)
         if layer_scaling:
             y = scale_rows(y)
         h = relu(y)
@@ -210,7 +211,7 @@ def activation_growth_experiment(
         if noise > 0.0:
             sigma_hat = sigma_hat * np.exp(noise * rng.normal(size=width))
             mu_hat = mu_hat + noise * sigmas[i] * rng.normal(size=width)
-        y = (a - mu_hat) / np.maximum(sigma_hat, 1e-5)
+        y = (a - mu_hat) / np.maximum(sigma_hat, SIGMA_FLOOR)
         if layer_scaling:
             y = scale_rows(y)
         rms_per_layer[i] = np.sqrt((y * y).mean())
@@ -247,6 +248,8 @@ def equilibrium_experiment(
     """
     if eta <= 0.0 or l2 <= 0.0:
         raise ValueError("eta and lambda must be positive")
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
     rng = make_rng(seed)
     w = rng.normal(0.0, 1.0 / np.sqrt(dim), size=dim)
     state = OnlineNormState(1, alpha_f=0.99, alpha_b=0.99, scale_by_output_rms=True)

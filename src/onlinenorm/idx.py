@@ -7,6 +7,7 @@ then the row-major uint8 payload.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -34,10 +35,15 @@ class IdxCountMismatchError(IdxError):
 
 
 def _read_exact(fh, count: int, what: str) -> bytes:
-    buf = fh.read(count)
-    if len(buf) != count:
-        raise IdxTruncatedError(f"truncated IDX file while reading {what}")
-    return buf
+    """Read count bytes, checking first that the file still holds them.
+
+    The check comes before the read, so a header promising more bytes than
+    the file holds never sizes a read buffer.
+    """
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if count > left:
+        raise IdxTruncatedError(f"truncated IDX file: {what} needs {count} bytes, {left} left")
+    return fh.read(count)
 
 
 def read_idx_images(path) -> np.ndarray:

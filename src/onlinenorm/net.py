@@ -51,12 +51,15 @@ class TrainConfig:
 
     def validate(self) -> None:
         # eta = 0 is legal and freezes the parameters; useful as a control.
-        if self.eta < 0.0:
+        # Each check is written so that NaN fails it.
+        if not self.eta >= 0.0:
             raise ValueError(f"eta must be >= 0, got {self.eta}")
         if not (0.0 <= self.momentum < 1.0):
             raise ValueError(f"momentum must be in [0,1), got {self.momentum}")
-        if self.l2 < 0.0:
+        if not self.l2 >= 0.0:
             raise ValueError(f"l2 must be >= 0, got {self.l2}")
+        if not self.divergence_limit > 0.0:
+            raise ValueError(f"divergence_limit must be > 0, got {self.divergence_limit}")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be >= 1")
         if self.normalizer not in NORMALIZER_KINDS:
@@ -94,18 +97,18 @@ def write_metrics_csv(path, records) -> None:
 class DenseLayer:
     """Affine map with gradient and momentum buffers."""
 
-    def __init__(self, n_in: int, n_out: int, rng=None, weight_scale: float | None = None, bias: bool = True):
+    def __init__(self, n_in: int, n_out: int, rng=None, weight_scale: float | None = None):
         if weight_scale is None:
             weight_scale = np.sqrt(2.0 / n_in)
         if rng is None:
             self.w = np.zeros((n_out, n_in))
         else:
             self.w = rng.normal(0.0, weight_scale, size=(n_out, n_in))
-        self.b = np.zeros(n_out) if bias else None
+        self.b = np.zeros(n_out)
         self.d_w = np.zeros_like(self.w)
-        self.d_b = np.zeros(n_out) if bias else None
+        self.d_b = np.zeros(n_out)
         self.v_w = np.zeros_like(self.w)
-        self.v_b = np.zeros(n_out) if bias else None
+        self.v_b = np.zeros(n_out)
         self._x = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -113,10 +116,7 @@ class DenseLayer:
         if x.ndim != 2 or x.shape[1] != self.w.shape[1]:
             raise ShapeError(f"dense input {x.shape} vs weights {self.w.shape}")
         self._x = x
-        out = x @ self.w.T
-        if self.b is not None:
-            out = out + self.b
-        return out
+        return x @ self.w.T + self.b
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._x is None:
@@ -124,23 +124,18 @@ class DenseLayer:
         if grad.shape != (self._x.shape[0], self.w.shape[0]):
             raise ShapeError(f"dense gradient {grad.shape}")
         self.d_w += grad.T @ self._x
-        if self.b is not None:
-            self.d_b += grad.sum(axis=0)
+        self.d_b += grad.sum(axis=0)
         return grad @ self.w
 
     def param_triples(self):
-        triples = [(self.w, self.d_w, self.v_w)]
-        if self.b is not None:
-            triples.append((self.b, self.d_b, self.v_b))
-        return triples
+        return [(self.w, self.d_w, self.v_w), (self.b, self.d_b, self.v_b)]
 
 
 class Conv2D:
     """Single valid-padding 2-D convolution layer with a small fixed kernel."""
 
-    def __init__(self, in_ch: int, out_ch: int, kernel: int, rng, weight_scale: float | None = None):
-        if weight_scale is None:
-            weight_scale = np.sqrt(2.0 / (in_ch * kernel * kernel))
+    def __init__(self, in_ch: int, out_ch: int, kernel: int, rng):
+        weight_scale = np.sqrt(2.0 / (in_ch * kernel * kernel))
         self.k = rng.normal(0.0, weight_scale, size=(out_ch, in_ch, kernel, kernel))
         self.b = np.zeros(out_ch)
         self.d_k = np.zeros_like(self.k)
@@ -259,8 +254,7 @@ class Mlp:
         total = 0.0
         for d in self.dense:
             total += float((d.w * d.w).sum())
-            if d.b is not None:
-                total += float((d.b * d.b).sum())
+            total += float((d.b * d.b).sum())
         return float(np.sqrt(total))
 
     def eps_maxima(self) -> tuple[float, float]:

@@ -54,15 +54,12 @@ class InterleaveError(RuntimeError):
 class ForwardCache:
     """Values one forward pass over a block must hand to its matching backward pass.
 
-    y is the normalized (n, features, spatial) block, sigma_used the (n,
-    features) divisors each sample was normalized with, and z and zeta the
-    layer-scaled block and its per-sample RMS.
+    y is the normalized (n, features, spatial) block and sigma_used the (n,
+    features) divisors each sample was normalized with.
     """
 
     y: np.ndarray | None = None
     sigma_used: np.ndarray | None = None
-    z: np.ndarray | None = None
-    zeta: np.ndarray | None = None
     token: int | None = None
 
 
@@ -144,37 +141,30 @@ def forward_inference(state: OnlineNormState, x: np.ndarray) -> np.ndarray:
     return (x - state.mu[:, None]) / sigma[:, None]
 
 
-def layer_scale_forward(
-    y: np.ndarray, cache: ForwardCache | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def layer_scale_forward(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Divide each sample by its RMS over all features and spatial positions.
 
-    Returns the scaled block and the (n,) per-sample RMS values.
+    Returns the scaled block z and the (n,) per-sample RMS values zeta,
+    which layer_scale_backward takes back.
     """
     n = y.shape[0]
     zeta = np.sqrt((y * y).reshape(n, -1).mean(axis=1))
     z = y / np.maximum(zeta, SIGMA_FLOOR)[:, None, None]
-    if cache is not None:
-        cache.z = z
-        cache.zeta = zeta
     return z, zeta
 
 
-def layer_scale_backward(z_grad: np.ndarray, cache: ForwardCache) -> np.ndarray:
-    """Exact gradient of the RMS scaling, per sample.
+def layer_scale_backward(z_grad: np.ndarray, z: np.ndarray, zeta: np.ndarray) -> np.ndarray:
+    """Exact gradient of the RMS scaling, per sample, given its forward's (z, zeta).
 
     (z' - z * mean(z z')) / zeta where the forward divided by zeta, and
     z' / floor where it divided by the floor.
     """
-    if cache.z is None or cache.zeta is None:
-        raise InterleaveError("cache holds no layer-scaling record")
-    z = cache.z
     if z_grad.shape != z.shape:
         raise ShapeError(f"gradient shape {z_grad.shape} vs output {z.shape}")
     n = z.shape[0]
-    scaled = cache.zeta >= SIGMA_FLOOR
+    scaled = zeta >= SIGMA_FLOOR
     coupling = np.where(scaled, (z * z_grad).reshape(n, -1).mean(axis=1), 0.0)
-    divisor = np.where(scaled, cache.zeta, SIGMA_FLOOR)
+    divisor = np.where(scaled, zeta, SIGMA_FLOOR)
     return (z_grad - z * coupling[:, None, None]) / divisor[:, None, None]
 
 
@@ -211,33 +201,6 @@ def backward_sample(
     state.eps_y, state.eps_1, state.out_ms = eps_y, eps_1, out_ms
     state._consumed = cache.token
     return xg
-
-
-class AffineParams:
-    """Per-feature gain and bias restoring the two absorbed degrees of freedom."""
-
-    def __init__(self, features: int):
-        self.gain = np.ones(features)
-        self.bias = np.zeros(features)
-        self.d_gain = np.zeros(features)
-        self.d_bias = np.zeros(features)
-        self.v_gain = np.zeros(features)
-        self.v_bias = np.zeros(features)
-
-
-def affine_forward(p: AffineParams, z: np.ndarray) -> np.ndarray:
-    if z.ndim != 3 or z.shape[1] != p.gain.size:
-        raise ShapeError(f"block shape {z.shape}, params have {p.gain.size} features")
-    return p.gain[:, None] * z + p.bias[:, None]
-
-
-def affine_backward(p: AffineParams, z: np.ndarray, out_grad: np.ndarray) -> np.ndarray:
-    """Accumulate gain/bias gradients (summed over samples and spatial) and pass the rest back."""
-    if out_grad.shape != z.shape:
-        raise ShapeError(f"gradient shape {out_grad.shape} vs input {z.shape}")
-    p.d_gain += (out_grad * z).sum(axis=(0, 2))
-    p.d_bias += out_grad.sum(axis=(0, 2))
-    return p.gain[:, None] * out_grad
 
 
 # A record opens with _MAGIC and a version. A record without the magic is the
@@ -298,44 +261,53 @@ def load_state(blob: bytes) -> OnlineNormState:
 
 
 class OnlineNorm:
-    """Composed streaming normalizer: normalization, affine, then layer scaling.
+    """Composed streaming normalizer: normalization, a per-feature gain and
+    bias, then layer scaling.
 
     Takes (n, features) or (n, features, spatial) blocks, like BatchNorm and
-    LayerNorm. A training pass runs the n samples through the stream in
-    order; it gives the same result as n single-sample passes provided the
-    parameters change only between blocks. A single instance is a stateful
-    stream processor and must see a strict forward/backward interleaving
-    during training; distinct instances are independent.
+    LayerNorm, and holds its gain and bias with their gradient and momentum
+    buffers the way DenseLayer holds w and b. A training pass runs the n
+    samples through the stream in order; it gives the same result as n
+    single-sample passes provided the parameters change only between
+    blocks. A single instance is a stateful stream processor and must see a
+    strict forward/backward interleaving during training; distinct
+    instances are independent.
     """
 
     def __init__(self, features: int, alpha_f: float = 0.999, alpha_b: float = 0.99):
         self.state = OnlineNormState(features, alpha_f=alpha_f, alpha_b=alpha_b)
-        self.affine = AffineParams(features)
+        self.gain = np.ones(features)
+        self.bias = np.zeros(features)
+        self.d_gain = np.zeros(features)
+        self.d_bias = np.zeros(features)
+        self.v_gain = np.zeros(features)
+        self.v_bias = np.zeros(features)
         self._cache: ForwardCache | None = None
-        self._affine_in: np.ndarray | None = None
+        self._scaled: tuple[np.ndarray, np.ndarray] | None = None
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        """Training advances the statistics; evaluation freezes them and keeps no cache."""
+        """Training advances the statistics; evaluation freezes them and keeps no record."""
         xb, squeeze = as_block(x)
         if training:
             y, cache = forward_sample(self.state, xb)
-            self._affine_in = y
         else:
-            y, cache = forward_inference(self.state, xb), None
-        out, _ = layer_scale_forward(affine_forward(self.affine, y), cache)
+            y = forward_inference(self.state, xb)
+        z, zeta = layer_scale_forward(self.gain[:, None] * y + self.bias[:, None])
         if training:
-            self._cache = cache
-        return out[:, :, 0] if squeeze else out
+            self._cache, self._scaled = cache, (z, zeta)
+        return z[:, :, 0] if squeeze else z
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise InterleaveError("backward before any forward")
         grad, squeeze = as_block(grad)
-        grad = layer_scale_backward(grad, self._cache)
-        grad = affine_backward(self.affine, self._affine_in, grad)
-        out = backward_sample(self.state, grad, self._cache)
+        grad = layer_scale_backward(grad, *self._scaled)
+        out = backward_sample(self.state, self.gain[:, None] * grad, self._cache)
+        # Accumulated only once backward_sample has accepted the handshake,
+        # so a refused backward leaves the gradients as they were.
+        self.d_gain += (grad * self._cache.y).sum(axis=(0, 2))
+        self.d_bias += grad.sum(axis=(0, 2))
         return out[:, :, 0] if squeeze else out
 
     def param_triples(self):
-        a = self.affine
-        return [(a.gain, a.d_gain, a.v_gain), (a.bias, a.d_bias, a.v_bias)]
+        return [(self.gain, self.d_gain, self.v_gain), (self.bias, self.d_bias, self.v_bias)]

@@ -165,9 +165,8 @@ def layer_scale_fd_error(seed: int, trials: int) -> float:
         n = int(rng.integers(3, 12))
         y = rng.normal(size=n) * rng.uniform(0.5, 3.0)
         loss_w = rng.normal(size=n)
-        cache = online.ForwardCache()
-        online.layer_scale_forward(y.reshape(1, n, 1), cache)
-        got = online.layer_scale_backward(loss_w.reshape(1, n, 1), cache).ravel()
+        z, zeta = online.layer_scale_forward(y.reshape(1, n, 1))
+        got = online.layer_scale_backward(loss_w.reshape(1, n, 1), z, zeta).ravel()
         fd = central_differences(
             lambda v: float(np.dot(loss_w, v / np.sqrt((v * v).mean()))), y, 1e-6
         )

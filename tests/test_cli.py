@@ -1,11 +1,13 @@
 import csv
 import os
+import struct
 
 import numpy as np
 import pytest
 
 from onlinenorm import selftest
 from onlinenorm.cli import main
+from onlinenorm.idx import IMAGES_MAGIC, write_idx_labels
 
 
 def run_cli(args, capsys):
@@ -67,6 +69,23 @@ def test_emulate_check_deviation_above_tolerance_exits_three(monkeypatch, capsys
     code, out, _ = run_cli(["emulate-check", "--n", "4", "--steps", "64"], capsys)
     assert code == 3
     assert "deviation over 64 steps: 2.000e-10" in out
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["emulate-check", "--n", "0"], "--n"),
+        (["emulate-check", "--steps", "0"], "--steps"),
+        (["emulate-check", "--n", "200", "--steps", "128"], "--steps"),
+        (["growth", "--width", "0"], "width"),
+        (["equilibrium", "--steps", "0"], "steps"),
+        (["grad-bias", "--samples", "32", "--batch-sizes", "4", "--reps", "0"], "--reps"),
+    ],
+)
+def test_out_of_range_flag_values_exit_three_naming_the_flag(argv, flag, tmp_path, capsys):
+    code, _, err = run_cli([*argv, "--out", str(tmp_path / "o")], capsys)
+    assert code == 3
+    assert err.startswith("runtime error: ") and flag in err
 
 
 def test_train_writes_metrics_csv(tmp_path, capsys):
@@ -203,3 +222,16 @@ def test_cli_only_writes_inside_out_dir(tmp_path, capsys, monkeypatch):
     assert code == 0
     after = set(os.listdir(tmp_path))
     assert after - before == {"only"}
+
+
+def test_idx_header_larger_than_any_buffer_exits_three(tmp_path, capsys):
+    # 0xFFFFFFFF images of 0xFFFFFFFF x 0xFFFFFFFF pixels in a 16-byte file:
+    # the promised payload is rejected before any read is sized from it.
+    images, labels = tmp_path / "img.idx", tmp_path / "lab.idx"
+    images.write_bytes(struct.pack(">IIII", IMAGES_MAGIC, 0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF))
+    write_idx_labels(labels, np.zeros(2, dtype=np.uint8))
+    cfg = tmp_path / "idx.cfg"
+    cfg.write_text(f"dataset = idx-file\nimages_path = {images}\nlabels_path = {labels}\n", encoding="utf-8")
+    code, _, err = run_cli(["train", "--config", str(cfg), "--out", str(tmp_path / "o")], capsys)
+    assert code == 3
+    assert "truncated IDX file" in err

@@ -1,9 +1,19 @@
+import re
+import struct
+import tempfile
+from dataclasses import fields, replace
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onlinenorm.config import ConfigError, parse_config, serialize_config
 from onlinenorm.datasets import DatasetSpec, generate_dataset, make_blobs
 from onlinenorm.idx import (
+    IMAGES_MAGIC,
+    LABELS_MAGIC,
     IdxCountMismatchError,
     IdxMagicError,
     IdxTruncatedError,
@@ -13,6 +23,7 @@ from onlinenorm.idx import (
     write_idx_images,
     write_idx_labels,
 )
+from onlinenorm.net import NORMALIZER_KINDS, TrainConfig
 
 
 # ------------------------------------------------------------------- config
@@ -69,6 +80,70 @@ def test_round_trip_reparses_to_equal_config():
     cfg2, spec2 = parse_config(serialize_config(cfg, spec))
     assert cfg == cfg2
     assert spec == spec2
+
+
+def test_serialize_refuses_values_it_cannot_write_back():
+    cfg, spec = parse_config("")
+    for path in ("/tmp/a#b", "/tmp/a\nb", " /tmp/a", "/tmp/a\t"):
+        with pytest.raises(ConfigError):
+            serialize_config(cfg, replace(spec, images_path=path))
+
+
+@pytest.mark.parametrize(
+    "line", ["eta = nan", "l2 = nan", "divergence_limit = nan", "divergence_limit = -1"]
+)
+def test_nan_and_nonpositive_limits_rejected(line):
+    with pytest.raises(ConfigError) as err:
+        parse_config("epochs = 2\n" + line + "\n")
+    assert err.value.line == 2
+
+
+# A valid config, then at most one field set to an arbitrary value of its type.
+train_values = st.fixed_dictionaries({
+    "eta": st.floats(0.0, 10.0),
+    "momentum": st.floats(0.0, 0.999),
+    "l2": st.floats(0.0, 1.0),
+    "batch_size": st.integers(1, 512),
+    "epochs": st.integers(1, 50),
+    "seed": st.integers(0, 2**63),
+    "normalizer": st.sampled_from(NORMALIZER_KINDS),
+    "alpha_f": st.floats(0.001, 0.999),
+    "alpha_b": st.floats(0.001, 0.999),
+    "hidden": st.integers(1, 1024),
+    "depth": st.integers(1, 8),
+    "eval_interval": st.integers(0, 100),
+    "divergence_limit": st.floats(1e-3, 1e12),
+})
+any_of_type = {float: st.floats(), int: st.integers(), str: st.text()}
+# Writable text: no `#`, no line break, no surrounding whitespace.
+PLAIN = r"[\w/.-]+"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=train_values,
+    damage=st.one_of(st.none(), st.sampled_from(fields(TrainConfig)).flatmap(
+        lambda f: st.tuples(st.just(f.name), any_of_type[type(f.default)]))),
+    spec_ints=st.lists(st.integers(1, 10**6), min_size=4, max_size=4),
+    spec_floats=st.lists(st.floats(allow_nan=False), min_size=3, max_size=3),
+    paths=st.lists(st.one_of(st.from_regex(PLAIN, fullmatch=True), st.text()), min_size=2, max_size=2),
+)
+def test_config_round_trip_or_config_error(values, damage, spec_ints, spec_floats, paths):
+    # parse_config(serialize_config(cfg, spec)) gives back (cfg, spec) or
+    # raises ConfigError, and it raises only for an out-of-range value or
+    # text the format cannot hold.
+    if damage is not None:
+        values = {**values, damage[0]: damage[1]}
+    cfg = TrainConfig(**values)
+    spec = DatasetSpec("gaussian-blobs", *spec_ints, *spec_floats, *paths)
+    try:
+        got = parse_config(serialize_config(cfg, spec))
+    except ConfigError:
+        if all(re.fullmatch(PLAIN, v) for v in (cfg.normalizer, *paths)):
+            with pytest.raises(ValueError):
+                cfg.validate()
+        return
+    assert got == (cfg, spec)
 
 
 def test_unknown_normalizer_rejected():
@@ -133,6 +208,63 @@ def test_idx_truncated_errors(tmp_path):
     ip.write_bytes(blob[:10])
     with pytest.raises(IdxTruncatedError):
         read_idx_images(ip)
+    # Headers promising more than the file holds are rejected before any
+    # read is sized from them: a payload too large for any buffer, and a
+    # representable one far larger than the file.
+    for dims in ((0xFFFFFFFF,) * 3, (1000, 1000, 1000)):
+        ip.write_bytes(struct.pack(">IIII", IMAGES_MAGIC, *dims) + bytes(16))
+        with pytest.raises(IdxTruncatedError):
+            read_idx_images(ip)
+    lp = tmp_path / "lab.idx"
+    lp.write_bytes(struct.pack(">II", LABELS_MAGIC, 0xFFFFFFFF) + bytes(3))
+    with pytest.raises(IdxTruncatedError):
+        read_idx_labels(lp)
+
+
+magics = st.one_of(st.sampled_from([IMAGES_MAGIC, LABELS_MAGIC]), st.integers(0, 2**32 - 1))
+dims = st.one_of(st.integers(0, 6), st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    magic=magics,
+    shape=st.lists(dims, min_size=1, max_size=3),
+    payload=st.binary(max_size=256),
+    cut=st.one_of(st.none(), st.integers(0, 300)),
+)
+def test_idx_reader_on_truncated_or_fuzzed_headers(magic, shape, payload, cut):
+    # Either the reader returns exactly the header's shape and payload bytes,
+    # or it raises the IdxError subclass the bytes call for.
+    blob = struct.pack(f">{1 + len(shape)}I", magic, *shape) + payload
+    blob = blob[:cut]
+    reader, want_magic, ndim = (
+        (read_idx_images, IMAGES_MAGIC, 3) if len(shape) == 3 else (read_idx_labels, LABELS_MAGIC, 1)
+    )
+    head = 4 * (1 + ndim)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.idx"
+        path.write_bytes(blob)
+        if len(blob) < 4:
+            expected = IdxTruncatedError
+        elif struct.unpack(">I", blob[:4])[0] != want_magic:
+            expected = IdxMagicError
+        elif len(blob) < head:
+            expected = IdxTruncatedError
+        else:
+            dims_read = struct.unpack(f">{ndim}I", blob[4:head])
+            size = int(np.prod(dims_read, dtype=object))
+            expected = IdxTruncatedError if head + size > len(blob) else None
+        if expected is not None:
+            with pytest.raises(expected):
+                reader(path)
+            return
+        got = reader(path)
+    raw = np.frombuffer(blob[head : head + size], dtype=np.uint8)
+    if ndim == 3:
+        assert got.shape == dims_read
+        assert np.array_equal(got.ravel(), raw / 255.0)
+    else:
+        assert np.array_equal(got, raw.astype(np.int64))
 
 
 # ----------------------------------------------------------------- datasets

@@ -1,16 +1,14 @@
+import copy
 import struct
 
 import numpy as np
 import pytest
 
 from onlinenorm.online import (
-    AffineParams,
     ForwardCache,
     InterleaveError,
     OnlineNorm,
     OnlineNormState,
-    affine_backward,
-    affine_forward,
     backward_sample,
     forward_sample,
     layer_scale_backward,
@@ -113,7 +111,7 @@ def test_measurements_report_nan_not_the_largest_finite_gap(monkeypatch):
     assert np.isnan(backward_gap(pairs, 0.99))
     head, tail = accumulator_maxima(pairs)
     assert np.isfinite(head) and np.isnan(tail)
-    monkeypatch.setattr(online, "layer_scale_backward", lambda g, cache: np.full(g.shape, np.nan))
+    monkeypatch.setattr(online, "layer_scale_backward", lambda g, z, zeta: np.full(g.shape, np.nan))
     assert np.isnan(layer_scale_fd_error(5, 3))
 
 
@@ -175,18 +173,16 @@ def test_layer_scale_unit_mean_square():
 def test_layer_scale_backward_parallel_gradient_annihilates():
     rng = make_rng(15)
     y = sample(rng.normal(size=(4, 2)))
-    cache = ForwardCache()
-    z, _ = layer_scale_forward(y, cache)
+    z, zeta = layer_scale_forward(y)
     g = 2.5 * z
-    back = layer_scale_backward(g, cache)
+    back = layer_scale_backward(g, z, zeta)
     assert np.abs(back).max() < 1e-12
 
 
 def test_layer_scale_backward_orthogonal_gradient_passthrough():
-    cache = ForwardCache()
-    z, zeta = layer_scale_forward(sample([2.0, -2.0]), cache)
+    z, zeta = layer_scale_forward(sample([2.0, -2.0]))
     g = sample([1.0, 1.0])  # mean(z*g) = 0
-    back = layer_scale_backward(g, cache)
+    back = layer_scale_backward(g, z, zeta)
     assert np.allclose(back, g / zeta[0], atol=1e-15)
 
 
@@ -198,9 +194,8 @@ def test_layer_scale_backward_matches_finite_differences():
     def loss(v):
         return float(np.dot(loss_w, v / np.sqrt((v * v).mean())))
 
-    cache = ForwardCache()
-    layer_scale_forward(sample(y), cache)
-    got = layer_scale_backward(sample(loss_w), cache).ravel()
+    z, zeta = layer_scale_forward(sample(y))
+    got = layer_scale_backward(sample(loss_w), z, zeta).ravel()
     fd = central_differences(loss, y, 1e-6)
     assert np.abs(got - fd).max() / np.abs(fd).max() < 1e-7
 
@@ -220,19 +215,17 @@ def test_layer_scale_backward_below_floor_matches_finite_differences():
     def loss(v):
         return float(np.dot(loss_w, v / max(np.sqrt((v * v).mean()), 1e-5)))
 
-    cache = ForwardCache()
-    layer_scale_forward(sample(y), cache)
-    got = layer_scale_backward(sample(loss_w), cache).ravel()
+    z, zeta = layer_scale_forward(sample(y))
+    got = layer_scale_backward(sample(loss_w), z, zeta).ravel()
     fd = central_differences(loss, y, 1e-9)
     assert np.abs(got - fd).max() / np.abs(fd).max() < 1e-7
     assert np.array_equal(got, loss_w / 1e-5)
 
 
 def test_layer_scale_backward_zero_sample_gives_finite_gradient():
-    cache = ForwardCache()
-    layer_scale_forward(sample([0.0, 0.0, 0.0]), cache)
+    z, zeta = layer_scale_forward(sample([0.0, 0.0, 0.0]))
     g = sample([0.5, -2.0, 1.0])
-    back = layer_scale_backward(g, cache)
+    back = layer_scale_backward(g, z, zeta)
     assert np.isfinite(back).all()
     assert np.array_equal(back, g / 1e-5)
 
@@ -283,6 +276,16 @@ def test_interleave_handshake_errors():
         backward_sample(fresh, scalar(1.0), ForwardCache(y=scalar(1.0)))
 
 
+def test_refused_backward_leaves_gain_and_bias_gradients_unchanged():
+    layer = OnlineNorm(3)
+    layer.forward(make_rng(27).normal(size=(2, 3)))
+    layer.backward(np.ones((2, 3)))
+    d_gain, d_bias = layer.d_gain.copy(), layer.d_bias.copy()
+    with pytest.raises(InterleaveError):
+        layer.backward(np.ones((2, 3)))  # already consumed
+    assert np.array_equal(layer.d_gain, d_gain) and np.array_equal(layer.d_bias, d_bias)
+
+
 def test_output_rms_rescaling_mode():
     rng = make_rng(19)
     state = OnlineNormState(1, alpha_f=0.99, alpha_b=0.99, scale_by_output_rms=True)
@@ -295,46 +298,55 @@ def test_output_rms_rescaling_mode():
     assert np.mean(mags[1500:]) == pytest.approx(1.0, rel=0.15)
 
 
-# ------------------------------------------------------------------ affine
+# ------------------------------------------------- gain and bias of OnlineNorm
 
 
 def test_affine_identity_at_init():
-    p = AffineParams(3)
+    # A fresh layer normalizes with mu = 0, sigma = 1, so y = x; gain one and
+    # bias zero leave layer scaling the only change.
+    layer = OnlineNorm(3)
     z = sample([1.0, -2.0, 0.5])
-    assert np.array_equal(affine_forward(p, z), z)
+    assert np.array_equal(layer.forward(z), layer_scale_forward(z)[0])
 
 
 def test_affine_direct_example():
-    p = AffineParams(1)
-    p.gain[:] = 2.0
-    p.bias[:] = -1.0
-    out = affine_forward(p, scalar(0.5))
+    layer = OnlineNorm(1)
+    layer.gain[:] = 2.0
+    layer.bias[:] = -1.0
+    out = layer.forward(scalar(0.5))  # 2 * 0.5 - 1 = 0, which layer scaling keeps at 0
     assert out[0, 0, 0] == 0.0
 
 
 def test_affine_gradients_match_finite_differences():
+    # d_gain and d_bias of the composed layer, through layer scaling, against
+    # central differences of loss_w . forward(x). Each perturbed forward runs
+    # on a copy of the layer as it was before the forward, so every pass sees
+    # the same running statistics.
     rng = make_rng(21)
-    p = AffineParams(4)
-    p.gain[:] = rng.normal(size=4)
-    p.bias[:] = rng.normal(size=4)
-    z = sample(rng.normal(size=(4, 3)))
-    loss_w = sample(rng.normal(size=(4, 3)))
+    layer = OnlineNorm(4, alpha_f=0.5, alpha_b=0.9)
+    layer.gain[:] = rng.normal(size=4)
+    layer.bias[:] = rng.normal(size=4)
+    x = rng.normal(size=(3, 4, 3))
+    loss_w = rng.normal(size=(3, 4, 3))
+    before = copy.deepcopy(layer)
 
     def loss(gain, bias):
-        return float((loss_w * (gain[:, None] * z + bias[:, None])).sum())
+        probe = copy.deepcopy(before)
+        probe.gain[:], probe.bias[:] = gain, bias
+        return float((loss_w * probe.forward(x)).sum())
 
-    zg = affine_backward(p, z, loss_w)
-    h = 1e-6
-    for i in range(4):
-        for arr, grad in ((p.gain, p.d_gain), (p.bias, p.d_bias)):
-            orig = arr[i]
-            arr[i] = orig + h
-            up = loss(p.gain, p.bias)
-            arr[i] = orig - h
-            dn = loss(p.gain, p.bias)
-            arr[i] = orig
-            assert grad[i] == pytest.approx((up - dn) / (2 * h), rel=1e-7, abs=1e-7)
-    assert np.allclose(zg, p.gain[:, None] * loss_w)
+    layer.forward(x)
+    xg = layer.backward(loss_w)
+    fd_gain = central_differences(lambda v: loss(v, before.bias), before.gain, 1e-6)
+    fd_bias = central_differences(lambda v: loss(before.gain, v), before.bias, 1e-6)
+    assert layer.d_gain == pytest.approx(fd_gain, rel=1e-7, abs=1e-7)
+    assert layer.d_bias == pytest.approx(fd_bias, rel=1e-7, abs=1e-7)
+    # The normalization stage receives the layer-scaling gradient times the gain.
+    state = copy.deepcopy(before.state)
+    y, cache = forward_sample(state, x)
+    z, zeta = layer_scale_forward(before.gain[:, None] * y + before.bias[:, None])
+    zg = before.gain[:, None] * layer_scale_backward(loss_w, z, zeta)
+    assert np.array_equal(xg, backward_sample(state, zg, cache))
 
 
 # ----------------------------------------------------------- reset & state
