@@ -12,7 +12,6 @@ from .net import (
 from .config import ConfigError, parse_config, serialize_config
 from .datasets import Dataset, DatasetSpec, generate_dataset
 from .online import (
-    ForwardCache,
     InterleaveError,
     OnlineNorm,
     OnlineNormState,

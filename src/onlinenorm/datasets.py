@@ -57,6 +57,8 @@ class DatasetSpec:
     def validate(self) -> None:
         if self.kind not in DATASET_KINDS:
             raise ValueError(f"unknown dataset kind {self.kind!r}")
+        if np.isnan([self.class_scale, self.noise, self.brightness]).any():
+            raise ValueError("class_scale, dataset_noise and brightness must not be NaN")
         if self.kind != "idx-file":
             if self.classes < 1 or self.samples < 1:
                 raise ValueError("dataset needs at least 1 class and 1 sample")

@@ -35,6 +35,14 @@ from .online import OnlineNormState, backward_sample, forward_sample, layer_scal
 from .reference import BatchNorm
 from .tensor import SIGMA_FLOOR, make_rng, relu, relu_backward
 
+# Fixed sizes. The gradient-bias network reads _SIDE x _SIDE single-channel
+# images of _CLASSES classes through _CHANNELS 3x3 filters; the growth
+# experiment runs _GROWTH_SAMPLES inputs; the equilibrium unit has _EQ_DIM
+# inputs and records every _EQ_RECORD_EVERY-th step.
+_SIDE, _CHANNELS, _CLASSES = 8, 8, 10
+_GROWTH_SAMPLES = 256
+_EQ_DIM, _EQ_RECORD_EVERY = 16, 10
+
 
 @dataclass
 class BiasReport:
@@ -53,10 +61,6 @@ class GrowthProfile:
     """Per-layer RMS activation magnitude for one perturbation setting."""
 
     rms: np.ndarray
-    depth: int
-    noise: float
-    sigma_down: float
-    layer_scaling: bool
 
     def log_rms_slope(self) -> float:
         """Least-squares slope of log(rms) against layer index."""
@@ -74,27 +78,24 @@ def _angle_deg(g: np.ndarray, ref: np.ndarray) -> float:
 class _BiasNet:
     """Fixed-weight conv -> batch-normalize -> ReLU -> dense -> softmax."""
 
-    def __init__(self, side: int, channels: int, classes: int, rng):
-        self.side = side
-        self.conv = Conv2D(1, channels, 3, rng)
-        out_side = side - 2
-        self.flat = channels * out_side * out_side
-        self.dense = DenseLayer(self.flat, classes, rng, weight_scale=np.sqrt(1.0 / self.flat))
-        self.channels = channels
+    def __init__(self, rng):
+        self.conv = Conv2D(1, _CHANNELS, 3, rng)
+        self.flat = _CHANNELS * (_SIDE - 2) * (_SIDE - 2)
+        self.dense = DenseLayer(self.flat, _CLASSES, rng, weight_scale=np.sqrt(1.0 / self.flat))
 
     def gradient(self, x: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """Parameter gradient of the mean loss over the given batch."""
         b = x.shape[0]
-        images = x.reshape(b, 1, self.side, self.side)
+        images = x.reshape(b, 1, _SIDE, _SIDE)
         a = self.conv.forward(images)
-        norm = BatchNorm(self.channels)
+        norm = BatchNorm(_CHANNELS)
         spatial = a.shape[2] * a.shape[3]
-        an = norm.forward(a.reshape(b, self.channels, spatial), training=True)
+        an = norm.forward(a.reshape(b, _CHANNELS, spatial), training=True)
         h = relu(an)
         logits = self.dense.forward(h.reshape(b, self.flat))
         _, probs = softmax_xent_forward(logits, labels)
         g = softmax_xent_backward(probs, labels)
-        gh = self.dense.backward(g).reshape(b, self.channels, spatial)
+        gh = self.dense.backward(g).reshape(b, _CHANNELS, spatial)
         gn = norm.backward(relu_backward(gh, an))
         self.conv.backward(gn.reshape(a.shape))
         flat = np.concatenate(
@@ -110,9 +111,6 @@ def gradient_bias_experiment(
     dataset_size: int = 2048,
     batch_sizes=(2, 4, 8, 16, 32, 64),
     repetitions: int = 10,
-    channels: int = 8,
-    classes: int = 10,
-    side: int = 8,
 ) -> BiasReport:
     """Angle between batch-averaged and full-population gradients.
 
@@ -130,15 +128,15 @@ def gradient_bias_experiment(
     rng = make_rng(seed)
     spec = DatasetSpec(
         kind="synthetic-images",
-        classes=classes,
+        classes=_CLASSES,
         samples=dataset_size,
-        image_side=side,
+        image_side=_SIDE,
         class_scale=1.0,
         noise=0.5,
         brightness=3.0,
     )
     data = make_synthetic_images(spec, seed)
-    net = _BiasNet(side, channels, classes, rng)
+    net = _BiasNet(rng)
     truth = net.gradient(data.x, data.labels)
 
     sizes = list(batch_sizes) + [dataset_size]
@@ -166,7 +164,6 @@ def activation_growth_experiment(
     sigma_down: float = 0.0,
     layer_scaling: bool = False,
     seed: int = 0,
-    samples: int = 256,
 ) -> GrowthProfile:
     """RMS of per-layer activations under perturbed normalization statistics.
 
@@ -178,10 +175,15 @@ def activation_growth_experiment(
     compound through depth; RMS is recorded after normalization (and after
     the optional per-sample RMS rescaling), before ReLU.
     """
-    if depth < 1 or width < 1 or noise < 0.0:
-        raise ValueError(f"depth and width must be >= 1 and noise >= 0, got {depth}, {width}, {noise}")
+    # Each check is written so that NaN fails it.
+    if depth < 1 or width < 1:
+        raise ValueError(f"depth and width must be >= 1, got {depth}, {width}")
+    if not noise >= 0.0:
+        raise ValueError(f"noise (--noise) must be >= 0, got {noise}")
+    if not 0.0 <= sigma_down < 1.0:
+        raise ValueError(f"sigma_down (--sigma-down) must be in [0, 1), got {sigma_down}")
     rng = make_rng(seed)
-    x0 = rng.normal(size=(samples, width))
+    x0 = rng.normal(size=(_GROWTH_SAMPLES, width))
     weights = [rng.normal(0.0, np.sqrt(2.0 / width), size=(width, width)) for _ in range(depth)]
 
     def scale_rows(h: np.ndarray) -> np.ndarray:
@@ -216,7 +218,7 @@ def activation_growth_experiment(
             y = scale_rows(y)
         rms_per_layer[i] = np.sqrt((y * y).mean())
         h = relu(y)
-    return GrowthProfile(rms_per_layer, depth, noise, sigma_down, layer_scaling)
+    return GrowthProfile(rms_per_layer)
 
 
 @dataclass
@@ -234,9 +236,7 @@ class EquilibriumResult:
         return float(self.weight_norm[q:].mean() / expected)
 
 
-def equilibrium_experiment(
-    eta: float, l2: float, steps: int, seed: int, dim: int = 16, record_every: int = 10
-) -> EquilibriumResult:
+def equilibrium_experiment(eta: float, l2: float, steps: int, seed: int) -> EquilibriumResult:
     """Weight-norm equilibrium of a single normalized linear unit.
 
     A bias-free linear unit feeds the streaming normalizer under random
@@ -251,21 +251,21 @@ def equilibrium_experiment(
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     rng = make_rng(seed)
-    w = rng.normal(0.0, 1.0 / np.sqrt(dim), size=dim)
+    w = rng.normal(0.0, 1.0 / np.sqrt(_EQ_DIM), size=_EQ_DIM)
     state = OnlineNormState(1, alpha_f=0.99, alpha_b=0.99, scale_by_output_rms=True)
     rec_steps, rec_wnorm, rec_gnorm = [], [], []
     for t in range(steps):
-        u = rng.normal(size=dim)
+        u = rng.normal(size=_EQ_DIM)
         a = float(np.dot(w, u))
-        _, cache = forward_sample(state, np.full((1, 1, 1), a))
+        forward_sample(state, np.full((1, 1, 1), a))
         y_grad = -float(rng.choice([-1.0, 1.0]))
-        x_grad = backward_sample(state, np.full((1, 1, 1), y_grad), cache)
+        x_grad = backward_sample(state, np.full((1, 1, 1), y_grad))
         g = float(x_grad[0, 0, 0]) * u
         gnorm = float(np.linalg.norm(g))
         if not np.isfinite(gnorm):
             raise DivergenceError(f"gradient diverged at step {t}")
         w = w - eta * (g + l2 * w)
-        if t % record_every == 0:
+        if t % _EQ_RECORD_EVERY == 0:
             rec_steps.append(t)
             rec_wnorm.append(float(np.linalg.norm(w)))
             rec_gnorm.append(gnorm)

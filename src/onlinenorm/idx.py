@@ -78,7 +78,8 @@ def read_idx(images_path, labels_path) -> Dataset:
             f"{images.shape[0]} images vs {labels.shape[0]} labels"
         )
     n_classes = int(labels.max()) + 1 if labels.size else 0
-    return Dataset(images.reshape(images.shape[0], -1), labels, n_classes)
+    count, rows, cols = images.shape
+    return Dataset(images.reshape(count, rows * cols), labels, n_classes)
 
 
 def write_idx_images(path, images: np.ndarray) -> None:

@@ -143,16 +143,14 @@ class Conv2D:
         self.v_k = np.zeros_like(self.k)
         self.v_b = np.zeros_like(self.b)
         self._windows = None
-        self._in_shape = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        oc, ic, kh, kw = self.k.shape
+        _, ic, kh, kw = self.k.shape
         if x.ndim != 4 or x.shape[1] != ic or x.shape[2] < kh or x.shape[3] < kw:
             raise ShapeError(f"conv input {x.shape} vs kernel {self.k.shape}")
         win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
         self._windows = win
-        self._in_shape = x.shape
         return np.einsum("bihwkl,oikl->bohw", win, self.k) + self.b[None, :, None, None]
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -303,6 +301,8 @@ def train(cfg: TrainConfig, train_set, val_set=None) -> tuple[list[MetricsRecord
     exc.records.
     """
     cfg.validate()
+    if train_set.n == 0:
+        raise ValueError("training set is empty")
     if cfg.normalizer not in ("online", "exact-population") and cfg.batch_size > train_set.n:
         raise ValueError(
             f"batch_size {cfg.batch_size} exceeds training set size {train_set.n}"

@@ -24,8 +24,8 @@ on average, orthogonal to the normalized output (first stage) and mean-free
     x'_t     = xt_t / sigma_{t-1} - (1 - a_b) * eps_1_{t-1}
     eps_1_t  = eps_1_{t-1} + mean(x'_t)
 
-Both accumulators stay bounded for bounded gradient streams. Strict
-one-backward-per-forward ordering is enforced through the cache handshake.
+Both accumulators stay bounded for bounded gradient streams. The state
+holds its most recent forward's record until one backward consumes it.
 
 Every function takes a float64 block of shape (n, features, spatial): n
 consecutive samples, n = 1 being the streaming step. The recurrences loop
@@ -39,7 +39,6 @@ between blocks. Values are not checked for finiteness.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,27 +46,16 @@ from .tensor import SIGMA_FLOOR, ShapeError, as_block, feature_mean, feature_var
 
 
 class InterleaveError(RuntimeError):
-    """Backward called without a matching, most-recent forward."""
-
-
-@dataclass
-class ForwardCache:
-    """Values one forward pass over a block must hand to its matching backward pass.
-
-    y is the normalized (n, features, spatial) block and sigma_used the (n,
-    features) divisors each sample was normalized with.
-    """
-
-    y: np.ndarray | None = None
-    sigma_used: np.ndarray | None = None
-    token: int | None = None
+    """Backward called with no forward pending on the stream."""
 
 
 class OnlineNormState:
     """Per-feature running statistics and backward error accumulators.
 
     After reset: mu = 0, var = 1 (the fixed point of normalized inputs),
-    eps_y = eps_1 = 0. Decay factors must lie strictly inside (0, 1).
+    eps_y = eps_1 = 0, pending = None. Decay factors must lie strictly
+    inside (0, 1). pending is the last forward's (y, sigma_used) until a
+    backward consumes it.
     """
 
     def __init__(
@@ -92,8 +80,7 @@ class OnlineNormState:
         # Running mean square of the produced gradient, used only when
         # scale_by_output_rms replaces the 1/sigma scaling.
         self.out_ms = np.ones(features)
-        self._tick = 0
-        self._consumed = 0
+        self.pending: tuple[np.ndarray, np.ndarray] | None = None
 
     def reset(self) -> None:
         """Restore the initial state; idempotent."""
@@ -102,8 +89,7 @@ class OnlineNormState:
         self.eps_y.fill(0.0)
         self.eps_1.fill(0.0)
         self.out_ms.fill(1.0)
-        self._tick = 0
-        self._consumed = 0
+        self.pending = None
 
 
 def _block(x, features: int) -> np.ndarray:
@@ -113,7 +99,7 @@ def _block(x, features: int) -> np.ndarray:
     return x
 
 
-def forward_sample(state: OnlineNormState, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+def forward_sample(state: OnlineNormState, x: np.ndarray) -> np.ndarray:
     """Normalize each sample of a block with the running statistics, then advance them."""
     x = _block(x, state.features)
     n = x.shape[0]
@@ -130,8 +116,8 @@ def forward_sample(state: OnlineNormState, x: np.ndarray) -> tuple[np.ndarray, F
         mu = af * mu + cf * mx[t]
         var = af * var + cf * vx[t] + af * cf * delta * delta
     state.mu, state.var = mu, var
-    state._tick += n
-    return y, ForwardCache(y=y, sigma_used=sigma_used, token=state._tick)
+    state.pending = (y, sigma_used)
+    return y
 
 
 def forward_inference(state: OnlineNormState, x: np.ndarray) -> np.ndarray:
@@ -168,19 +154,15 @@ def layer_scale_backward(z_grad: np.ndarray, z: np.ndarray, zeta: np.ndarray) ->
     return (z_grad - z * coupling[:, None, None]) / divisor[:, None, None]
 
 
-def backward_sample(
-    state: OnlineNormState, y_grad: np.ndarray, cache: ForwardCache
-) -> np.ndarray:
+def backward_sample(state: OnlineNormState, y_grad: np.ndarray) -> np.ndarray:
     """Run the two-stage control process over a block of sample gradients.
 
-    Must be called exactly once per forward_sample, in order; the cache from
-    the matching forward carries each y_t and the sigma used for its division.
+    Consumes the state's pending record of its last forward_sample: each
+    y_t and the sigma used for its division.
     """
-    if cache.token is None or cache.token != state._tick:
-        raise InterleaveError("cache does not belong to the most recent forward pass")
-    if cache.token == state._consumed:
-        raise InterleaveError("backward already ran for this forward pass")
-    y = cache.y
+    if state.pending is None:
+        raise InterleaveError("no forward pass is pending a backward")
+    y, sigma_used = state.pending
     if y_grad.shape != y.shape:
         raise ShapeError(f"gradient shape {y_grad.shape} vs output {y.shape}")
 
@@ -193,13 +175,13 @@ def backward_sample(
         if state.scale_by_output_rms:
             divisor = np.maximum(np.sqrt(out_ms), SIGMA_FLOOR)
         else:
-            divisor = cache.sigma_used[t]
+            divisor = sigma_used[t]
         xg[t] = xt / divisor[:, None] - cb * eps_1[:, None]
         eps_1 = eps_1 + feature_mean(xg[t])
         if state.scale_by_output_rms:
             out_ms = ab * out_ms + cb * feature_mean(xg[t] * xg[t])
     state.eps_y, state.eps_1, state.out_ms = eps_y, eps_1, out_ms
-    state._consumed = cache.token
+    state.pending = None
     return xg
 
 
@@ -232,7 +214,8 @@ def load_state(blob: bytes) -> OnlineNormState:
 
     Also reads the unversioned record: uint64 feature count, the two
     float64 decays, then mu, var, eps_y and eps_1. It predates output-RMS
-    mode, so it loads with the mode off and out_ms at one.
+    mode, so it loads with the mode off and out_ms at one. A loaded state
+    has no forward pending.
     """
     versioned = blob[: len(_MAGIC)] == _MAGIC
     header = _HEADER if versioned else _LEGACY_HEADER
@@ -282,30 +265,30 @@ class OnlineNorm:
         self.d_bias = np.zeros(features)
         self.v_gain = np.zeros(features)
         self.v_bias = np.zeros(features)
-        self._cache: ForwardCache | None = None
         self._scaled: tuple[np.ndarray, np.ndarray] | None = None
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
         """Training advances the statistics; evaluation freezes them and keeps no record."""
         xb, squeeze = as_block(x)
         if training:
-            y, cache = forward_sample(self.state, xb)
+            y = forward_sample(self.state, xb)
         else:
             y = forward_inference(self.state, xb)
         z, zeta = layer_scale_forward(self.gain[:, None] * y + self.bias[:, None])
         if training:
-            self._cache, self._scaled = cache, (z, zeta)
+            self._scaled = (z, zeta)
         return z[:, :, 0] if squeeze else z
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._cache is None:
+        if self._scaled is None:
             raise InterleaveError("backward before any forward")
         grad, squeeze = as_block(grad)
         grad = layer_scale_backward(grad, *self._scaled)
-        out = backward_sample(self.state, self.gain[:, None] * grad, self._cache)
-        # Accumulated only once backward_sample has accepted the handshake,
-        # so a refused backward leaves the gradients as they were.
-        self.d_gain += (grad * self._cache.y).sum(axis=(0, 2))
+        pending = self.state.pending
+        out = backward_sample(self.state, self.gain[:, None] * grad)
+        # Accumulated only once backward_sample has consumed the pending
+        # record, so a refused backward leaves the gradients as they were.
+        self.d_gain += (grad * pending[0]).sum(axis=(0, 2))
         self.d_bias += grad.sum(axis=(0, 2))
         return out[:, :, 0] if squeeze else out
 

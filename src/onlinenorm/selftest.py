@@ -73,8 +73,8 @@ def backward_gap(pairs, alpha_b: float) -> float:
     gaps = np.empty(len(steps))
     mu_y = 0.0
     for t, (x, g) in enumerate(steps):
-        y, cache = online.forward_sample(state, x)
-        online.backward_sample(state, g, cache)
+        y = online.forward_sample(state, x)
+        online.backward_sample(state, g)
         yv, gv = y[0, 0, 0], g[0, 0, 0]
         mu_y = (1.0 - (1.0 - alpha_b) * yv * yv) * mu_y + (1.0 - alpha_b) * gv * yv
         gaps[t] = abs(mu_y - (1.0 - alpha_b) * state.eps_y[0])
@@ -91,8 +91,8 @@ def accumulator_maxima(pairs) -> tuple[float, float]:
     steps = _pair_steps(pairs)
     accs = np.empty((len(steps), 2))
     for t, (x, g) in enumerate(steps):
-        _, cache = online.forward_sample(state, x)
-        online.backward_sample(state, g, cache)
+        online.forward_sample(state, x)
+        online.backward_sample(state, g)
         accs[t] = state.eps_y[0], state.eps_1[0]
     mags = np.abs(accs)
     return float(mags[:1000].max(initial=0.0)), float(mags[1000:].max(initial=0.0))
@@ -183,8 +183,8 @@ def _roundtrip_mismatches() -> int:
     """Fields of an output-RMS state that differ after save_state/load_state."""
     rng = make_rng(23)
     state = online.OnlineNormState(5, alpha_f=0.97, alpha_b=0.9, scale_by_output_rms=True)
-    _, cache = online.forward_sample(state, rng.normal(size=(50, 5, 3)))
-    online.backward_sample(state, rng.normal(size=(50, 5, 3)), cache)
+    online.forward_sample(state, rng.normal(size=(50, 5, 3)))
+    online.backward_sample(state, rng.normal(size=(50, 5, 3)))
     clone = online.load_state(online.save_state(state))
     fields = ("features", "alpha_f", "alpha_b", "scale_by_output_rms", "mu", "var", "eps_y", "eps_1", "out_ms")
     return sum(not np.array_equal(getattr(clone, k), getattr(state, k)) for k in fields)

@@ -89,7 +89,7 @@ def test_criterion_04_asymptotic_moments():
     xs = 5.0 + 2.0 * rng.normal(size=100_000)
     ys = np.empty(xs.size)
     for t, x in enumerate(xs):
-        y, _ = forward_sample(state, scalar(x))
+        y = forward_sample(state, scalar(x))
         ys[t] = y[0, 0, 0]
     half = ys[50_000:]
     mean = float(half.mean())

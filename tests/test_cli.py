@@ -7,7 +7,7 @@ import pytest
 
 from onlinenorm import selftest
 from onlinenorm.cli import main
-from onlinenorm.idx import IMAGES_MAGIC, write_idx_labels
+from onlinenorm.idx import IMAGES_MAGIC, write_idx_images, write_idx_labels
 
 
 def run_cli(args, capsys):
@@ -80,6 +80,9 @@ def test_emulate_check_deviation_above_tolerance_exits_three(monkeypatch, capsys
         (["growth", "--width", "0"], "width"),
         (["equilibrium", "--steps", "0"], "steps"),
         (["grad-bias", "--samples", "32", "--batch-sizes", "4", "--reps", "0"], "--reps"),
+        (["growth", "--sigma-down", "1"], "--sigma-down"),
+        (["growth", "--sigma-down", "nan"], "--sigma-down"),
+        (["growth", "--noise", "nan"], "--noise"),
     ],
 )
 def test_out_of_range_flag_values_exit_three_naming_the_flag(argv, flag, tmp_path, capsys):
@@ -235,3 +238,14 @@ def test_idx_header_larger_than_any_buffer_exits_three(tmp_path, capsys):
     code, _, err = run_cli(["train", "--config", str(cfg), "--out", str(tmp_path / "o")], capsys)
     assert code == 3
     assert "truncated IDX file" in err
+
+
+def test_idx_pair_without_samples_exits_three(tmp_path, capsys):
+    images, labels = tmp_path / "img.idx", tmp_path / "lab.idx"
+    write_idx_images(images, np.zeros((0, 2, 2), dtype=np.uint8))
+    write_idx_labels(labels, np.zeros(0, dtype=np.uint8))
+    cfg = tmp_path / "idx.cfg"
+    cfg.write_text(f"dataset = idx-file\nimages_path = {images}\nlabels_path = {labels}\n", encoding="utf-8")
+    code, _, err = run_cli(["train", "--config", str(cfg), "--out", str(tmp_path / "o")], capsys)
+    assert code == 3
+    assert err == "runtime error: training set is empty\n"

@@ -98,6 +98,12 @@ def test_nan_and_nonpositive_limits_rejected(line):
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("line", ["class_scale = nan", "dataset_noise = nan", "brightness = nan"])
+def test_nan_dataset_fields_rejected(line):
+    with pytest.raises(ConfigError, match="NaN"):
+        parse_config(line + "\n")
+
+
 # A valid config, then at most one field set to an arbitrary value of its type.
 train_values = st.fixed_dictionaries({
     "eta": st.floats(0.0, 10.0),
@@ -174,6 +180,15 @@ def test_idx_fixture_round_trips_exact_pixels(tmp_path):
     assert np.array_equal(read_idx_labels(lp), np.array([1, 0]))
     data = read_idx(ip, lp)
     assert data.n == 2 and data.dim == 4 and data.n_classes == 2
+
+
+def test_idx_pair_without_samples_reads_as_empty_dataset(tmp_path):
+    ip, lp = tmp_path / "img.idx", tmp_path / "lab.idx"
+    write_idx_images(ip, np.zeros((0, 3, 2), dtype=np.uint8))
+    write_idx_labels(lp, np.zeros(0, dtype=np.uint8))
+    data = read_idx(ip, lp)
+    assert data.x.shape == (0, 6) and data.labels.shape == (0,)
+    assert data.n == 0 and data.dim == 6 and data.n_classes == 0
 
 
 def test_idx_count_mismatch_errors(tmp_path):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from onlinenorm.online import (
-    ForwardCache,
     InterleaveError,
     OnlineNorm,
     OnlineNormState,
@@ -37,7 +36,7 @@ def sample(values):
 def run_forward(state, xs):
     ys = []
     for x in xs:
-        y, _ = forward_sample(state, scalar(x))
+        y = forward_sample(state, scalar(x))
         ys.append(y[0, 0, 0])
     return np.array(ys)
 
@@ -48,11 +47,11 @@ def run_forward(state, xs):
 def test_first_sample_after_reset():
     alpha = 0.9
     state = OnlineNormState(1, alpha_f=alpha, alpha_b=0.99)
-    y, cache = forward_sample(state, scalar(3.0))
+    y = forward_sample(state, scalar(3.0))
     assert y[0, 0, 0] == 3.0
     assert state.mu[0] == pytest.approx((1 - alpha) * 3.0, abs=1e-15)
     assert state.var[0] == pytest.approx(alpha + alpha * (1 - alpha) * 9.0, abs=1e-15)
-    assert cache.sigma_used[0, 0] == 1.0
+    assert state.pending[1][0, 0] == 1.0
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.9, 0.99, 0.999])
@@ -130,7 +129,7 @@ def test_accumulated_centered_output_bounded():
 def test_forward_spatial_uses_feature_statistics():
     state = OnlineNormState(2, alpha_f=0.9, alpha_b=0.9)
     x = sample([[1.0, 3.0], [10.0, 10.0]])
-    y, _ = forward_sample(state, x)
+    y = forward_sample(state, x)
     assert np.allclose(y, x)  # mu=0 sigma=1 at init
     # mean over spatial enters the running mean
     assert state.mu[0] == pytest.approx(0.1 * 2.0)
@@ -235,8 +234,8 @@ def test_layer_scale_backward_zero_sample_gives_finite_gradient():
 
 def test_first_backward_divides_by_initial_sigma():
     state = OnlineNormState(1, alpha_f=0.9, alpha_b=0.9)
-    _, cache = forward_sample(state, scalar(3.0))
-    xg = backward_sample(state, scalar(0.5), cache)
+    forward_sample(state, scalar(3.0))
+    xg = backward_sample(state, scalar(0.5))
     assert xg[0, 0, 0] == 0.5  # sigma_0 = 1, accumulators zero
 
 
@@ -253,9 +252,9 @@ def test_accumulators_bounded_on_long_run():
 def test_backward_spatial_means_enter_accumulators():
     state = OnlineNormState(1, alpha_f=0.9, alpha_b=0.9)
     x = sample([[1.0, -1.0, 2.0]])
-    y, cache = forward_sample(state, x)
+    y = forward_sample(state, x)
     g = sample([[0.3, 0.6, -0.3]])
-    xg = backward_sample(state, g, cache)
+    xg = backward_sample(state, g)
     # accumulators advance by within-sample means
     assert state.eps_y[0] == pytest.approx((g * y).mean(), abs=1e-15)
     assert state.eps_1[0] == pytest.approx(xg.mean(), abs=1e-15)
@@ -263,17 +262,16 @@ def test_backward_spatial_means_enter_accumulators():
 
 def test_interleave_handshake_errors():
     state = OnlineNormState(1)
-    _, cache = forward_sample(state, scalar(1.0))
-    backward_sample(state, scalar(1.0), cache)
+    forward_sample(state, scalar(1.0))
+    backward_sample(state, scalar(1.0))
     with pytest.raises(InterleaveError):
-        backward_sample(state, scalar(1.0), cache)  # already consumed
-    _, stale = forward_sample(state, scalar(1.0))
-    forward_sample(state, scalar(2.0))
+        backward_sample(state, scalar(1.0))  # already consumed
+    forward_sample(state, scalar(1.0))
+    state.reset()
     with pytest.raises(InterleaveError):
-        backward_sample(state, scalar(1.0), stale)  # not the latest forward
-    fresh = OnlineNormState(1)
+        backward_sample(state, scalar(1.0))  # reset dropped the pending forward
     with pytest.raises(InterleaveError):
-        backward_sample(fresh, scalar(1.0), ForwardCache(y=scalar(1.0)))
+        backward_sample(OnlineNormState(1), scalar(1.0))  # no forward yet
 
 
 def test_refused_backward_leaves_gain_and_bias_gradients_unchanged():
@@ -291,8 +289,8 @@ def test_output_rms_rescaling_mode():
     state = OnlineNormState(1, alpha_f=0.99, alpha_b=0.99, scale_by_output_rms=True)
     mags = []
     for _ in range(3000):
-        _, cache = forward_sample(state, scalar(rng.normal()))
-        xg = backward_sample(state, scalar(rng.choice([-1.0, 1.0])), cache)
+        forward_sample(state, scalar(rng.normal()))
+        xg = backward_sample(state, scalar(rng.choice([-1.0, 1.0])))
         mags.append(xg[0, 0, 0] ** 2)
     # the produced gradient is forced toward unit mean square
     assert np.mean(mags[1500:]) == pytest.approx(1.0, rel=0.15)
@@ -343,10 +341,10 @@ def test_affine_gradients_match_finite_differences():
     assert layer.d_bias == pytest.approx(fd_bias, rel=1e-7, abs=1e-7)
     # The normalization stage receives the layer-scaling gradient times the gain.
     state = copy.deepcopy(before.state)
-    y, cache = forward_sample(state, x)
+    y = forward_sample(state, x)
     z, zeta = layer_scale_forward(before.gain[:, None] * y + before.bias[:, None])
     zg = before.gain[:, None] * layer_scale_backward(loss_w, z, zeta)
-    assert np.array_equal(xg, backward_sample(state, zg, cache))
+    assert np.array_equal(xg, backward_sample(state, zg))
 
 
 # ----------------------------------------------------------- reset & state
@@ -356,8 +354,8 @@ def test_reset_restores_initial_state():
     state = OnlineNormState(2, alpha_f=0.9, alpha_b=0.9)
     rng = make_rng(22)
     for _ in range(5):
-        _, cache = forward_sample(state, sample(rng.normal(size=2)))
-        backward_sample(state, sample(rng.normal(size=2)), cache)
+        forward_sample(state, sample(rng.normal(size=2)))
+        backward_sample(state, sample(rng.normal(size=2)))
     state.reset()
     assert np.array_equal(state.mu, np.zeros(2))
     assert np.array_equal(state.var, np.ones(2))
@@ -365,7 +363,7 @@ def test_reset_restores_initial_state():
     assert np.array_equal(state.eps_1, np.zeros(2))
     state.reset()  # idempotent
     assert np.array_equal(state.var, np.ones(2))
-    y, _ = forward_sample(state, sample([3.0, -1.5]))
+    y = forward_sample(state, sample([3.0, -1.5]))
     assert np.array_equal(y.ravel(), np.array([3.0, -1.5]))
 
 
@@ -391,8 +389,8 @@ def test_serialization_roundtrip_and_continuation():
         rng = make_rng(24)
         state = OnlineNormState(4, alpha_f=0.97, alpha_b=0.9, scale_by_output_rms=output_rms)
         for _ in range(100):
-            _, cache = forward_sample(state, sample(rng.normal(size=(4, 2))))
-            backward_sample(state, sample(rng.normal(size=(4, 2))), cache)
+            forward_sample(state, sample(rng.normal(size=(4, 2))))
+            backward_sample(state, sample(rng.normal(size=(4, 2))))
         clone = load_state(save_state(state))
         for name in ("mu", "var", "eps_y", "eps_1", "out_ms"):
             assert np.array_equal(getattr(clone, name), getattr(state, name))
@@ -400,11 +398,11 @@ def test_serialization_roundtrip_and_continuation():
         assert clone.scale_by_output_rms == output_rms
         # both continue identically, forward and backward, on the same stream
         for x, g in zip(rng.normal(size=(10, 4, 2)), rng.normal(size=(10, 4, 2))):
-            a, cache_a = forward_sample(state, sample(x))
-            b, cache_b = forward_sample(clone, sample(x))
+            a = forward_sample(state, sample(x))
+            b = forward_sample(clone, sample(x))
             assert np.array_equal(a, b)
-            ga = backward_sample(state, sample(g), cache_a)
-            gb = backward_sample(clone, sample(g), cache_b)
+            ga = backward_sample(state, sample(g))
+            gb = backward_sample(clone, sample(g))
             assert np.array_equal(ga, gb)
 
 

@@ -1,13 +1,20 @@
-"""Property tests: a block of n samples is the same stream as n single samples."""
+"""Property tests: a block of n samples is the same stream as n single samples,
+and the streaming state keeps its invariants over random shapes and decays."""
+
+import copy
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onlinenorm.net import Mlp, TrainConfig
 from onlinenorm.online import (
+    InterleaveError,
+    OnlineNorm,
     OnlineNormState,
     backward_sample,
+    forward_inference,
     forward_sample,
     layer_scale_backward,
     layer_scale_forward,
@@ -47,24 +54,64 @@ def test_block_is_bit_identical_to_single_sample_calls(
     for part in (slice(0, split), slice(split, n)):
         if x[part].shape[0] == 0:
             continue
-        y, cache = forward_sample(grouped, x[part])
-        xg_blocks.append(backward_sample(grouped, g[part], cache))
-        y_blocks.append(y)
-        sigma_blocks.append(cache.sigma_used)
+        y_blocks.append(forward_sample(grouped, x[part]))
+        sigma_blocks.append(grouped.pending[1])
+        xg_blocks.append(backward_sample(grouped, g[part]))
 
     streamed = state()
     y_rows, xg_rows, sigma_rows = [], [], []
     for t in range(n):
-        y, cache = forward_sample(streamed, x[t : t + 1])
-        xg_rows.append(backward_sample(streamed, g[t : t + 1], cache))
-        y_rows.append(y)
-        sigma_rows.append(cache.sigma_used)
+        y_rows.append(forward_sample(streamed, x[t : t + 1]))
+        sigma_rows.append(streamed.pending[1])
+        xg_rows.append(backward_sample(streamed, g[t : t + 1]))
 
     assert np.array_equal(np.concatenate(y_blocks), np.concatenate(y_rows))
     assert np.array_equal(np.concatenate(xg_blocks), np.concatenate(xg_rows))
     assert np.array_equal(np.concatenate(sigma_blocks), np.concatenate(sigma_rows))
     for name in STATE_ARRAYS:
         assert np.array_equal(getattr(grouped, name), getattr(streamed, name)), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    blocks=st.lists(st.integers(1, 64), min_size=1, max_size=3),
+    features=st.integers(1, 16),
+    spatial=st.integers(1, 4),
+    alpha_f=decays,
+    alpha_b=decays,
+    output_rms=st.booleans(),
+    seed=seeds,
+)
+def test_state_invariants_and_handshake(blocks, features, spatial, alpha_f, alpha_b, output_rms, seed):
+    rng = make_rng(seed)
+    state = OnlineNormState(features, alpha_f=alpha_f, alpha_b=alpha_b, scale_by_output_rms=output_rms)
+    with pytest.raises(InterleaveError):
+        backward_sample(state, rng.normal(size=(1, features, spatial)))  # nothing pending
+    for n in blocks:
+        x = rng.normal(3.0, 2.0, size=(n, features, spatial))
+        g = rng.normal(size=(n, features, spatial))
+        forward_sample(state, x)
+        untouched = copy.deepcopy(state)
+        # Inference between a forward and its backward changes nothing the backward reads.
+        forward_inference(state, rng.normal(size=(n, features, spatial)))
+        assert np.array_equal(backward_sample(state, g), backward_sample(untouched, g))
+        with pytest.raises(InterleaveError):
+            backward_sample(state, g)  # already consumed
+        assert (state.var >= 0.0).all()
+        for name in STATE_ARRAYS:
+            assert np.isfinite(getattr(state, name)).all(), name
+    forward_sample(state, rng.normal(size=(1, features, spatial)))
+    state.reset()
+    with pytest.raises(InterleaveError):
+        backward_sample(state, rng.normal(size=(1, features, spatial)))  # reset dropped it
+
+    layer = OnlineNorm(features, alpha_f=alpha_f, alpha_b=alpha_b)
+    x = rng.normal(size=(blocks[0], features, spatial))
+    g = rng.normal(size=(blocks[0], features, spatial))
+    layer.forward(x)
+    untouched = copy.deepcopy(layer)
+    layer.forward(rng.normal(size=x.shape), training=False)
+    assert np.array_equal(layer.backward(g), untouched.backward(g))
 
 
 @settings(max_examples=40, deadline=None)
