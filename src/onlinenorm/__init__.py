@@ -4,6 +4,7 @@ from .emulation import emulate_stream
 from .net import (
     DivergenceError,
     MetricsRecord,
+    Params,
     TrainConfig,
     scale_hyperparams,
     sgd_momentum_step,

@@ -2,15 +2,17 @@
 
 One scalar per line, `#` starts a comment, blank lines ignored. Every key
 maps to one field of TrainConfig or DatasetSpec; unknown keys and
-out-of-range values are reported with their line number. Defaults are the
-dataclass defaults (alpha_f = 0.999, alpha_b = 0.99).
+out-of-range values are reported with their line number. A check that
+spans several keys runs after the last line and carries no line. Defaults
+are the dataclass defaults (alpha_f = 0.999, alpha_b = 0.99).
 """
 
 from __future__ import annotations
 
 from dataclasses import fields
+from functools import partial
 
-from .datasets import DatasetSpec
+from .datasets import DatasetSpec, check_spec_field
 from .net import TrainConfig
 
 
@@ -64,15 +66,17 @@ def parse_config(text: str) -> tuple[TrainConfig, DatasetSpec]:
         value = value.strip()
         if key in _TRAIN_KEYS:
             setattr(cfg, key, _convert(value, _TRAIN_KEYS[key], key, lineno))
-            try:
-                cfg.validate()
-            except ValueError as exc:
-                raise ConfigError(str(exc), lineno) from None
+            check = cfg.validate
         elif key in _DATASET_KEYS:
             attr, kind = _DATASET_KEYS[key]
             setattr(spec, attr, _convert(value, kind, key, lineno))
+            check = partial(check_spec_field, attr, getattr(spec, attr))
         else:
             raise ConfigError(f"unknown key {key!r}", lineno)
+        try:
+            check()
+        except ValueError as exc:
+            raise ConfigError(str(exc), lineno) from None
     try:
         cfg.validate()
         spec.validate()

@@ -5,7 +5,7 @@ Generated datasets are pure functions of (spec, seed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -55,17 +55,21 @@ class DatasetSpec:
     labels_path: str = ""
 
     def validate(self) -> None:
-        if self.kind not in DATASET_KINDS:
-            raise ValueError(f"unknown dataset kind {self.kind!r}")
-        if np.isnan([self.class_scale, self.noise, self.brightness]).any():
-            raise ValueError("class_scale, dataset_noise and brightness must not be NaN")
-        if self.kind != "idx-file":
-            if self.classes < 1 or self.samples < 1:
-                raise ValueError("dataset needs at least 1 class and 1 sample")
-            if self.dim < 1 or self.image_side < 1:
-                raise ValueError("dataset dimensions must be >= 1")
-        elif not self.images_path or not self.labels_path:
+        for f in fields(self):
+            check_spec_field(f.name, getattr(self, f.name))
+        if self.kind == "idx-file" and not (self.images_path and self.labels_path):
             raise ValueError("idx-file dataset needs images_path and labels_path")
+
+
+def check_spec_field(name: str, value) -> None:
+    """Range check of one DatasetSpec field on its own: a known kind, counts
+    of at least 1, and scales that are not NaN. Raises ValueError."""
+    if name == "kind" and value not in DATASET_KINDS:
+        raise ValueError(f"unknown dataset kind {value!r}")
+    if name in ("classes", "samples", "dim", "image_side") and not value >= 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    if name in ("class_scale", "noise", "brightness") and np.isnan(value):
+        raise ValueError(f"{name} must not be NaN")
 
 
 def _simplex_means(classes: int, dim: int, scale: float) -> np.ndarray:

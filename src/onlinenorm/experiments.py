@@ -26,6 +26,7 @@ from .net import (
     Conv2D,
     DenseLayer,
     DivergenceError,
+    Params,
     TrainConfig,
     softmax_xent_backward,
     softmax_xent_forward,
@@ -82,6 +83,7 @@ class _BiasNet:
         self.conv = Conv2D(1, _CHANNELS, 3, rng)
         self.flat = _CHANNELS * (_SIDE - 2) * (_SIDE - 2)
         self.dense = DenseLayer(self.flat, _CLASSES, rng, weight_scale=np.sqrt(1.0 / self.flat))
+        self.params = Params([self.conv, self.dense])
 
     def gradient(self, x: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """Parameter gradient of the mean loss over the given batch."""
@@ -98,11 +100,8 @@ class _BiasNet:
         gh = self.dense.backward(g).reshape(b, _CHANNELS, spatial)
         gn = norm.backward(relu_backward(gh, an))
         self.conv.backward(gn.reshape(a.shape))
-        flat = np.concatenate(
-            [self.conv.d_k.ravel(), self.conv.d_b.ravel(), self.dense.d_w.ravel(), self.dense.d_b.ravel()]
-        )
-        for _, grad, _ in self.conv.param_triples() + self.dense.param_triples():
-            grad[...] = 0.0
+        flat = self.params.g.copy()
+        self.params.g[...] = 0.0
         return flat
 
 
@@ -175,9 +174,11 @@ def activation_growth_experiment(
     compound through depth; RMS is recorded after normalization (and after
     the optional per-sample RMS rescaling), before ReLU.
     """
-    # Each check is written so that NaN fails it.
-    if depth < 1 or width < 1:
-        raise ValueError(f"depth and width must be >= 1, got {depth}, {width}")
+    # Each check is written so that NaN fails it. A slope needs two layers.
+    if depth < 2:
+        raise ValueError(f"depth (--depth) must be >= 2, got {depth}")
+    if width < 1:
+        raise ValueError(f"width (--width) must be >= 1, got {width}")
     if not noise >= 0.0:
         raise ValueError(f"noise (--noise) must be >= 0, got {noise}")
     if not 0.0 <= sigma_down < 1.0:

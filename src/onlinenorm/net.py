@@ -94,8 +94,31 @@ def write_metrics_csv(path, records) -> None:
             )
 
 
+class Params:
+    """Parameters p, gradients g and momentum v of some layers, one flat array each.
+
+    Each layer names its parameters in PARAMS; the gradient of `w` is `d_w`.
+    Both are rebound to views of p and g, so layers must update them in place.
+    """
+
+    def __init__(self, layers):
+        slots = [(layer, name) for layer in layers for name in layer.PARAMS]
+        self.p = np.concatenate([getattr(layer, name).ravel() for layer, name in slots])
+        self.g = np.concatenate([getattr(layer, "d_" + name).ravel() for layer, name in slots])
+        self.v = np.zeros_like(self.p)
+        start = 0
+        for layer, name in slots:
+            value = getattr(layer, name)
+            stop = start + value.size
+            setattr(layer, name, self.p[start:stop].reshape(value.shape))
+            setattr(layer, "d_" + name, self.g[start:stop].reshape(value.shape))
+            start = stop
+
+
 class DenseLayer:
-    """Affine map with gradient and momentum buffers."""
+    """Affine map with its gradient buffers."""
+
+    PARAMS = ("w", "b")
 
     def __init__(self, n_in: int, n_out: int, rng=None, weight_scale: float | None = None):
         if weight_scale is None:
@@ -107,8 +130,6 @@ class DenseLayer:
         self.b = np.zeros(n_out)
         self.d_w = np.zeros_like(self.w)
         self.d_b = np.zeros(n_out)
-        self.v_w = np.zeros_like(self.w)
-        self.v_b = np.zeros(n_out)
         self._x = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -127,12 +148,11 @@ class DenseLayer:
         self.d_b += grad.sum(axis=0)
         return grad @ self.w
 
-    def param_triples(self):
-        return [(self.w, self.d_w, self.v_w), (self.b, self.d_b, self.v_b)]
-
 
 class Conv2D:
     """Single valid-padding 2-D convolution layer with a small fixed kernel."""
+
+    PARAMS = ("k", "b")
 
     def __init__(self, in_ch: int, out_ch: int, kernel: int, rng):
         weight_scale = np.sqrt(2.0 / (in_ch * kernel * kernel))
@@ -140,8 +160,6 @@ class Conv2D:
         self.b = np.zeros(out_ch)
         self.d_k = np.zeros_like(self.k)
         self.d_b = np.zeros_like(self.b)
-        self.v_k = np.zeros_like(self.k)
-        self.v_b = np.zeros_like(self.b)
         self._windows = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -164,9 +182,6 @@ class Conv2D:
         flipped = self.k[:, :, ::-1, ::-1]
         return np.einsum("bohwkl,oikl->bihw", gwin, flipped)
 
-    def param_triples(self):
-        return [(self.k, self.d_k, self.v_k), (self.b, self.d_b, self.v_b)]
-
 
 def softmax_xent_forward(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over the batch; returns (loss, softmax probabilities)."""
@@ -186,13 +201,13 @@ def softmax_xent_backward(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return grad / labels.size
 
 
-def sgd_momentum_step(layer, eta: float, momentum: float, l2: float) -> None:
+def sgd_momentum_step(params: Params, eta: float, momentum: float, l2: float) -> None:
     """v = mu*v + (1-mu)*(g + l2*w); w -= eta*v; gradients cleared."""
-    for p, g, v in layer.param_triples():
-        v *= momentum
-        v += (1.0 - momentum) * (g + l2 * p)
-        p -= eta * v
-        g[...] = 0.0
+    p, g, v = params.p, params.g, params.v
+    v *= momentum
+    v += (1.0 - momentum) * (g + l2 * p)
+    p -= eta * v
+    g[...] = 0.0
 
 
 def scale_hyperparams(
@@ -232,21 +247,14 @@ class Mlp:
     """Dense/normalize/ReLU stack with a linear classifier head."""
 
     def __init__(self, sizes, cfg: TrainConfig, rng):
-        self.cfg = cfg
         self.dense = []
         self.norms = []
         for i in range(len(sizes) - 2):
             self.dense.append(DenseLayer(sizes[i], sizes[i + 1], rng))
             self.norms.append(_make_normalizer(cfg.normalizer, sizes[i + 1], cfg))
         self.dense.append(DenseLayer(sizes[-2], sizes[-1], rng))
+        self.params = Params(self.dense + [n for n in self.norms if isinstance(n, OnlineNorm)])
         self._pre = []
-
-    def layers(self):
-        return self.dense + [n for n in self.norms if isinstance(n, OnlineNorm)]
-
-    def step_all(self) -> None:
-        for layer in self.layers():
-            sgd_momentum_step(layer, self.cfg.eta, self.cfg.momentum, self.cfg.l2)
 
     def weight_norm(self) -> float:
         total = 0.0
@@ -348,7 +356,7 @@ def train(cfg: TrainConfig, train_set, val_set=None) -> tuple[list[MetricsRecord
                 if sum_gradients:
                     grad *= sel.size
                 net.backward_batch(grad)
-                net.step_all()
+                sgd_momentum_step(net.params, cfg.eta, cfg.momentum, cfg.l2)
                 step += 1
                 interval_losses.append(loss)
                 interval_sizes.append(sel.size)
@@ -369,5 +377,8 @@ def train(cfg: TrainConfig, train_set, val_set=None) -> tuple[list[MetricsRecord
 
 
 def evaluate_accuracy(net: Mlp, dataset) -> float:
+    """Fraction of the set classified correctly; NaN for an empty set."""
+    if dataset.n == 0:
+        return float("nan")
     logits = net.forward_batch(dataset.x, training=False)
     return float((np.argmax(logits, axis=1) == dataset.labels).mean())

@@ -133,8 +133,8 @@ def layer_scale_forward(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns the scaled block z and the (n,) per-sample RMS values zeta,
     which layer_scale_backward takes back.
     """
-    n = y.shape[0]
-    zeta = np.sqrt((y * y).reshape(n, -1).mean(axis=1))
+    n, f, s = y.shape
+    zeta = np.sqrt((y * y).reshape(n, f * s).mean(axis=1))
     z = y / np.maximum(zeta, SIGMA_FLOOR)[:, None, None]
     return z, zeta
 
@@ -147,9 +147,9 @@ def layer_scale_backward(z_grad: np.ndarray, z: np.ndarray, zeta: np.ndarray) ->
     """
     if z_grad.shape != z.shape:
         raise ShapeError(f"gradient shape {z_grad.shape} vs output {z.shape}")
-    n = z.shape[0]
+    n, f, s = z.shape
     scaled = zeta >= SIGMA_FLOOR
-    coupling = np.where(scaled, (z * z_grad).reshape(n, -1).mean(axis=1), 0.0)
+    coupling = np.where(scaled, (z * z_grad).reshape(n, f * s).mean(axis=1), 0.0)
     divisor = np.where(scaled, zeta, SIGMA_FLOOR)
     return (z_grad - z * coupling[:, None, None]) / divisor[:, None, None]
 
@@ -185,13 +185,9 @@ def backward_sample(state: OnlineNormState, y_grad: np.ndarray) -> np.ndarray:
     return xg
 
 
-# A record opens with _MAGIC and a version. A record without the magic is the
-# unversioned layout, which opens with its uint64 feature count; no real
-# feature count matches the magic's eight bytes.
 _MAGIC = b"ONLNORM\x00"
 _VERSION = 2
 _HEADER = struct.Struct("<8sIIQdd")
-_LEGACY_HEADER = struct.Struct("<Qdd")
 
 
 def save_state(state: OnlineNormState) -> bytes:
@@ -210,36 +206,25 @@ def save_state(state: OnlineNormState) -> bytes:
 
 
 def load_state(blob: bytes) -> OnlineNormState:
-    """Inverse of save_state.
+    """Inverse of save_state; a loaded state has no forward pending.
 
-    Also reads the unversioned record: uint64 feature count, the two
-    float64 decays, then mu, var, eps_y and eps_1. It predates output-RMS
-    mode, so it loads with the mode off and out_ms at one. A loaded state
-    has no forward pending.
+    Raises ValueError for a blob that is not a complete version-2 record.
     """
-    versioned = blob[: len(_MAGIC)] == _MAGIC
-    header = _HEADER if versioned else _LEGACY_HEADER
-    if len(blob) < header.size:
+    if blob[: len(_MAGIC)] != _MAGIC:
+        raise ValueError("not a state record: missing the ONLNORM magic")
+    if len(blob) < _HEADER.size:
         raise ValueError("state record truncated: missing header")
-    if versioned:
-        _, version, flags, features, alpha_f, alpha_b = header.unpack_from(blob)
-        if version != _VERSION or flags not in (0, 1):
-            raise ValueError(f"unsupported state record: version {version}, flags {flags}")
-        blocks = 5
-    else:
-        features, alpha_f, alpha_b = header.unpack_from(blob)
-        flags, blocks = 0, 4
-    expected = header.size + blocks * features * 8
+    _, version, flags, features, alpha_f, alpha_b = _HEADER.unpack_from(blob)
+    if version != _VERSION or flags not in (0, 1):
+        raise ValueError(f"unsupported state record: version {version}, flags {flags}")
+    expected = _HEADER.size + 5 * features * 8
     if len(blob) != expected:
         raise ValueError(f"state record has {len(blob)} bytes, expected {expected}")
-    flat = np.frombuffer(blob, dtype="<f8", offset=header.size).astype(np.float64)
-    flat = flat.reshape(blocks, features)
+    flat = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size).astype(np.float64)
     state = OnlineNormState(
         int(features), alpha_f=alpha_f, alpha_b=alpha_b, scale_by_output_rms=bool(flags)
     )
-    state.mu, state.var, state.eps_y, state.eps_1 = (row.copy() for row in flat[:4])
-    if blocks == 5:
-        state.out_ms = flat[4].copy()
+    state.mu, state.var, state.eps_y, state.eps_1, state.out_ms = flat.reshape(5, features)
     return state
 
 
@@ -248,14 +233,16 @@ class OnlineNorm:
     bias, then layer scaling.
 
     Takes (n, features) or (n, features, spatial) blocks, like BatchNorm and
-    LayerNorm, and holds its gain and bias with their gradient and momentum
-    buffers the way DenseLayer holds w and b. A training pass runs the n
-    samples through the stream in order; it gives the same result as n
-    single-sample passes provided the parameters change only between
-    blocks. A single instance is a stateful stream processor and must see a
-    strict forward/backward interleaving during training; distinct
-    instances are independent.
+    LayerNorm, and holds its gain and bias with their gradient buffers the
+    way DenseLayer holds w and b; the model's optimizer holds the momentum.
+    A training pass runs the n samples through the stream in order; it gives
+    the same result as n single-sample passes provided the parameters change
+    only between blocks. A single instance is a stateful stream processor
+    and must see a strict forward/backward interleaving during training;
+    distinct instances are independent.
     """
+
+    PARAMS = ("gain", "bias")
 
     def __init__(self, features: int, alpha_f: float = 0.999, alpha_b: float = 0.99):
         self.state = OnlineNormState(features, alpha_f=alpha_f, alpha_b=alpha_b)
@@ -263,8 +250,6 @@ class OnlineNorm:
         self.bias = np.zeros(features)
         self.d_gain = np.zeros(features)
         self.d_bias = np.zeros(features)
-        self.v_gain = np.zeros(features)
-        self.v_bias = np.zeros(features)
         self._scaled: tuple[np.ndarray, np.ndarray] | None = None
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
@@ -291,6 +276,3 @@ class OnlineNorm:
         self.d_gain += (grad * pending[0]).sum(axis=(0, 2))
         self.d_bias += grad.sum(axis=(0, 2))
         return out[:, :, 0] if squeeze else out
-
-    def param_triples(self):
-        return [(self.gain, self.d_gain, self.v_gain), (self.bias, self.d_bias, self.v_bias)]

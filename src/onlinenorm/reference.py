@@ -22,6 +22,9 @@ import numpy as np
 
 from .tensor import SIGMA_FLOOR, ShapeError, as_block
 
+# Decay of BatchNorm's running inference statistics.
+_STATS_DECAY = 0.99
+
 
 class DegenerateBatchError(ValueError):
     """Population standard deviation fell below the divisor floor."""
@@ -84,9 +87,8 @@ class BatchNorm:
     a single value and no variance.
     """
 
-    def __init__(self, features: int, stats_decay: float = 0.99):
+    def __init__(self, features: int):
         self.features = int(features)
-        self.stats_decay = float(stats_decay)
         self.running_mu = np.zeros(features)
         self.running_var = np.ones(features)
         self._cache = None
@@ -103,7 +105,7 @@ class BatchNorm:
             var = (d * d).mean(axis=(0, 2))
             sigma = np.maximum(np.sqrt(var), SIGMA_FLOOR)
             y = d / sigma[None, :, None]
-            a = self.stats_decay
+            a = _STATS_DECAY
             self.running_mu = a * self.running_mu + (1.0 - a) * mu.reshape(-1)
             self.running_var = a * self.running_var + (1.0 - a) * var
             self._cache = (y, sigma, b * s)

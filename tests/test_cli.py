@@ -83,6 +83,7 @@ def test_emulate_check_deviation_above_tolerance_exits_three(monkeypatch, capsys
         (["growth", "--sigma-down", "1"], "--sigma-down"),
         (["growth", "--sigma-down", "nan"], "--sigma-down"),
         (["growth", "--noise", "nan"], "--noise"),
+        (["growth", "--depth", "1"], "--depth"),
     ],
 )
 def test_out_of_range_flag_values_exit_three_naming_the_flag(argv, flag, tmp_path, capsys):
@@ -107,6 +108,22 @@ def test_train_writes_metrics_csv(tmp_path, capsys):
     assert len(rows) >= 2
     for cell in rows[1]:
         float(cell)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("normalizer", ["online", "layer", "none"])
+def test_train_with_empty_validation_set_reports_nan_accuracy(normalizer, tmp_path, capsys):
+    # Two samples leave the 20% validation split empty.
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(
+        f"samples = 2\nepochs = 1\nbatch_size = 1\nnormalizer = {normalizer}\n", encoding="utf-8"
+    )
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(["train", "--config", str(cfg), "--out", str(out)], capsys)
+    assert code == 0, err
+    assert "accuracy nan" in stdout
+    with open(out / "metrics.csv", newline="") as fh:
+        assert [row["accuracy"] for row in csv.DictReader(fh)] == ["nan"]
 
 
 def test_bad_config_exits_two(tmp_path, capsys):

@@ -64,6 +64,32 @@ def test_missing_equals_reports_line():
     assert err.value.line == 1
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "dataset = cifar",
+        "classes = 0",
+        "samples = 0",
+        "dim = 0",
+        "image_side = 0",
+        "class_scale = nan",
+        "dataset_noise = nan",
+        "brightness = nan",
+    ],
+)
+def test_out_of_range_dataset_key_reports_line(line):
+    with pytest.raises(ConfigError) as err:
+        parse_config("epochs = 2\n" + line + "\nhidden = 4\n")
+    assert err.value.line == 2
+
+
+def test_cross_key_check_carries_no_line():
+    with pytest.raises(ConfigError) as err:
+        parse_config("dataset = idx-file\nimages_path = a.idx\n")
+    assert err.value.line is None
+    assert "labels_path" in str(err.value)
+
+
 def test_comments_and_blanks_ignored():
     cfg, _ = parse_config("# full line comment\n\neta = 0.25  # trailing comment\n")
     assert cfg.eta == 0.25

@@ -7,6 +7,7 @@ from onlinenorm.net import (
     DenseLayer,
     DivergenceError,
     Mlp,
+    Params,
     TrainConfig,
     evaluate_accuracy,
     scale_hyperparams,
@@ -52,7 +53,7 @@ def test_dense_gradients_match_finite_differences():
     layer.forward(x)
     layer.backward(loss_w)
     h = 1e-6
-    for p, g, _ in layer.param_triples():
+    for p, g in ((layer.w, layer.d_w), (layer.b, layer.d_b)):
         for i in range(p.size):
             orig = p.flat[i]
             p.flat[i] = orig + h
@@ -77,35 +78,38 @@ def test_dense_shape_errors():
 
 def test_sgd_zero_momentum_is_plain_sgd():
     layer = DenseLayer(2, 2)
+    params = Params([layer])
     layer.w[:] = np.array([[1.0, 2.0], [3.0, 4.0]])
     layer.d_w[:] = np.array([[0.5, 0.5], [0.5, 0.5]])
     before = layer.w.copy()
     grad = layer.d_w.copy()
-    sgd_momentum_step(layer, eta=0.1, momentum=0.0, l2=0.0)
+    sgd_momentum_step(params, eta=0.1, momentum=0.0, l2=0.0)
     assert np.allclose(layer.w, before - 0.1 * grad, atol=1e-16)
     assert np.array_equal(layer.d_w, np.zeros((2, 2)))  # cleared
 
 
 def test_sgd_pure_decay_is_geometric():
     layer = DenseLayer(2, 2)
+    params = Params([layer])
     layer.w[:] = np.array([[1.0, -2.0], [0.5, 4.0]])
     w0 = layer.w.copy()
     eta, l2 = 0.1, 0.01
     for k in range(1, 6):
-        sgd_momentum_step(layer, eta=eta, momentum=0.0, l2=l2)
+        sgd_momentum_step(params, eta=eta, momentum=0.0, l2=l2)
         assert np.allclose(layer.w, w0 * (1 - eta * l2) ** k, rtol=1e-13)
 
 
 def test_sgd_momentum_matches_hand_unrolled_recurrence():
     rng = make_rng(61)
     layer = DenseLayer(3, 2, rng)
+    params = Params([layer])
     eta, mu, l2 = 0.05, 0.9, 0.01
     w = layer.w.copy()
     v = np.zeros_like(w)
     for _ in range(2):
         g = rng.normal(size=w.shape)
         layer.d_w[:] = g
-        sgd_momentum_step(layer, eta=eta, momentum=mu, l2=l2)
+        sgd_momentum_step(params, eta=eta, momentum=mu, l2=l2)
         v = mu * v + (1 - mu) * (g + l2 * w)
         w = w - eta * v
     assert np.abs(layer.w - w).max() < 1e-12
@@ -231,21 +235,19 @@ def test_full_network_gradient_check(kind):
     logits = net.forward_batch(x, training=True)
     _, probs = softmax_xent_forward(logits, labels)
     net.backward_batch(softmax_xent_backward(probs, labels))
-    layers = net.layers()
-    grads = np.concatenate([g.ravel().copy() for l in layers for _, g, _ in l.param_triples()])
-    params = [p for l in layers for p, _, _ in l.param_triples()]
-    assert sum(p.size for p in params) >= 17
+    grads = net.params.g.copy()
+    p = net.params.p
+    assert p.size >= 17
     h = 1e-6
     fd = []
-    for p in params:
-        for i in range(p.size):
-            orig = p.flat[i]
-            p.flat[i] = orig + h
-            up = net_loss(net, x, labels)
-            p.flat[i] = orig - h
-            dn = net_loss(net, x, labels)
-            p.flat[i] = orig
-            fd.append((up - dn) / (2 * h))
+    for i in range(p.size):
+        orig = p[i]
+        p[i] = orig + h
+        up = net_loss(net, x, labels)
+        p[i] = orig - h
+        dn = net_loss(net, x, labels)
+        p[i] = orig
+        fd.append((up - dn) / (2 * h))
     fd = np.array(fd)
     assert np.abs(grads - fd).max() / np.abs(fd).max() <= 1e-5
 

@@ -384,6 +384,13 @@ def test_var_stays_nonnegative():
         assert (state.var >= 0.0).all()
 
 
+def test_layer_scaling_of_an_empty_block():
+    z, zeta = layer_scale_forward(np.empty((0, 4, 2)))
+    assert z.shape == (0, 4, 2) and zeta.shape == (0,)
+    assert layer_scale_backward(np.empty((0, 4, 2)), z, zeta).shape == (0, 4, 2)
+    assert OnlineNorm(4).forward(np.empty((0, 4)), training=False).shape == (0, 4)
+
+
 def test_serialization_roundtrip_and_continuation():
     for output_rms in (False, True):
         rng = make_rng(24)
@@ -407,16 +414,14 @@ def test_serialization_roundtrip_and_continuation():
 
 
 def test_serialization_reads_unversioned_records():
+    # The unversioned layout (feature count, decays, four blocks, no magic)
+    # is not a state record: load_state refuses it, whole or truncated.
     mu, var, eps_y, eps_1 = (np.arange(3.0) + k for k in range(4))
     body = np.concatenate([mu, var, eps_y, eps_1]).astype("<f8").tobytes()
     blob = struct.pack("<Qdd", 3, 0.9, 0.8) + body
-    state = load_state(blob)
-    assert (state.features, state.alpha_f, state.alpha_b) == (3, 0.9, 0.8)
-    for name, expect in (("mu", mu), ("var", var), ("eps_y", eps_y), ("eps_1", eps_1)):
-        assert np.array_equal(getattr(state, name), expect)
-    assert not state.scale_by_output_rms
-    assert np.array_equal(state.out_ms, np.ones(3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="magic"):
+        load_state(blob)
+    with pytest.raises(ValueError, match="magic"):
         load_state(blob[:-8])
 
 

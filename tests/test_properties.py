@@ -1,5 +1,6 @@
 """Property tests: a block of n samples is the same stream as n single samples,
-and the streaming state keeps its invariants over random shapes and decays."""
+the streaming state keeps its invariants over random shapes and decays, and
+the parameter store steps like one update per array."""
 
 import copy
 
@@ -8,7 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onlinenorm.net import Mlp, TrainConfig
+from onlinenorm.datasets import DatasetSpec, generate_dataset
+from onlinenorm.net import (
+    NORMALIZER_KINDS,
+    Conv2D,
+    DenseLayer,
+    Mlp,
+    Params,
+    TrainConfig,
+    sgd_momentum_step,
+    train,
+)
 from onlinenorm.online import (
     InterleaveError,
     OnlineNorm,
@@ -164,3 +175,87 @@ def test_mlp_group_matches_one_row_passes(batch, seed):
     for dg, dr in zip(group.dense, rows.dense):
         for got, want in ((dg.d_w, dr.d_w), (dg.d_b, dr.d_b)):
             assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def assert_layers_view_the_store(params, layers):
+    """Every PARAMS attribute is a view of params.p and its d_ twin of params.g."""
+    total = 0
+    for layer in layers:
+        for name in layer.PARAMS:
+            assert np.shares_memory(getattr(layer, name), params.p)
+            assert np.shares_memory(getattr(layer, "d_" + name), params.g)
+            total += getattr(layer, name).size
+    assert total == params.p.size
+
+
+def make_layer(kind, a, b, rng):
+    if kind == "dense":
+        return DenseLayer(a, b, rng)
+    if kind == "conv":
+        return Conv2D(a, b, 2, rng)
+    return OnlineNorm(a, alpha_f=0.9, alpha_b=0.9)
+
+
+def accumulate_random_gradients(layer, rng):
+    """One training forward and backward of the layer on random data."""
+    if isinstance(layer, DenseLayer):
+        out = layer.forward(rng.normal(size=(3, layer.w.shape[1])))
+    elif isinstance(layer, Conv2D):
+        out = layer.forward(rng.normal(size=(2, layer.k.shape[1], 4, 4)))
+    else:
+        out = layer.forward(rng.normal(size=(3, layer.state.features)))
+    layer.backward(rng.normal(size=out.shape))
+
+
+layer_specs = st.lists(
+    st.tuples(st.sampled_from(["dense", "conv", "online"]), st.integers(1, 5), st.integers(1, 5)),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    specs=layer_specs,
+    steps=st.integers(1, 4),
+    eta=st.floats(0.0, 1.0),
+    momentum=st.floats(0.0, 0.99),
+    l2=st.floats(0.0, 0.1),
+    seed=seeds,
+)
+def test_parameter_store_steps_like_one_update_per_array(specs, steps, eta, momentum, l2, seed):
+    rng = make_rng(seed)
+    layers = [make_layer(*spec, rng) for spec in specs]
+    slots = [(layer, name) for layer in layers for name in layer.PARAMS]
+    ref_p = [getattr(layer, name).copy() for layer, name in slots]
+    ref_v = [np.zeros_like(p) for p in ref_p]
+    params = Params(layers)
+    for _ in range(steps):
+        for layer in layers:
+            accumulate_random_gradients(layer, rng)
+        grads = [getattr(layer, "d_" + name).copy() for layer, name in slots]
+        sgd_momentum_step(params, eta, momentum, l2)
+        # The reference: the same four updates, one parameter array at a time.
+        for p, g, v in zip(ref_p, grads, ref_v):
+            v *= momentum
+            v += (1.0 - momentum) * (g + l2 * p)
+            p -= eta * v
+        for (layer, name), p in zip(slots, ref_p):
+            assert np.array_equal(getattr(layer, name), p)
+            assert not getattr(layer, "d_" + name).any()
+    assert np.array_equal(params.v, np.concatenate([v.ravel() for v in ref_v]))
+    assert_layers_view_the_store(params, layers)
+
+
+# Batch normalization needs groups of at least two samples.
+TRAIN_CASES = [(k, b) for k in NORMALIZER_KINDS for b in (1, 32) if (k, b) != ("batch", 1)]
+
+
+@pytest.mark.parametrize("kind, batch_size", TRAIN_CASES)
+def test_training_keeps_every_layer_on_the_parameter_store(kind, batch_size):
+    data = generate_dataset(DatasetSpec(kind="gaussian-blobs", classes=3, samples=96, dim=4), 0)
+    cfg = TrainConfig(eta=0.01, batch_size=batch_size, epochs=1, normalizer=kind, hidden=6, depth=2, seed=1)
+    _, net = train(cfg, data)
+    untrained = Mlp([4, 6, 6, 3], cfg, make_rng(cfg.seed))
+    assert not np.array_equal(net.params.p, untrained.params.p)
+    assert_layers_view_the_store(net.params, net.dense + [n for n in net.norms if isinstance(n, OnlineNorm)])
