@@ -16,10 +16,11 @@ Both sums are one lower-triangular (n x n) matrix L[l, j] = a^{l-j}
 applied to the group. Seeds match the streaming initialization mu = 0,
 var = 1, so the trajectory equals the streaming one up to rounding.
 
-This is a reference, not the training path: the streaming kernel in
-`online` runs groups by looping over samples, because the backward
-accumulator eps_y has a time-varying coefficient and output-RMS scaling is
-sequential, and an (n x n) matrix per layer would cost O(n^2) memory.
+Training does not run this form: the kernel in `online` runs a group's
+recurrences, eps_y's time-varying coefficient included, as a log-depth
+scan with O(n) memory (output-RMS mode stays sequential), where this form
+needs an (n x n) matrix per layer. The closed form is kept as an
+independent check of that kernel, written without it.
 """
 
 from __future__ import annotations

@@ -117,6 +117,8 @@ def gradient_bias_experiment(
     normalizing per batch. The full-dataset batch is always appended and
     must come out at zero angle.
     """
+    if dataset_size < 1:
+        raise ValueError(f"dataset size (--samples) must be >= 1, got {dataset_size}")
     if repetitions < 1:
         raise ValueError(f"repetitions (--reps) must be >= 1, got {repetitions}")
     for b in batch_sizes:
@@ -247,8 +249,10 @@ def equilibrium_experiment(eta: float, l2: float, steps: int, seed: int) -> Equi
     scale and so reproduces the first-moment equilibrium law directly.
     Plain SGD with L2 decay; |w'| records the loss gradient only.
     """
-    if eta <= 0.0 or l2 <= 0.0:
-        raise ValueError("eta and lambda must be positive")
+    if not eta > 0.0:
+        raise ValueError(f"eta (--eta) must be > 0, got {eta}")
+    if not l2 > 0.0:
+        raise ValueError(f"l2 (--l2) must be > 0, got {l2}")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     rng = make_rng(seed)

@@ -28,9 +28,16 @@ Both accumulators stay bounded for bounded gradient streams. The state
 holds its most recent forward's record until one backward consumes it.
 
 Every function takes a float64 block of shape (n, features, spatial): n
-consecutive samples, n = 1 being the streaming step. The recurrences loop
-over the samples in order, vectorized across features, so a block is
-bit-identical to n single-sample calls. Training may run a whole block
+consecutive samples, n = 1 being the streaming step. Rearranged, each
+recurrence is first-order linear, h_t = a_t h_{t-1} + b_t: mu and var with
+a = a_f (var once mu is known), eps_y with a_t = 1 - (1 - a_b) mean(y_t^2)
+and b_t = mean(y'_t y_t), and eps_1 with a = a_b and
+b_t = mean(xt_t) / sigma_{t-1}. A block of n >= 2 runs each one as a
+log-depth scan over the block, vectorized across features, and is equal
+to n single-sample calls to within rounding
+(<= 1e-10 relative). n = 1 and output-RMS mode, whose divisor reads the
+previous produced gradient, step through the samples in the order written
+above and are exact. Training may run a whole block
 forward before its backward because the forward statistics never read the
 backward accumulators, and the weights feeding the layer change only
 between blocks. Values are not checked for finiteness.
@@ -99,23 +106,50 @@ def _block(x, features: int) -> np.ndarray:
     return x
 
 
+def _scan(a, b: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Run h_t = a_t * h_{t-1} + b_t over axis 0 of the (n, F) array b, from h.
+
+    Recursive doubling: ceil(log2 n) vectorized steps, each folding in the
+    partial result from d = 1, 2, 4, ... rows back. a is a scalar, whose
+    powers are carried as scalars, or an (n, F) array. Overwrites b with
+    the h_t and leaves a and h as they were. Returns h_{t-1} for each t and
+    the final h.
+    """
+    scalar = np.ndim(a) == 0
+    b[0] += (a if scalar else a[0]) * h
+    if not scalar:
+        a = a.copy()
+    n, d = b.shape[0], 1
+    while d < n:
+        if scalar:
+            b[d:] += a * b[:-d]
+            a = a * a
+        else:
+            b[d:] += a[d:] * b[:-d]
+            a[d:] *= a[:-d]
+        d *= 2
+    return np.concatenate((h[None], b[:-1])), b[-1].copy()
+
+
 def forward_sample(state: OnlineNormState, x: np.ndarray) -> np.ndarray:
     """Normalize each sample of a block with the running statistics, then advance them."""
     x = _block(x, state.features)
-    n = x.shape[0]
     mx = feature_mean(x)
     vx = feature_var(x)
-    y = np.empty_like(x)
-    sigma_used = np.empty((n, state.features))
     af, cf = state.alpha_f, 1.0 - state.alpha_f
-    mu, var = state.mu, state.var
-    for t in range(n):
-        sigma = sigma_used[t] = np.maximum(np.sqrt(var), SIGMA_FLOOR)
-        y[t] = (x[t] - mu[:, None]) / sigma[:, None]
-        delta = mx[t] - mu
-        mu = af * mu + cf * mx[t]
-        var = af * var + cf * vx[t] + af * cf * delta * delta
-    state.mu, state.var = mu, var
+    if len(x) > 1 and not state.scale_by_output_rms:
+        mu, state.mu = _scan(af, cf * mx, state.mu)
+        delta = mx - mu
+        var, state.var = _scan(af, cf * vx + af * cf * delta * delta, state.var)
+    else:
+        mu, var = np.empty_like(mx), np.empty_like(vx)
+        for t in range(len(x)):
+            mu[t], var[t] = state.mu, state.var
+            delta = mx[t] - state.mu
+            state.mu = af * state.mu + cf * mx[t]
+            state.var = af * state.var + cf * vx[t] + af * cf * delta * delta
+    sigma_used = np.maximum(np.sqrt(var), SIGMA_FLOOR)
+    y = (x - mu[:, :, None]) / sigma_used[:, :, None]
     state.pending = (y, sigma_used)
     return y
 
@@ -134,7 +168,7 @@ def layer_scale_forward(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     which layer_scale_backward takes back.
     """
     n, f, s = y.shape
-    zeta = np.sqrt((y * y).reshape(n, f * s).mean(axis=1))
+    zeta = np.sqrt(np.add.reduce((y * y).reshape(n, f * s), axis=1) / (f * s))
     z = y / np.maximum(zeta, SIGMA_FLOOR)[:, None, None]
     return z, zeta
 
@@ -149,7 +183,7 @@ def layer_scale_backward(z_grad: np.ndarray, z: np.ndarray, zeta: np.ndarray) ->
         raise ShapeError(f"gradient shape {z_grad.shape} vs output {z.shape}")
     n, f, s = z.shape
     scaled = zeta >= SIGMA_FLOOR
-    coupling = np.where(scaled, (z * z_grad).reshape(n, f * s).mean(axis=1), 0.0)
+    coupling = np.where(scaled, np.add.reduce((z * z_grad).reshape(n, f * s), axis=1) / (f * s), 0.0)
     divisor = np.where(scaled, zeta, SIGMA_FLOOR)
     return (z_grad - z * coupling[:, None, None]) / divisor[:, None, None]
 
@@ -167,20 +201,26 @@ def backward_sample(state: OnlineNormState, y_grad: np.ndarray) -> np.ndarray:
         raise ShapeError(f"gradient shape {y_grad.shape} vs output {y.shape}")
 
     ab, cb = state.alpha_b, 1.0 - state.alpha_b
-    eps_y, eps_1, out_ms = state.eps_y, state.eps_1, state.out_ms
-    xg = np.empty_like(y)
-    for t in range(y.shape[0]):
-        xt = y_grad[t] - cb * eps_y[:, None] * y[t]
-        eps_y = eps_y + feature_mean(xt * y[t])
-        if state.scale_by_output_rms:
-            divisor = np.maximum(np.sqrt(out_ms), SIGMA_FLOOR)
-        else:
-            divisor = sigma_used[t]
-        xg[t] = xt / divisor[:, None] - cb * eps_1[:, None]
-        eps_1 = eps_1 + feature_mean(xg[t])
-        if state.scale_by_output_rms:
-            out_ms = ab * out_ms + cb * feature_mean(xg[t] * xg[t])
-    state.eps_y, state.eps_1, state.out_ms = eps_y, eps_1, out_ms
+    if len(y) > 1 and not state.scale_by_output_rms:
+        eps_y, state.eps_y = _scan(1.0 - cb * feature_mean(y * y), feature_mean(y_grad * y), state.eps_y)
+        xs = (y_grad - cb * eps_y[:, :, None] * y) / sigma_used[:, :, None]
+        eps_1, state.eps_1 = _scan(ab, feature_mean(xs), state.eps_1)
+        xg = xs - cb * eps_1[:, :, None]
+    else:
+        eps_y, eps_1, out_ms = state.eps_y, state.eps_1, state.out_ms
+        xg = np.empty_like(y)
+        for t in range(len(y)):
+            xt = y_grad[t] - cb * eps_y[:, None] * y[t]
+            eps_y = eps_y + feature_mean(xt * y[t])
+            if state.scale_by_output_rms:
+                divisor = np.maximum(np.sqrt(out_ms), SIGMA_FLOOR)
+            else:
+                divisor = sigma_used[t]
+            xg[t] = xt / divisor[:, None] - cb * eps_1[:, None]
+            eps_1 = eps_1 + feature_mean(xg[t])
+            if state.scale_by_output_rms:
+                out_ms = ab * out_ms + cb * feature_mean(xg[t] * xg[t])
+        state.eps_y, state.eps_1, state.out_ms = eps_y, eps_1, out_ms
     state.pending = None
     return xg
 
@@ -235,9 +275,9 @@ class OnlineNorm:
     Takes (n, features) or (n, features, spatial) blocks, like BatchNorm and
     LayerNorm, and holds its gain and bias with their gradient buffers the
     way DenseLayer holds w and b; the model's optimizer holds the momentum.
-    A training pass runs the n samples through the stream in order; it gives
-    the same result as n single-sample passes provided the parameters change
-    only between blocks. A single instance is a stateful stream processor
+    A training pass runs the n samples through the stream in order; provided
+    the parameters change only between blocks, it equals n single-sample
+    passes to within rounding (<= 1e-10 relative), exactly at n = 1. A single instance is a stateful stream processor
     and must see a strict forward/backward interleaving during training;
     distinct instances are independent.
     """

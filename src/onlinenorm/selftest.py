@@ -10,7 +10,9 @@ the CLI prints one PASS/FAIL line per row.
 The oracles are written out here rather than derived from the kernel: the
 control accumulator eps += x - (1 - alpha) * eps, the estimator recurrence
 for mu_y, the closed-form group emulation, and central finite differences.
-The streaming measurements feed the kernel one (1, 1, 1) block per sample.
+The streaming measurements feed the kernel one (1, 1, 1) block per sample;
+group_deviation holds the kernel's scan over a block against its own
+one-sample steps, which keep the recurrences' written order of operations.
 Every "largest" is a numpy maximum, so a NaN figure comes back as NaN and
 fails any tolerance; Python's max(worst, nan) would keep worst.
 """
@@ -110,6 +112,33 @@ def emulation_deviation(xs: np.ndarray, n: int, alpha: float) -> float:
     return float(np.abs(got - np.column_stack((mus, vars_))).max())
 
 
+def group_deviation(x, g, split: int, alpha_f: float, alpha_b: float, output_rms: bool = False) -> float:
+    """Largest gap between the kernel run on blocks and run one sample at a time.
+
+    x and g are (n, features, spatial) inputs and output gradients. The
+    grouped run takes the blocks x[:split] and x[split:], skipping an empty
+    one, each forward then backward; the streamed run takes n (1, features,
+    spatial) blocks. The gap covers y, x', the sigma each sample was divided
+    by and every state array, each relative to max(1, the largest |value|
+    of the streamed run); it is exactly 0 when every value agrees bit for bit.
+    """
+    n = len(x)
+
+    def run(parts):
+        state = online.OnlineNormState(x.shape[1], alpha_f, alpha_b, output_rms)
+        ys, sigmas, xgs = [], [], []
+        for part in parts:
+            ys.append(online.forward_sample(state, x[part]))
+            sigmas.append(state.pending[1])
+            xgs.append(online.backward_sample(state, g[part]))
+        outputs = [np.concatenate(ys), np.concatenate(xgs), np.concatenate(sigmas)]
+        return outputs + [getattr(state, k) for k in ("mu", "var", "eps_y", "eps_1", "out_ms")]
+
+    grouped = run([p for p in (slice(0, split), slice(split, n)) if len(x[p])])
+    streamed = run([slice(t, t + 1) for t in range(n)])
+    return float(np.max([np.abs(a - b).max() / np.maximum(1.0, np.abs(b).max()) for a, b in zip(grouped, streamed)]))
+
+
 def exact_backward_errors(seed: int, reps: int, sizes=(2, 3, 10, 50)) -> tuple[float, float]:
     """Exact-normalization gradient against finite differences, and its orthogonality.
 
@@ -202,6 +231,12 @@ def _jacobian_gap() -> float:
     return float(np.max(gaps))
 
 
+def _group_inputs(seed: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n samples of 4 features by 3 positions drawn from N(3, 2), and N(0, 1) gradients."""
+    rng = make_rng(seed)
+    return rng.normal(3.0, 2.0, size=(n, 4, 3)), rng.normal(size=(n, 4, 3))
+
+
 def _uniform(seed: int, size) -> np.ndarray:
     return make_rng(seed).uniform(-1.0, 1.0, size=size)
 
@@ -239,6 +274,10 @@ CHECKS = (
      lambda f: f["differing fields"] == 0),
     ("dense Jacobian consistent with backward",
      lambda: {"max gap": _jacobian_gap()},
+     lambda f: f["max gap"] < 1e-10),
+    ("grouped kernel matches single-sample calls",
+     lambda: {"max gap": np.max([group_deviation(*_group_inputs(seed, n), n // 3, a, a)
+                                 for seed in (41, 43, 47) for n in (2, 3, 8, 32) for a in (0.5, 0.99, 0.999)])},
      lambda f: f["max gap"] < 1e-10),
 )
 

@@ -38,6 +38,7 @@ SELFTEST_CHECKS = [
     "backward accumulators stay bounded",
     "state serialization round-trips",
     "dense Jacobian consistent with backward",
+    "grouped kernel matches single-sample calls",
 ]
 
 
@@ -84,6 +85,9 @@ def test_emulate_check_deviation_above_tolerance_exits_three(monkeypatch, capsys
         (["growth", "--sigma-down", "nan"], "--sigma-down"),
         (["growth", "--noise", "nan"], "--noise"),
         (["growth", "--depth", "1"], "--depth"),
+        (["equilibrium", "--eta", "nan"], "--eta"),
+        (["equilibrium", "--l2", "nan"], "--l2"),
+        (["grad-bias", "--samples", "0", "--batch-sizes", "2"], "--samples"),
     ],
 )
 def test_out_of_range_flag_values_exit_three_naming_the_flag(argv, flag, tmp_path, capsys):
