@@ -103,11 +103,12 @@ def _outdir(args) -> Path:
     return out
 
 
-def _grid(text: str) -> list[float]:
+def _list(text: str, flag: str, kind=float) -> list:
+    """Comma-separated values of a list flag; a malformed one is a configuration error."""
     try:
-        return [float(v) for v in text.split(",") if v.strip()]
+        return [kind(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
-        raise ConfigError(f"bad grid {text!r}: {exc}") from None
+        raise ConfigError(f"bad {flag} list {text!r}: {exc}") from None
 
 
 def _cmd_train(args) -> int:
@@ -124,7 +125,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_grad_bias(args) -> int:
     seed = args.seed if args.seed is not None else 0
-    sizes = [int(v) for v in args.batch_sizes.split(",") if v.strip()]
+    sizes = _list(args.batch_sizes, "--batch-sizes", int)
     report = gradient_bias_experiment(
         seed, dataset_size=args.samples, batch_sizes=sizes, repetitions=args.reps
     )
@@ -164,9 +165,10 @@ def _cmd_equilibrium(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    af, ab = _list(args.alpha_f_grid, "--alpha-f-grid"), _list(args.alpha_b_grid, "--alpha-b-grid")
     cfg, spec = _load_config(args.config, args.seed)
     data = generate_dataset(spec, cfg.seed)
-    result = decay_sweep(_grid(args.alpha_f_grid), _grid(args.alpha_b_grid), cfg, data)
+    result = decay_sweep(af, ab, cfg, data)
     out = _outdir(args)
     write_sweep_csv(out / "sweep.csv", result)
     finite = result.final_loss[~result.diverged]

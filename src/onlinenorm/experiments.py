@@ -117,8 +117,9 @@ def gradient_bias_experiment(
     normalizing per batch. The full-dataset batch is always appended and
     must come out at zero angle.
     """
-    if dataset_size < 1:
-        raise ValueError(f"dataset size (--samples) must be >= 1, got {dataset_size}")
+    # The full-population batch is batch-normalized too, so it needs two samples.
+    if dataset_size < 2:
+        raise ValueError(f"dataset size (--samples) must be >= 2, got {dataset_size}")
     if repetitions < 1:
         raise ValueError(f"repetitions (--reps) must be >= 1, got {repetitions}")
     for b in batch_sizes:
@@ -259,12 +260,15 @@ def equilibrium_experiment(eta: float, l2: float, steps: int, seed: int) -> Equi
     w = rng.normal(0.0, 1.0 / np.sqrt(_EQ_DIM), size=_EQ_DIM)
     state = OnlineNormState(1, alpha_f=0.99, alpha_b=0.99, scale_by_output_rms=True)
     rec_steps, rec_wnorm, rec_gnorm = [], [], []
+    # One-sample blocks rewritten every step; the layer keeps neither of them.
+    # y' = -s for the supervision sign s drawn as an index into (-1, 1).
+    a, y_grad, signs = np.empty((1, 1, 1)), np.empty((1, 1, 1)), (1.0, -1.0)
     for t in range(steps):
         u = rng.normal(size=_EQ_DIM)
-        a = float(np.dot(w, u))
-        forward_sample(state, np.full((1, 1, 1), a))
-        y_grad = -float(rng.choice([-1.0, 1.0]))
-        x_grad = backward_sample(state, np.full((1, 1, 1), y_grad))
+        a[0, 0, 0] = np.dot(w, u)
+        forward_sample(state, a)
+        y_grad[0, 0, 0] = signs[rng.integers(0, 2)]
+        x_grad = backward_sample(state, y_grad)
         g = float(x_grad[0, 0, 0]) * u
         gnorm = float(np.linalg.norm(g))
         if not np.isfinite(gnorm):

@@ -151,7 +151,13 @@ class DenseLayer:
 
 
 class Conv2D:
-    """Single valid-padding 2-D convolution layer with a small fixed kernel."""
+    """Single valid-padding 2-D convolution layer with a small fixed kernel.
+
+    The forward pass and the kernel gradient contract the input's sliding
+    windows with np.tensordot, so they run as BLAS matrix products. The
+    input gradient is a scatter-add: each output position's (ic, kh, kw)
+    patch of grad-times-kernel is added back onto the window it came from.
+    """
 
     PARAMS = ("k", "b")
 
@@ -170,18 +176,22 @@ class Conv2D:
             raise ShapeError(f"conv input {x.shape} vs kernel {self.k.shape}")
         win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
         self._windows = win
-        return np.einsum("bihwkl,oikl->bohw", win, self.k) + self.b[None, :, None, None]
+        out = np.tensordot(self.k, win, axes=((1, 2, 3), (1, 4, 5)))  # (oc, b, h, w)
+        return out.transpose(1, 0, 2, 3) + self.b[None, :, None, None]
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._windows is None:
             raise RuntimeError("backward before forward")
-        oc, ic, kh, kw = self.k.shape
-        self.d_k += np.einsum("bihwkl,bohw->oikl", self._windows, grad)
+        win = self._windows
+        b, ic, hgt, wid, kh, kw = win.shape
+        self.d_k += np.tensordot(win, grad, axes=((0, 2, 3), (0, 2, 3))).transpose(3, 0, 1, 2)
         self.d_b += grad.sum(axis=(0, 2, 3))
-        pad = np.pad(grad, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
-        gwin = np.lib.stride_tricks.sliding_window_view(pad, (kh, kw), axis=(2, 3))
-        flipped = self.k[:, :, ::-1, ::-1]
-        return np.einsum("bohwkl,oikl->bihw", gwin, flipped)
+        cols = np.tensordot(self.k, grad, axes=((0,), (1,)))  # (ic, kh, kw, b, h, w)
+        dx = np.zeros((ic, b, hgt + kh - 1, wid + kw - 1))
+        for i in range(kh):
+            for j in range(kw):
+                dx[:, :, i : i + hgt, j : j + wid] += cols[:, i, j]
+        return dx.transpose(1, 0, 2, 3)
 
 
 def softmax_xent_forward(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:

@@ -49,7 +49,7 @@ import struct
 
 import numpy as np
 
-from .tensor import SIGMA_FLOOR, ShapeError, as_block, feature_mean, feature_var
+from .tensor import SIGMA_FLOOR, ShapeError, as_block, spatial_mean
 
 
 class InterleaveError(RuntimeError):
@@ -134,8 +134,9 @@ def _scan(a, b: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def forward_sample(state: OnlineNormState, x: np.ndarray) -> np.ndarray:
     """Normalize each sample of a block with the running statistics, then advance them."""
     x = _block(x, state.features)
-    mx = feature_mean(x)
-    vx = feature_var(x)
+    mx = spatial_mean(x)
+    d = x - mx[:, :, None]
+    vx = spatial_mean(d * d)
     af, cf = state.alpha_f, 1.0 - state.alpha_f
     if len(x) > 1 and not state.scale_by_output_rms:
         mu, state.mu = _scan(af, cf * mx, state.mu)
@@ -202,24 +203,25 @@ def backward_sample(state: OnlineNormState, y_grad: np.ndarray) -> np.ndarray:
 
     ab, cb = state.alpha_b, 1.0 - state.alpha_b
     if len(y) > 1 and not state.scale_by_output_rms:
-        eps_y, state.eps_y = _scan(1.0 - cb * feature_mean(y * y), feature_mean(y_grad * y), state.eps_y)
+        eps_y, state.eps_y = _scan(1.0 - cb * spatial_mean(y * y), spatial_mean(y_grad * y), state.eps_y)
         xs = (y_grad - cb * eps_y[:, :, None] * y) / sigma_used[:, :, None]
-        eps_1, state.eps_1 = _scan(ab, feature_mean(xs), state.eps_1)
+        eps_1, state.eps_1 = _scan(ab, spatial_mean(xs), state.eps_1)
         xg = xs - cb * eps_1[:, :, None]
     else:
         eps_y, eps_1, out_ms = state.eps_y, state.eps_1, state.out_ms
         xg = np.empty_like(y)
         for t in range(len(y)):
-            xt = y_grad[t] - cb * eps_y[:, None] * y[t]
-            eps_y = eps_y + feature_mean(xt * y[t])
+            yt = y[t]
+            xt = y_grad[t] - cb * eps_y[:, None] * yt
+            eps_y = eps_y + spatial_mean(xt * yt)
             if state.scale_by_output_rms:
                 divisor = np.maximum(np.sqrt(out_ms), SIGMA_FLOOR)
             else:
                 divisor = sigma_used[t]
-            xg[t] = xt / divisor[:, None] - cb * eps_1[:, None]
-            eps_1 = eps_1 + feature_mean(xg[t])
+            xg[t] = xgt = xt / divisor[:, None] - cb * eps_1[:, None]
+            eps_1 = eps_1 + spatial_mean(xgt)
             if state.scale_by_output_rms:
-                out_ms = ab * out_ms + cb * feature_mean(xg[t] * xg[t])
+                out_ms = ab * out_ms + cb * spatial_mean(xgt * xgt)
         state.eps_y, state.eps_1, state.out_ms = eps_y, eps_1, out_ms
     state.pending = None
     return xg

@@ -88,12 +88,28 @@ def test_emulate_check_deviation_above_tolerance_exits_three(monkeypatch, capsys
         (["equilibrium", "--eta", "nan"], "--eta"),
         (["equilibrium", "--l2", "nan"], "--l2"),
         (["grad-bias", "--samples", "0", "--batch-sizes", "2"], "--samples"),
+        (["grad-bias", "--samples", "1", "--batch-sizes", ","], "--samples"),
     ],
 )
 def test_out_of_range_flag_values_exit_three_naming_the_flag(argv, flag, tmp_path, capsys):
     code, _, err = run_cli([*argv, "--out", str(tmp_path / "o")], capsys)
     assert code == 3
     assert err.startswith("runtime error: ") and flag in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["grad-bias", "--batch-sizes", "2,x"], "--batch-sizes"),
+        (["grad-bias", "--batch-sizes", "2.5"], "--batch-sizes"),
+        (["sweep", "--alpha-f-grid", "abc"], "--alpha-f-grid"),
+        (["sweep", "--alpha-b-grid", "0.9,,x"], "--alpha-b-grid"),
+    ],
+)
+def test_malformed_list_flag_exits_two_naming_the_flag(argv, flag, tmp_path, capsys):
+    code, _, err = run_cli([*argv, "--out", str(tmp_path / "o")], capsys)
+    assert code == 2
+    assert err.startswith("config error: ") and flag in err
 
 
 def test_train_writes_metrics_csv(tmp_path, capsys):

@@ -13,6 +13,8 @@ from onlinenorm.experiments import (
     write_sweep_csv,
 )
 from onlinenorm.net import TrainConfig, train
+from onlinenorm.online import OnlineNormState, backward_sample, forward_sample
+from onlinenorm.tensor import make_rng
 
 
 # ------------------------------------------------------------ gradient bias
@@ -108,6 +110,33 @@ def test_pure_decay_without_gradient_is_geometric():
     for k in range(1, 8):
         w = w - eta * (0.0 + l2 * w)
         assert np.allclose(w, w0 * (1 - eta * l2) ** k, rtol=1e-13)
+
+
+def reference_equilibrium(eta, l2, steps, seed):
+    """The experiment's loop written plainly: rng.choice for the sign and
+    fresh np.full blocks every step."""
+    rng = make_rng(seed)
+    w = rng.normal(0.0, 1.0 / np.sqrt(16), size=16)
+    state = OnlineNormState(1, alpha_f=0.99, alpha_b=0.99, scale_by_output_rms=True)
+    rec = []
+    for t in range(steps):
+        u = rng.normal(size=16)
+        forward_sample(state, np.full((1, 1, 1), float(np.dot(w, u))))
+        y_grad = -float(rng.choice([-1.0, 1.0]))
+        g = float(backward_sample(state, np.full((1, 1, 1), y_grad))[0, 0, 0]) * u
+        w = w - eta * (g + l2 * w)
+        if t % 10 == 0:
+            rec.append((t, float(np.linalg.norm(w)), float(np.linalg.norm(g))))
+    return np.array(rec).T
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_equilibrium_draws_the_reference_stream(seed):
+    steps, wnorm, gnorm = reference_equilibrium(0.1, 1e-3, 300, seed)
+    result = equilibrium_experiment(0.1, 1e-3, 300, seed)
+    assert np.array_equal(result.steps, steps)
+    assert np.array_equal(result.weight_norm, wnorm)
+    assert np.array_equal(result.grad_norm, gnorm)
 
 
 def test_equilibrium_preconditions():

@@ -1,7 +1,8 @@
 """Property tests: a block of n samples is the same stream as n single samples
 to within rounding, the scan behind it matches a plain loop, the streaming
-state keeps its invariants over random shapes and decays, and the parameter
-store steps like one update per array."""
+state keeps its invariants over random shapes and decays, the conv layer
+matches its einsum formulas, and the parameter store steps like one update
+per array."""
 
 import copy
 
@@ -211,6 +212,52 @@ def test_mlp_group_matches_one_row_passes(batch, seed):
     for dg, dr in zip(group.dense, rows.dense):
         for got, want in ((dg.d_w, dr.d_w), (dg.d_b, dr.d_b)):
             assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def einsum_conv(x, k, b, grad):
+    """Reference valid-padding convolution as three 6-index einsums: the
+    output, the kernel gradient and the input gradient (a full correlation of
+    the zero-padded output gradient with the flipped kernel)."""
+    kh, kw = k.shape[2:]
+    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
+    out = np.einsum("bihwkl,oikl->bohw", win, k) + b[None, :, None, None]
+    d_k = np.einsum("bihwkl,bohw->oikl", win, grad)
+    pad = np.pad(grad, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
+    gwin = np.lib.stride_tricks.sliding_window_view(pad, (kh, kw), axis=(2, 3))
+    d_x = np.einsum("bohwkl,oikl->bihw", gwin, k[:, :, ::-1, ::-1])
+    return out, d_k, grad.sum(axis=(0, 2, 3)), d_x
+
+
+def assert_close(got, want):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    batch=st.integers(1, 5),
+    in_ch=st.integers(1, 4),
+    out_ch=st.integers(1, 4),
+    kernel=st.integers(1, 4),
+    extra=st.tuples(st.integers(0, 5), st.integers(0, 5)),
+    seed=seeds,
+)
+def test_conv_matches_einsum_reference(batch, in_ch, out_ch, kernel, extra, seed):
+    rng = make_rng(seed)
+    conv = Conv2D(in_ch, out_ch, kernel, rng)
+    conv.b[...] = rng.normal(size=out_ch)
+    x = rng.normal(size=(batch, in_ch, kernel + extra[0], kernel + extra[1]))
+    grads = [rng.normal(size=(batch, out_ch, extra[0] + 1, extra[1] + 1)) for _ in range(2)]
+    out, d_k, d_b, d_x = einsum_conv(x, conv.k, conv.b, grads[0])
+    assert_close(conv.forward(x), out)
+    assert_close(conv.backward(grads[0]), d_x)
+    assert_close(conv.d_k, d_k)
+    assert_close(conv.d_b, d_b)
+    # A second backward adds onto the gradients of the first.
+    _, d_k2, d_b2, d_x2 = einsum_conv(x, conv.k, conv.b, grads[1])
+    assert_close(conv.backward(grads[1]), d_x2)
+    assert_close(conv.d_k, d_k + d_k2)
+    assert_close(conv.d_b, d_b + d_b2)
 
 
 def assert_layers_view_the_store(params, layers):
