@@ -37,8 +37,6 @@ from .tensor import (
     SIGMA_FLOOR,
     FeatureMap,
     ShapeError,
-    feature_mean,
-    feature_var,
     make_rng,
     relu,
     relu_backward,

@@ -180,6 +180,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_emulate_check(args) -> int:
     if args.n < 1:
         raise ValueError(f"--n must be >= 1, got {args.n}")
+    if not 0.0 < args.alpha < 1.0:
+        raise ValueError(f"--alpha must be in (0, 1), got {args.alpha}")
     steps = args.steps - args.steps % args.n
     if steps < 1:
         raise ValueError(f"--steps must be at least --n, got --steps {args.steps} and --n {args.n}")

@@ -17,6 +17,7 @@ configuration and seed and emits one CSV.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -77,7 +78,16 @@ def _angle_deg(g: np.ndarray, ref: np.ndarray) -> float:
 
 
 class _BiasNet:
-    """Fixed-weight conv -> batch-normalize -> ReLU -> dense -> softmax."""
+    """Fixed-weight conv -> batch-normalize -> ReLU -> dense -> softmax.
+
+    One call takes `groups` equal batches at once, interleaved: sample
+    r * groups + j is sample r of batch j. The conv output of b * groups
+    samples then reshapes to (b, groups * channels, spatial), whose
+    features are (batch, channel) pairs, so one BatchNorm normalizes each
+    batch with its own statistics. With fixed weights the batches are
+    independent, and the result equals the sum of one call per batch to
+    within rounding: the sums over samples run in a different order.
+    """
 
     def __init__(self, rng):
         self.conv = Conv2D(1, _CHANNELS, 3, rng)
@@ -85,24 +95,31 @@ class _BiasNet:
         self.dense = DenseLayer(self.flat, _CLASSES, rng, weight_scale=np.sqrt(1.0 / self.flat))
         self.params = Params([self.conv, self.dense])
 
-    def gradient(self, x: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        """Parameter gradient of the mean loss over the given batch."""
-        b = x.shape[0]
-        images = x.reshape(b, 1, _SIDE, _SIDE)
+    def gradient(self, x: np.ndarray, labels: np.ndarray, groups: int = 1) -> np.ndarray:
+        """Sum over the interleaved batches of each one's mean-loss parameter gradient."""
+        n = x.shape[0]
+        b = n // groups
+        images = x.reshape(n, 1, _SIDE, _SIDE)
         a = self.conv.forward(images)
-        norm = BatchNorm(_CHANNELS)
+        norm = BatchNorm(groups * _CHANNELS)
         spatial = a.shape[2] * a.shape[3]
-        an = norm.forward(a.reshape(b, _CHANNELS, spatial), training=True)
+        an = norm.forward(a.reshape(b, groups * _CHANNELS, spatial), training=True)
         h = relu(an)
-        logits = self.dense.forward(h.reshape(b, self.flat))
+        logits = self.dense.forward(h.reshape(n, self.flat))
         _, probs = softmax_xent_forward(logits, labels)
-        g = softmax_xent_backward(probs, labels)
-        gh = self.dense.backward(g).reshape(b, _CHANNELS, spatial)
+        # The loss averages over all n samples; each batch's averages over b.
+        g = softmax_xent_backward(probs, labels) * groups
+        gh = self.dense.backward(g).reshape(b, groups * _CHANNELS, spatial)
         gn = norm.backward(relu_backward(gh, an))
         self.conv.backward(gn.reshape(a.shape))
         flat = self.params.g.copy()
         self.params.g[...] = 0.0
         return flat
+
+
+def _interleave(order: np.ndarray, b: int) -> np.ndarray:
+    """Reorder so that sample r * groups + j is order[j * b + r], sample r of batch j."""
+    return order.reshape(-1, b).T.ravel()
 
 
 def gradient_bias_experiment(
@@ -114,8 +131,12 @@ def gradient_bias_experiment(
     """Angle between batch-averaged and full-population gradients.
 
     Weights stay fixed so the angle isolates the estimation bias of
-    normalizing per batch. The full-dataset batch is always appended and
-    must come out at zero angle.
+    normalizing per batch. Each repetition splits a fresh permutation into
+    contiguous batches and runs them all through one grouped pass of the
+    network; the angle of their summed gradient is that of their average.
+    The rows equal those of one gradient call per batch to within rounding.
+    The full-dataset batch is always appended, is one group, and must come
+    out at zero angle.
     """
     # The full-population batch is batch-normalized too, so it needs two samples.
     if dataset_size < 2:
@@ -124,9 +145,13 @@ def gradient_bias_experiment(
         raise ValueError(f"repetitions (--reps) must be >= 1, got {repetitions}")
     for b in batch_sizes:
         if b < 2:
-            raise ValueError(f"batch size {b} below the batch-normalization minimum of 2")
+            raise ValueError(
+                f"batch size {b} (--batch-sizes) below the batch-normalization minimum of 2"
+            )
         if dataset_size % b != 0:
-            raise ValueError(f"dataset size {dataset_size} not divisible by batch {b}")
+            raise ValueError(
+                f"dataset size {dataset_size} (--samples) not divisible by batch {b} (--batch-sizes)"
+            )
     rng = make_rng(seed)
     spec = DatasetSpec(
         kind="synthetic-images",
@@ -146,14 +171,9 @@ def gradient_bias_experiment(
     for b in sizes:
         angles = []
         for _ in range(repetitions):
-            order = rng.permutation(dataset_size)
-            total = None
-            for start in range(0, dataset_size, b):
-                sel = order[start : start + b]
-                g = net.gradient(data.x[sel], data.labels[sel])
-                total = g if total is None else total + g
-            avg = total / (dataset_size // b)
-            angles.append(_angle_deg(avg, truth))
+            sel = _interleave(rng.permutation(dataset_size), b)
+            g = net.gradient(data.x[sel], data.labels[sel], dataset_size // b)
+            angles.append(_angle_deg(g, truth))
         means.append(float(np.mean(angles)))
         stds.append(float(np.std(angles)))
     return BiasReport(sizes, means, stds)
@@ -255,7 +275,7 @@ def equilibrium_experiment(eta: float, l2: float, steps: int, seed: int) -> Equi
     if not l2 > 0.0:
         raise ValueError(f"l2 (--l2) must be > 0, got {l2}")
     if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+        raise ValueError(f"steps (--steps) must be >= 1, got {steps}")
     rng = make_rng(seed)
     w = rng.normal(0.0, 1.0 / np.sqrt(_EQ_DIM), size=_EQ_DIM)
     state = OnlineNormState(1, alpha_f=0.99, alpha_b=0.99, scale_by_output_rms=True)
@@ -270,13 +290,13 @@ def equilibrium_experiment(eta: float, l2: float, steps: int, seed: int) -> Equi
         y_grad[0, 0, 0] = signs[rng.integers(0, 2)]
         x_grad = backward_sample(state, y_grad)
         g = float(x_grad[0, 0, 0]) * u
-        gnorm = float(np.linalg.norm(g))
-        if not np.isfinite(gnorm):
+        gnorm = math.sqrt(g.dot(g))
+        if not math.isfinite(gnorm):
             raise DivergenceError(f"gradient diverged at step {t}")
         w = w - eta * (g + l2 * w)
         if t % _EQ_RECORD_EVERY == 0:
             rec_steps.append(t)
-            rec_wnorm.append(float(np.linalg.norm(w)))
+            rec_wnorm.append(math.sqrt(w.dot(w)))
             rec_gnorm.append(gnorm)
     return EquilibriumResult(
         np.array(rec_steps), np.array(rec_wnorm), np.array(rec_gnorm), eta, l2
@@ -307,11 +327,12 @@ def decay_sweep(
     """
     af = list(alpha_f_grid)
     ab = list(alpha_b_grid)
-    if not af or not ab:
-        raise ValueError("decay grids must be nonempty")
-    for v in af + ab:
-        if not (0.0 < v < 1.0):
-            raise ValueError(f"decay {v} outside (0,1)")
+    for flag, grid in (("--alpha-f-grid", af), ("--alpha-b-grid", ab)):
+        if not grid:
+            raise ValueError(f"decay grid ({flag}) must be nonempty")
+        for v in grid:
+            if not 0.0 < v < 1.0:
+                raise ValueError(f"decay {v} in {flag} outside (0, 1)")
     losses = np.empty((len(af), len(ab)))
     diverged = np.zeros((len(af), len(ab)), dtype=bool)
     for i, a_f in enumerate(af):

@@ -57,30 +57,10 @@ class FeatureMap:
         return f"FeatureMap(features={self.features}, spatial={self.spatial})"
 
 
-def _values(m) -> np.ndarray:
-    return m.data if isinstance(m, FeatureMap) else np.asarray(m, dtype=np.float64)
-
-
 def spatial_mean(v: np.ndarray) -> np.ndarray:
-    """Mean over the last axis of an array: the same sum and division as
-    v.mean(axis=-1), without its per-call overhead or feature_mean's coercion."""
+    """Mean over each feature's spatial values, the last axis of an array: the
+    same sum and division as v.mean(axis=-1), without its per-call overhead."""
     return np.add.reduce(v, axis=-1) / v.shape[-1]
-
-
-def feature_mean(m) -> np.ndarray:
-    """Arithmetic mean over each feature's spatial values.
-
-    Takes a FeatureMap or any array whose last axis is spatial, such as an
-    (n, features, spatial) block.
-    """
-    return spatial_mean(_values(m))
-
-
-def feature_var(m) -> np.ndarray:
-    """Population variance over each feature's spatial values (zero for spatial=1)."""
-    v = _values(m)
-    d = v - spatial_mean(v)[..., None]
-    return spatial_mean(d * d)
 
 
 def as_block(x) -> tuple[np.ndarray, bool]:

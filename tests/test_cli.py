@@ -89,6 +89,15 @@ def test_emulate_check_deviation_above_tolerance_exits_three(monkeypatch, capsys
         (["equilibrium", "--l2", "nan"], "--l2"),
         (["grad-bias", "--samples", "0", "--batch-sizes", "2"], "--samples"),
         (["grad-bias", "--samples", "1", "--batch-sizes", ","], "--samples"),
+        (["grad-bias", "--samples", "32", "--batch-sizes", "4,1"], "--batch-sizes"),
+        (["grad-bias", "--samples", "30", "--batch-sizes", "4"], "--batch-sizes"),
+        (["emulate-check", "--alpha", "0"], "--alpha"),
+        (["emulate-check", "--alpha", "1"], "--alpha"),
+        (["emulate-check", "--alpha", "nan"], "--alpha"),
+        (["equilibrium", "--steps", "0"], "--steps"),
+        (["sweep", "--alpha-f-grid", "0.9,1.5"], "--alpha-f-grid"),
+        (["sweep", "--alpha-b-grid", "nan"], "--alpha-b-grid"),
+        (["sweep", "--alpha-b-grid", ","], "--alpha-b-grid"),
     ],
 )
 def test_out_of_range_flag_values_exit_three_naming_the_flag(argv, flag, tmp_path, capsys):

@@ -1,7 +1,8 @@
 """Property tests: a block of n samples is the same stream as n single samples
 to within rounding, the scan behind it matches a plain loop, the streaming
 state keeps its invariants over random shapes and decays, the conv layer
-matches its einsum formulas, and the parameter store steps like one update
+matches its einsum formulas, the gradient-bias network's grouped pass
+matches one call per batch, and the parameter store steps like one update
 per array."""
 
 import copy
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onlinenorm.datasets import DatasetSpec, generate_dataset
+from onlinenorm.experiments import _CLASSES, _SIDE, _BiasNet, _interleave
 from onlinenorm.net import (
     NORMALIZER_KINDS,
     Conv2D,
@@ -258,6 +260,25 @@ def test_conv_matches_einsum_reference(batch, in_ch, out_ch, kernel, extra, seed
     assert_close(conv.backward(grads[1]), d_x2)
     assert_close(conv.d_k, d_k + d_k2)
     assert_close(conv.d_b, d_b + d_b2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(b=st.integers(2, 8), groups=st.integers(1, 8), seed=seeds)
+def test_grouped_bias_gradient_matches_one_call_per_batch(b, groups, seed):
+    rng = make_rng(seed)
+    n = b * groups
+    x = rng.normal(size=(n, _SIDE * _SIDE))
+    labels = rng.integers(0, _CLASSES, size=n)
+    net = _BiasNet(rng)
+    order = rng.permutation(n)
+    sel = _interleave(order, b)
+    got = net.gradient(x[sel], labels[sel], groups)
+    # The reference: one call per contiguous batch of the permutation, summed.
+    want = np.zeros_like(got)
+    for start in range(0, n, b):
+        batch = order[start : start + b]
+        want += net.gradient(x[batch], labels[batch])
+    assert_close(got, want)
 
 
 def assert_layers_view_the_store(params, layers):
