@@ -222,6 +222,8 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return USAGE_EXIT
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return _DISPATCH[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

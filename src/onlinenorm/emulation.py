@@ -18,7 +18,7 @@ var = 1, so the trajectory equals the streaming one up to rounding.
 
 Training does not run this form: the kernel in `online` runs a group's
 recurrences, eps_y's time-varying coefficient included, as a log-depth
-scan with O(n) memory (output-RMS mode stays sequential), where this form
+scan with O(n) memory, where this form
 needs an (n x n) matrix per layer. The closed form is kept as an
 independent check of that kernel, written without it.
 """

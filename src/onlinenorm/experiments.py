@@ -202,8 +202,8 @@ def activation_growth_experiment(
         raise ValueError(f"depth (--depth) must be >= 2, got {depth}")
     if width < 1:
         raise ValueError(f"width (--width) must be >= 1, got {width}")
-    if not noise >= 0.0:
-        raise ValueError(f"noise (--noise) must be >= 0, got {noise}")
+    if not 0.0 <= noise < math.inf:
+        raise ValueError(f"noise (--noise) must be finite and >= 0, got {noise}")
     if not 0.0 <= sigma_down < 1.0:
         raise ValueError(f"sigma_down (--sigma-down) must be in [0, 1), got {sigma_down}")
     rng = make_rng(seed)
@@ -265,20 +265,24 @@ def equilibrium_experiment(eta: float, l2: float, steps: int, seed: int) -> Equi
 
     A bias-free linear unit feeds the streaming normalizer under random
     unit-magnitude supervision (loss -s * y with s = +-1), so the loss
-    gradient never vanishes and |y'| = 1. The normalizer runs with the
-    output-RMS gradient rescaling, which makes E|w'| invariant to weight
-    scale and so reproduces the first-moment equilibrium law directly.
-    Plain SGD with L2 decay; |w'| records the loss gradient only.
+    gradient never vanishes and |y'| = 1. The backward's first stage divides
+    by max(sqrt(ms), floor) in place of the forward sigma, where ms is the
+    running mean square of the produced gradient x' (ms = 1 at the start,
+    then a_b * ms + (1 - a_b) * x'^2 after each backward). That makes E|w'|
+    invariant to weight scale and so reproduces the first-moment
+    equilibrium law directly. Plain SGD with L2 decay; |w'| records the
+    loss gradient only.
     """
-    if not eta > 0.0:
-        raise ValueError(f"eta (--eta) must be > 0, got {eta}")
-    if not l2 > 0.0:
-        raise ValueError(f"l2 (--l2) must be > 0, got {l2}")
+    if not 0.0 < eta < math.inf:
+        raise ValueError(f"eta (--eta) must be finite and > 0, got {eta}")
+    if not 0.0 < l2 < math.inf:
+        raise ValueError(f"l2 (--l2) must be finite and > 0, got {l2}")
     if steps < 1:
         raise ValueError(f"steps (--steps) must be >= 1, got {steps}")
     rng = make_rng(seed)
     w = rng.normal(0.0, 1.0 / np.sqrt(_EQ_DIM), size=_EQ_DIM)
-    state = OnlineNormState(1, alpha_f=0.99, alpha_b=0.99, scale_by_output_rms=True)
+    state = OnlineNormState(1, alpha_f=0.99, alpha_b=0.99)
+    ab, cb, ms = state.alpha_b, 1.0 - state.alpha_b, 1.0
     rec_steps, rec_wnorm, rec_gnorm = [], [], []
     # One-sample blocks rewritten every step; the layer keeps neither of them.
     # y' = -s for the supervision sign s drawn as an index into (-1, 1).
@@ -287,9 +291,11 @@ def equilibrium_experiment(eta: float, l2: float, steps: int, seed: int) -> Equi
         u = rng.normal(size=_EQ_DIM)
         a[0, 0, 0] = np.dot(w, u)
         forward_sample(state, a)
+        state.pending[1][0, 0] = max(math.sqrt(ms), SIGMA_FLOOR)
         y_grad[0, 0, 0] = signs[rng.integers(0, 2)]
-        x_grad = backward_sample(state, y_grad)
-        g = float(x_grad[0, 0, 0]) * u
+        x_grad = float(backward_sample(state, y_grad)[0, 0, 0])
+        ms = ab * ms + cb * (x_grad * x_grad)
+        g = x_grad * u
         gnorm = math.sqrt(g.dot(g))
         if not math.isfinite(gnorm):
             raise DivergenceError(f"gradient diverged at step {t}")

@@ -69,6 +69,8 @@ class TrainConfig:
             raise ValueError("decay factors must be in (0,1)")
         if self.hidden < 1 or self.depth < 1:
             raise ValueError("hidden and depth must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -25,7 +25,10 @@ on average, orthogonal to the normalized output (first stage) and mean-free
     eps_1_t  = eps_1_{t-1} + mean(x'_t)
 
 Both accumulators stay bounded for bounded gradient streams. The state
-holds its most recent forward's record until one backward consumes it.
+holds its most recent forward's record, y_t and sigma_{t-1}, until one
+backward consumes it. That sigma is the divisor of the first stage's
+output; a caller may replace it in between, as the equilibrium experiment
+does with the running RMS of the produced gradient.
 
 Every function takes a float64 block of shape (n, features, spatial): n
 consecutive samples, n = 1 being the streaming step. Rearranged, each
@@ -34,13 +37,11 @@ a = a_f (var once mu is known), eps_y with a_t = 1 - (1 - a_b) mean(y_t^2)
 and b_t = mean(y'_t y_t), and eps_1 with a = a_b and
 b_t = mean(xt_t) / sigma_{t-1}. A block of n >= 2 runs each one as a
 log-depth scan over the block, vectorized across features, and is equal
-to n single-sample calls to within rounding
-(<= 1e-10 relative). n = 1 and output-RMS mode, whose divisor reads the
-previous produced gradient, step through the samples in the order written
-above and are exact. Training may run a whole block
-forward before its backward because the forward statistics never read the
-backward accumulators, and the weights feeding the layer change only
-between blocks. Values are not checked for finiteness.
+to n single-sample calls to within rounding (<= 1e-10 relative). A block
+of n = 1 takes one step in the order written above. Training may run a
+whole block forward before its backward because the forward statistics
+never read the backward accumulators, and the weights feeding the layer
+change only between blocks. Values are not checked for finiteness.
 """
 
 from __future__ import annotations
@@ -61,17 +62,12 @@ class OnlineNormState:
 
     After reset: mu = 0, var = 1 (the fixed point of normalized inputs),
     eps_y = eps_1 = 0, pending = None. Decay factors must lie strictly
-    inside (0, 1). pending is the last forward's (y, sigma_used) until a
-    backward consumes it.
+    inside (0, 1). pending is the last forward's (y, sigma) until a
+    backward consumes it. Its sigma, the forward's divisor, is the divisor
+    of the backward's first stage; a caller may replace it in between.
     """
 
-    def __init__(
-        self,
-        features: int,
-        alpha_f: float = 0.999,
-        alpha_b: float = 0.99,
-        scale_by_output_rms: bool = False,
-    ):
+    def __init__(self, features: int, alpha_f: float = 0.999, alpha_b: float = 0.99):
         if features < 1:
             raise ValueError(f"features must be >= 1, got {features}")
         if not (0.0 < alpha_f < 1.0) or not (0.0 < alpha_b < 1.0):
@@ -79,14 +75,10 @@ class OnlineNormState:
         self.features = int(features)
         self.alpha_f = float(alpha_f)
         self.alpha_b = float(alpha_b)
-        self.scale_by_output_rms = bool(scale_by_output_rms)
         self.mu = np.zeros(features)
         self.var = np.ones(features)
         self.eps_y = np.zeros(features)
         self.eps_1 = np.zeros(features)
-        # Running mean square of the produced gradient, used only when
-        # scale_by_output_rms replaces the 1/sigma scaling.
-        self.out_ms = np.ones(features)
         self.pending: tuple[np.ndarray, np.ndarray] | None = None
 
     def reset(self) -> None:
@@ -95,7 +87,6 @@ class OnlineNormState:
         self.var.fill(1.0)
         self.eps_y.fill(0.0)
         self.eps_1.fill(0.0)
-        self.out_ms.fill(1.0)
         self.pending = None
 
 
@@ -115,6 +106,8 @@ def _scan(a, b: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the h_t and leaves a and h as they were. Returns h_{t-1} for each t and
     the final h.
     """
+    if not len(b):
+        return b, h.copy()
     scalar = np.ndim(a) == 0
     b[0] += (a if scalar else a[0]) * h
     if not scalar:
@@ -138,17 +131,14 @@ def forward_sample(state: OnlineNormState, x: np.ndarray) -> np.ndarray:
     d = x - mx[:, :, None]
     vx = spatial_mean(d * d)
     af, cf = state.alpha_f, 1.0 - state.alpha_f
-    if len(x) > 1 and not state.scale_by_output_rms:
+    if len(x) == 1:
+        mu, state.mu = state.mu[None], af * state.mu + cf * mx[0]
+        delta = mx - mu
+        var, state.var = state.var[None], af * state.var + cf * vx[0] + af * cf * delta[0] * delta[0]
+    else:
         mu, state.mu = _scan(af, cf * mx, state.mu)
         delta = mx - mu
         var, state.var = _scan(af, cf * vx + af * cf * delta * delta, state.var)
-    else:
-        mu, var = np.empty_like(mx), np.empty_like(vx)
-        for t in range(len(x)):
-            mu[t], var[t] = state.mu, state.var
-            delta = mx[t] - state.mu
-            state.mu = af * state.mu + cf * mx[t]
-            state.var = af * state.var + cf * vx[t] + af * cf * delta * delta
     sigma_used = np.maximum(np.sqrt(var), SIGMA_FLOOR)
     y = (x - mu[:, :, None]) / sigma_used[:, :, None]
     state.pending = (y, sigma_used)
@@ -193,7 +183,7 @@ def backward_sample(state: OnlineNormState, y_grad: np.ndarray) -> np.ndarray:
     """Run the two-stage control process over a block of sample gradients.
 
     Consumes the state's pending record of its last forward_sample: each
-    y_t and the sigma used for its division.
+    y_t and the sigma that divides its first stage's output.
     """
     if state.pending is None:
         raise InterleaveError("no forward pass is pending a backward")
@@ -202,71 +192,56 @@ def backward_sample(state: OnlineNormState, y_grad: np.ndarray) -> np.ndarray:
         raise ShapeError(f"gradient shape {y_grad.shape} vs output {y.shape}")
 
     ab, cb = state.alpha_b, 1.0 - state.alpha_b
-    if len(y) > 1 and not state.scale_by_output_rms:
+    if len(y) == 1:
+        xt = y_grad - cb * state.eps_y[:, None] * y
+        state.eps_y = state.eps_y + spatial_mean(xt * y)[0]
+        xg = xt / sigma_used[:, :, None] - cb * state.eps_1[:, None]
+        state.eps_1 = state.eps_1 + spatial_mean(xg)[0]
+    else:
         eps_y, state.eps_y = _scan(1.0 - cb * spatial_mean(y * y), spatial_mean(y_grad * y), state.eps_y)
         xs = (y_grad - cb * eps_y[:, :, None] * y) / sigma_used[:, :, None]
         eps_1, state.eps_1 = _scan(ab, spatial_mean(xs), state.eps_1)
         xg = xs - cb * eps_1[:, :, None]
-    else:
-        eps_y, eps_1, out_ms = state.eps_y, state.eps_1, state.out_ms
-        xg = np.empty_like(y)
-        for t in range(len(y)):
-            yt = y[t]
-            xt = y_grad[t] - cb * eps_y[:, None] * yt
-            eps_y = eps_y + spatial_mean(xt * yt)
-            if state.scale_by_output_rms:
-                divisor = np.maximum(np.sqrt(out_ms), SIGMA_FLOOR)
-            else:
-                divisor = sigma_used[t]
-            xg[t] = xgt = xt / divisor[:, None] - cb * eps_1[:, None]
-            eps_1 = eps_1 + spatial_mean(xgt)
-            if state.scale_by_output_rms:
-                out_ms = ab * out_ms + cb * spatial_mean(xgt * xgt)
-        state.eps_y, state.eps_1, state.out_ms = eps_y, eps_1, out_ms
     state.pending = None
     return xg
 
 
 _MAGIC = b"ONLNORM\x00"
-_VERSION = 2
-_HEADER = struct.Struct("<8sIIQdd")
+_VERSION = 3
+_HEADER = struct.Struct("<8sIQdd")
 
 
 def save_state(state: OnlineNormState) -> bytes:
     """Serialize to a flat binary record.
 
     Layout, all little-endian: the 8-byte magic b"ONLNORM\\0", uint32
-    version (2), uint32 flags (1 if scale_by_output_rms, else 0), uint64
-    feature count, float64 forward decay, float64 backward decay, then five
-    float64 blocks of `features` values each: mu, var, eps_y, eps_1, out_ms.
+    version (3), uint64 feature count, float64 forward decay, float64
+    backward decay, then four float64 blocks of `features` values each:
+    mu, var, eps_y, eps_1.
     """
-    head = _HEADER.pack(
-        _MAGIC, _VERSION, int(state.scale_by_output_rms), state.features, state.alpha_f, state.alpha_b
-    )
-    body = np.concatenate([state.mu, state.var, state.eps_y, state.eps_1, state.out_ms])
+    head = _HEADER.pack(_MAGIC, _VERSION, state.features, state.alpha_f, state.alpha_b)
+    body = np.concatenate([state.mu, state.var, state.eps_y, state.eps_1])
     return head + body.astype("<f8").tobytes()
 
 
 def load_state(blob: bytes) -> OnlineNormState:
     """Inverse of save_state; a loaded state has no forward pending.
 
-    Raises ValueError for a blob that is not a complete version-2 record.
+    Raises ValueError for a blob that is not a complete version-3 record.
     """
     if blob[: len(_MAGIC)] != _MAGIC:
         raise ValueError("not a state record: missing the ONLNORM magic")
     if len(blob) < _HEADER.size:
         raise ValueError("state record truncated: missing header")
-    _, version, flags, features, alpha_f, alpha_b = _HEADER.unpack_from(blob)
-    if version != _VERSION or flags not in (0, 1):
-        raise ValueError(f"unsupported state record: version {version}, flags {flags}")
-    expected = _HEADER.size + 5 * features * 8
+    _, version, features, alpha_f, alpha_b = _HEADER.unpack_from(blob)
+    if version != _VERSION:
+        raise ValueError(f"unsupported state record: version {version}")
+    expected = _HEADER.size + 4 * features * 8
     if len(blob) != expected:
         raise ValueError(f"state record has {len(blob)} bytes, expected {expected}")
     flat = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size).astype(np.float64)
-    state = OnlineNormState(
-        int(features), alpha_f=alpha_f, alpha_b=alpha_b, scale_by_output_rms=bool(flags)
-    )
-    state.mu, state.var, state.eps_y, state.eps_1, state.out_ms = flat.reshape(5, features)
+    state = OnlineNormState(int(features), alpha_f=alpha_f, alpha_b=alpha_b)
+    state.mu, state.var, state.eps_y, state.eps_1 = flat.reshape(4, features)
     return state
 
 

@@ -112,7 +112,7 @@ def emulation_deviation(xs: np.ndarray, n: int, alpha: float) -> float:
     return float(np.abs(got - np.column_stack((mus, vars_))).max())
 
 
-def group_deviation(x, g, split: int, alpha_f: float, alpha_b: float, output_rms: bool = False) -> float:
+def group_deviation(x, g, split: int, alpha_f: float, alpha_b: float) -> float:
     """Largest gap between the kernel run on blocks and run one sample at a time.
 
     x and g are (n, features, spatial) inputs and output gradients. The
@@ -125,14 +125,14 @@ def group_deviation(x, g, split: int, alpha_f: float, alpha_b: float, output_rms
     n = len(x)
 
     def run(parts):
-        state = online.OnlineNormState(x.shape[1], alpha_f, alpha_b, output_rms)
+        state = online.OnlineNormState(x.shape[1], alpha_f, alpha_b)
         ys, sigmas, xgs = [], [], []
         for part in parts:
             ys.append(online.forward_sample(state, x[part]))
             sigmas.append(state.pending[1])
             xgs.append(online.backward_sample(state, g[part]))
         outputs = [np.concatenate(ys), np.concatenate(xgs), np.concatenate(sigmas)]
-        return outputs + [getattr(state, k) for k in ("mu", "var", "eps_y", "eps_1", "out_ms")]
+        return outputs + [getattr(state, k) for k in ("mu", "var", "eps_y", "eps_1")]
 
     grouped = run([p for p in (slice(0, split), slice(split, n)) if len(x[p])])
     streamed = run([slice(t, t + 1) for t in range(n)])
@@ -209,13 +209,14 @@ def _layer_scale_ms_error() -> float:
 
 
 def _roundtrip_mismatches() -> int:
-    """Fields of an output-RMS state that differ after save_state/load_state."""
+    """Fields of a state that differ after save_state/load_state of it, once
+    it has run a 50-sample block."""
     rng = make_rng(23)
-    state = online.OnlineNormState(5, alpha_f=0.97, alpha_b=0.9, scale_by_output_rms=True)
+    state = online.OnlineNormState(5, alpha_f=0.97, alpha_b=0.9)
     online.forward_sample(state, rng.normal(size=(50, 5, 3)))
     online.backward_sample(state, rng.normal(size=(50, 5, 3)))
     clone = online.load_state(online.save_state(state))
-    fields = ("features", "alpha_f", "alpha_b", "scale_by_output_rms", "mu", "var", "eps_y", "eps_1", "out_ms")
+    fields = ("features", "alpha_f", "alpha_b", "mu", "var", "eps_y", "eps_1")
     return sum(not np.array_equal(getattr(clone, k), getattr(state, k)) for k in fields)
 
 

@@ -98,6 +98,11 @@ def test_emulate_check_deviation_above_tolerance_exits_three(monkeypatch, capsys
         (["sweep", "--alpha-f-grid", "0.9,1.5"], "--alpha-f-grid"),
         (["sweep", "--alpha-b-grid", "nan"], "--alpha-b-grid"),
         (["sweep", "--alpha-b-grid", ","], "--alpha-b-grid"),
+        (["train", "--seed", "-1"], "--seed"),
+        (["growth", "--seed", "-1"], "--seed"),
+        (["growth", "--depth", "4", "--noise", "inf"], "--noise"),
+        (["equilibrium", "--eta", "inf"], "--eta"),
+        (["equilibrium", "--l2", "inf"], "--l2"),
     ],
 )
 def test_out_of_range_flag_values_exit_three_naming_the_flag(argv, flag, tmp_path, capsys):

@@ -116,7 +116,7 @@ def test_serialize_refuses_values_it_cannot_write_back():
 
 
 @pytest.mark.parametrize(
-    "line", ["eta = nan", "l2 = nan", "divergence_limit = nan", "divergence_limit = -1"]
+    "line", ["eta = nan", "l2 = nan", "divergence_limit = nan", "divergence_limit = -1", "seed = -1"]
 )
 def test_nan_and_nonpositive_limits_rejected(line):
     with pytest.raises(ConfigError) as err:

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from onlinenorm import experiments
 from onlinenorm.datasets import DatasetSpec, generate_dataset
 from onlinenorm.experiments import (
     activation_growth_experiment,
@@ -13,8 +16,8 @@ from onlinenorm.experiments import (
     write_sweep_csv,
 )
 from onlinenorm.net import TrainConfig, train
-from onlinenorm.online import OnlineNormState, backward_sample, forward_sample
-from onlinenorm.tensor import make_rng
+from onlinenorm.online import backward_sample
+from onlinenorm.tensor import SIGMA_FLOOR, make_rng
 
 
 # ------------------------------------------------------------ gradient bias
@@ -113,17 +116,31 @@ def test_pure_decay_without_gradient_is_geometric():
 
 
 def reference_equilibrium(eta, l2, steps, seed):
-    """The experiment's loop written plainly: rng.choice for the sign and
-    fresh np.full blocks every step."""
+    """The experiment written out in plain floats, without the kernel:
+    rng.choice for the sign, and the one-feature normalizer's forward mean
+    and variance, eps_y stage, output-RMS divisor, eps_1 stage and mean
+    square update, each in the kernel's order of operations."""
     rng = make_rng(seed)
     w = rng.normal(0.0, 1.0 / np.sqrt(16), size=16)
-    state = OnlineNormState(1, alpha_f=0.99, alpha_b=0.99, scale_by_output_rms=True)
+    a_f = a_b = 0.99
+    c_f, c_b = 1.0 - a_f, 1.0 - a_b
+    mu, var, eps_y, eps_1, ms = 0.0, 1.0, 0.0, 0.0, 1.0
     rec = []
     for t in range(steps):
         u = rng.normal(size=16)
-        forward_sample(state, np.full((1, 1, 1), float(np.dot(w, u))))
+        a = float(np.dot(w, u))
+        # One position per sample, so the sample's own variance is 0.
+        y = (a - mu) / max(math.sqrt(var), SIGMA_FLOOR)
+        delta = a - mu
+        mu = a_f * mu + c_f * a
+        var = a_f * var + a_f * c_f * delta * delta
         y_grad = -float(rng.choice([-1.0, 1.0]))
-        g = float(backward_sample(state, np.full((1, 1, 1), y_grad))[0, 0, 0]) * u
+        xt = y_grad - c_b * eps_y * y
+        eps_y = eps_y + xt * y
+        x_grad = xt / max(math.sqrt(ms), SIGMA_FLOOR) - c_b * eps_1
+        eps_1 = eps_1 + x_grad
+        ms = a_b * ms + c_b * (x_grad * x_grad)
+        g = x_grad * u
         w = w - eta * (g + l2 * w)
         if t % 10 == 0:
             rec.append((t, float(np.linalg.norm(w)), float(np.linalg.norm(g))))
@@ -137,6 +154,22 @@ def test_equilibrium_draws_the_reference_stream(seed):
     assert np.array_equal(result.steps, steps)
     assert np.array_equal(result.weight_norm, wnorm)
     assert np.array_equal(result.grad_norm, gnorm)
+
+
+def test_output_rms_rescaling_mode(monkeypatch):
+    # The experiment's produced gradients, recorded as its backward returns them.
+    mags = []
+
+    def recording_backward(state, y_grad):
+        x_grad = backward_sample(state, y_grad)
+        mags.append(x_grad[0, 0, 0] ** 2)
+        return x_grad
+
+    monkeypatch.setattr(experiments, "backward_sample", recording_backward)
+    equilibrium_experiment(0.1, 1e-3, 3000, seed=19)
+    assert len(mags) == 3000
+    # the produced gradient is forced toward unit mean square
+    assert np.mean(mags[1500:]) == pytest.approx(1.0, rel=0.15)
 
 
 def test_equilibrium_preconditions():

@@ -40,7 +40,7 @@ from onlinenorm.tensor import make_rng
 
 decays = st.floats(0.5, 0.9999)
 seeds = st.integers(0, 2**32 - 1)
-STATE_ARRAYS = ("mu", "var", "eps_y", "eps_1", "out_ms")
+STATE_ARRAYS = ("mu", "var", "eps_y", "eps_1")
 
 
 @settings(max_examples=60, deadline=None)
@@ -50,18 +50,17 @@ STATE_ARRAYS = ("mu", "var", "eps_y", "eps_1", "out_ms")
     spatial=st.integers(1, 4),
     alpha_f=decays,
     alpha_b=decays,
-    output_rms=st.booleans(),
     split=st.integers(0, 64),
     seed=seeds,
 )
-def test_block_matches_single_sample_calls(n, features, spatial, alpha_f, alpha_b, output_rms, split, seed):
+def test_block_matches_single_sample_calls(n, features, spatial, alpha_f, alpha_b, split, seed):
     rng = make_rng(seed)
     x = rng.normal(3.0, 2.0, size=(n, features, spatial))
     g = rng.normal(size=(n, features, spatial))
-    gap = group_deviation(x, g, split, alpha_f, alpha_b, output_rms)
-    # Output-RMS mode and one-sample blocks keep the single-sample arithmetic;
-    # a scan over a longer block sums in another order.
-    if output_rms or n == 1 or (n, split) == (2, 1):
+    gap = group_deviation(x, g, split, alpha_f, alpha_b)
+    # One-sample blocks keep the single-sample arithmetic; a scan over a
+    # longer block sums in another order.
+    if n == 1 or (n, split) == (2, 1):
         assert gap == 0.0
     else:
         assert gap <= 1e-10
@@ -74,15 +73,14 @@ def test_block_matches_single_sample_calls(n, features, spatial, alpha_f, alpha_
     spatial=st.integers(1, 4),
     alpha_f=decays,
     alpha_b=decays,
-    output_rms=st.booleans(),
     seed=seeds,
 )
-def test_block_sequence_repeats_bit_identically(blocks, features, spatial, alpha_f, alpha_b, output_rms, seed):
+def test_block_sequence_repeats_bit_identically(blocks, features, spatial, alpha_f, alpha_b, seed):
     rng = make_rng(seed)
     data = [(rng.normal(3.0, 2.0, size=(n, features, spatial)), rng.normal(size=(n, features, spatial))) for n in blocks]
 
     def run():
-        state = OnlineNormState(features, alpha_f=alpha_f, alpha_b=alpha_b, scale_by_output_rms=output_rms)
+        state = OnlineNormState(features, alpha_f=alpha_f, alpha_b=alpha_b)
         outputs = []
         for x, g in data:
             outputs.append(forward_sample(state, x))
@@ -129,12 +127,11 @@ def test_scan_matches_a_sequential_loop(n, features, scalar, alpha, seed):
     spatial=st.integers(1, 4),
     alpha_f=decays,
     alpha_b=decays,
-    output_rms=st.booleans(),
     seed=seeds,
 )
-def test_state_invariants_and_handshake(blocks, features, spatial, alpha_f, alpha_b, output_rms, seed):
+def test_state_invariants_and_handshake(blocks, features, spatial, alpha_f, alpha_b, seed):
     rng = make_rng(seed)
-    state = OnlineNormState(features, alpha_f=alpha_f, alpha_b=alpha_b, scale_by_output_rms=output_rms)
+    state = OnlineNormState(features, alpha_f=alpha_f, alpha_b=alpha_b)
     with pytest.raises(InterleaveError):
         backward_sample(state, rng.normal(size=(1, features, spatial)))  # nothing pending
     for n in blocks:
