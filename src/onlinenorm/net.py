@@ -12,6 +12,7 @@ gives what B single-sample passes would, equal to within rounding
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,12 +54,12 @@ class TrainConfig:
     def validate(self) -> None:
         # eta = 0 is legal and freezes the parameters; useful as a control.
         # Each check is written so that NaN fails it.
-        if not self.eta >= 0.0:
-            raise ValueError(f"eta must be >= 0, got {self.eta}")
+        if not 0.0 <= self.eta < math.inf:
+            raise ValueError(f"eta must be finite and >= 0, got {self.eta}")
         if not (0.0 <= self.momentum < 1.0):
             raise ValueError(f"momentum must be in [0,1), got {self.momentum}")
-        if not self.l2 >= 0.0:
-            raise ValueError(f"l2 must be >= 0, got {self.l2}")
+        if not 0.0 <= self.l2 < math.inf:
+            raise ValueError(f"l2 must be finite and >= 0, got {self.l2}")
         if not self.divergence_limit > 0.0:
             raise ValueError(f"divergence_limit must be > 0, got {self.divergence_limit}")
         if self.batch_size < 1 or self.epochs < 1:
@@ -148,7 +149,7 @@ class DenseLayer:
         if grad.shape != (self._x.shape[0], self.w.shape[0]):
             raise ShapeError(f"dense gradient {grad.shape}")
         self.d_w += grad.T @ self._x
-        self.d_b += grad.sum(axis=0)
+        self.d_b += np.add.reduce(grad, axis=0)
         return grad @ self.w
 
 
@@ -200,9 +201,9 @@ def softmax_xent_forward(logits: np.ndarray, labels: np.ndarray) -> tuple[float,
     """Mean cross-entropy over the batch; returns (loss, softmax probabilities)."""
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels)
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
     expd = np.exp(shifted)
-    probs = expd / expd.sum(axis=1, keepdims=True)
+    probs = expd / np.add.reduce(expd, axis=1, keepdims=True)
     picked = probs[np.arange(labels.size), labels]
     loss = float(np.add.reduce(-np.log(np.maximum(picked, 1e-300))) / labels.size)
     return loss, probs
@@ -220,7 +221,7 @@ def sgd_momentum_step(params: Params, eta: float, momentum: float, l2: float) ->
     v *= momentum
     v += (1.0 - momentum) * (g + l2 * p)
     p -= eta * v
-    g[...] = 0.0
+    g.fill(0.0)
 
 
 def scale_hyperparams(
@@ -360,21 +361,21 @@ def train(cfg: TrainConfig, train_set, val_set=None) -> tuple[list[MetricsRecord
     try:
         for epoch in range(cfg.epochs):
             order = rng.permutation(train_set.n)
+            xs, ys = train_set.x[order], train_set.labels[order]
             for start in range(0, stop, group):
-                sel = order[start : start + group]
-                labels = train_set.labels[sel]
-                logits = net.forward_batch(train_set.x[sel], training=True)
+                labels = ys[start : start + group]
+                logits = net.forward_batch(xs[start : start + group], training=True)
                 loss, probs = softmax_xent_forward(logits, labels)
                 grad = softmax_xent_backward(probs, labels)
                 if sum_gradients:
-                    grad *= sel.size
+                    grad *= labels.size
                 net.backward_batch(grad)
                 sgd_momentum_step(net.params, cfg.eta, cfg.momentum, cfg.l2)
                 step += 1
                 interval_losses.append(loss)
-                interval_sizes.append(sel.size)
+                interval_sizes.append(labels.size)
                 interval_hits += int((np.argmax(logits, axis=1) == labels).sum())
-                if not np.isfinite(loss) or abs(loss) > cfg.divergence_limit:
+                if not math.isfinite(loss) or abs(loss) > cfg.divergence_limit:
                     raise DivergenceError(f"loss diverged: {loss}")
                 if cfg.eval_interval and step % cfg.eval_interval == 0:
                     flush(epoch)

@@ -38,10 +38,18 @@ and b_t = mean(y'_t y_t), and eps_1 with a = a_b and
 b_t = mean(xt_t) / sigma_{t-1}. A block of n >= 2 runs each one as a
 log-depth scan over the block, vectorized across features, and is equal
 to n single-sample calls to within rounding (<= 1e-10 relative). A block
-of n = 1 takes one step in the order written above. Training may run a
-whole block forward before its backward because the forward statistics
-never read the backward accumulators, and the weights feeding the layer
-change only between blocks. Values are not checked for finiteness.
+of n = 1 takes one step in the order written above, on its
+(features, spatial) sample. At spatial size S = 1 that step uses two
+exact identities: the mean of one value is that value (x / 1 == x), so
+x_t - mu_{t-1} is mean(x_t) - mu_{t-1}; and the in-sample variance is 0,
+so a_f * var + (1 - a_f) * 0 == a_f * var. Such a sample takes no
+reduction, no square and no x - mean. (Where a length-1 reduction would
+turn -0.0 into +0.0, that mean is only squared or added to running sums
+that start at +0.0, so the bits agree.)
+Training may run a whole block forward before its backward because the
+forward statistics never read the backward accumulators, and the weights
+feeding the layer change only between blocks. Values are not checked for
+finiteness.
 """
 
 from __future__ import annotations
@@ -127,20 +135,26 @@ def _scan(a, b: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def forward_sample(state: OnlineNormState, x: np.ndarray) -> np.ndarray:
     """Normalize each sample of a block with the running statistics, then advance them."""
     x = _block(x, state.features)
-    mx = spatial_mean(x)
-    d = x - mx[:, :, None]
-    vx = spatial_mean(d * d)
     af, cf = state.alpha_f, 1.0 - state.alpha_f
     if len(x) == 1:
-        mu, state.mu = state.mu[None], af * state.mu + cf * mx[0]
+        x0, s = x[0], x.shape[2]
+        mx = x0[:, 0] if s == 1 else spatial_mean(x0)
+        mu, var = state.mu, state.var
+        state.mu = af * mu + cf * mx
         delta = mx - mu
-        var, state.var = state.var[None], af * state.var + cf * vx[0] + af * cf * delta[0] * delta[0]
+        decayed = af * var if s == 1 else af * var + cf * spatial_mean(np.square(x0 - mx[:, None]))
+        state.var = decayed + af * cf * delta * delta
+        sigma = np.maximum(np.sqrt(var), SIGMA_FLOOR)
+        y = (delta / sigma)[None, :, None] if s == 1 else ((x0 - mu[:, None]) / sigma[:, None])[None]
+        sigma_used = sigma[None]
     else:
+        mx = spatial_mean(x)
+        d = x - mx[:, :, None]
         mu, state.mu = _scan(af, cf * mx, state.mu)
         delta = mx - mu
-        var, state.var = _scan(af, cf * vx + af * cf * delta * delta, state.var)
-    sigma_used = np.maximum(np.sqrt(var), SIGMA_FLOOR)
-    y = (x - mu[:, :, None]) / sigma_used[:, :, None]
+        var, state.var = _scan(af, cf * spatial_mean(d * d) + af * cf * delta * delta, state.var)
+        sigma_used = np.maximum(np.sqrt(var), SIGMA_FLOOR)
+        y = (x - mu[:, :, None]) / sigma_used[:, :, None]
     state.pending = (y, sigma_used)
     return y
 
@@ -156,11 +170,12 @@ def layer_scale_forward(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Divide each sample by its RMS over all features and spatial positions.
 
     Returns the scaled block z and the (n,) per-sample RMS values zeta,
-    which layer_scale_backward takes back.
+    which layer_scale_backward takes back. A one-sample block divides by
+    its zeta as a scalar.
     """
     n, f, s = y.shape
     zeta = np.sqrt(np.add.reduce((y * y).reshape(n, f * s), axis=1) / (f * s))
-    z = y / np.maximum(zeta, SIGMA_FLOOR)[:, None, None]
+    z = y / (max(zeta[0], SIGMA_FLOOR) if n == 1 else np.maximum(zeta, SIGMA_FLOOR)[:, None, None])
     return z, zeta
 
 
@@ -168,13 +183,18 @@ def layer_scale_backward(z_grad: np.ndarray, z: np.ndarray, zeta: np.ndarray) ->
     """Exact gradient of the RMS scaling, per sample, given its forward's (z, zeta).
 
     (z' - z * mean(z z')) / zeta where the forward divided by zeta, and
-    z' / floor where it divided by the floor.
+    z' / floor where it divided by the floor. A one-sample block takes its
+    zeta as a scalar.
     """
     if z_grad.shape != z.shape:
         raise ShapeError(f"gradient shape {z_grad.shape} vs output {z.shape}")
     n, f, s = z.shape
+    coupling = np.add.reduce((z * z_grad).reshape(n, f * s), axis=1)
+    if n == 1:
+        zeta = zeta[0]
+        return z_grad / SIGMA_FLOOR if zeta < SIGMA_FLOOR else (z_grad - z * (coupling[0] / (f * s))) / zeta
     scaled = zeta >= SIGMA_FLOOR
-    coupling = np.where(scaled, np.add.reduce((z * z_grad).reshape(n, f * s), axis=1) / (f * s), 0.0)
+    coupling = np.where(scaled, coupling / (f * s), 0.0)
     divisor = np.where(scaled, zeta, SIGMA_FLOOR)
     return (z_grad - z * coupling[:, None, None]) / divisor[:, None, None]
 
@@ -193,10 +213,13 @@ def backward_sample(state: OnlineNormState, y_grad: np.ndarray) -> np.ndarray:
 
     ab, cb = state.alpha_b, 1.0 - state.alpha_b
     if len(y) == 1:
-        xt = y_grad - cb * state.eps_y[:, None] * y
-        state.eps_y = state.eps_y + spatial_mean(xt * y)[0]
-        xg = xt / sigma_used[:, :, None] - cb * state.eps_1[:, None]
-        state.eps_1 = state.eps_1 + spatial_mean(xg)[0]
+        y0, s = y[0], y.shape[2]
+        xt = y_grad[0] - cb * state.eps_y[:, None] * y0
+        p = xt * y0
+        state.eps_y = state.eps_y + (p[:, 0] if s == 1 else spatial_mean(p))
+        xg = xt / sigma_used.T - cb * state.eps_1[:, None]
+        state.eps_1 = state.eps_1 + (xg[:, 0] if s == 1 else spatial_mean(xg))
+        xg = xg[None]
     else:
         eps_y, state.eps_y = _scan(1.0 - cb * spatial_mean(y * y), spatial_mean(y_grad * y), state.eps_y)
         xs = (y_grad - cb * eps_y[:, :, None] * y) / sigma_used[:, :, None]
@@ -276,7 +299,9 @@ class OnlineNorm:
             y = forward_sample(self.state, xb)
         else:
             y = forward_inference(self.state, xb)
-        z, zeta = layer_scale_forward(self.gain[:, None] * y + self.bias[:, None])
+        # (1, features, 1) views have a one-sample block's shape, so at n = 1
+        # numpy multiplies element by element with no broadcast.
+        z, zeta = layer_scale_forward(self.gain[None, :, None] * y + self.bias[None, :, None])
         if training:
             self._scaled = (z, zeta)
         return z[:, :, 0] if squeeze else z
@@ -287,9 +312,9 @@ class OnlineNorm:
         grad, squeeze = as_block(grad)
         grad = layer_scale_backward(grad, *self._scaled)
         pending = self.state.pending
-        out = backward_sample(self.state, self.gain[:, None] * grad)
+        out = backward_sample(self.state, self.gain[None, :, None] * grad)
         # Accumulated only once backward_sample has consumed the pending
         # record, so a refused backward leaves the gradients as they were.
-        self.d_gain += (grad * pending[0]).sum(axis=(0, 2))
-        self.d_bias += grad.sum(axis=(0, 2))
+        self.d_gain += np.add.reduce(grad * pending[0], axis=(0, 2))
+        self.d_bias += np.add.reduce(grad, axis=(0, 2))
         return out[:, :, 0] if squeeze else out

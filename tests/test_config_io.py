@@ -116,7 +116,8 @@ def test_serialize_refuses_values_it_cannot_write_back():
 
 
 @pytest.mark.parametrize(
-    "line", ["eta = nan", "l2 = nan", "divergence_limit = nan", "divergence_limit = -1", "seed = -1"]
+    "line",
+    ["eta = nan", "l2 = nan", "divergence_limit = nan", "divergence_limit = -1", "seed = -1", "eta = inf", "l2 = inf"],
 )
 def test_nan_and_nonpositive_limits_rejected(line):
     with pytest.raises(ConfigError) as err:
@@ -151,7 +152,7 @@ any_of_type = {float: st.floats(), int: st.integers(), str: st.text()}
 PLAIN = r"[\w/.-]+"
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(
     values=train_values,
     damage=st.one_of(st.none(), st.sampled_from(fields(TrainConfig)).flatmap(
@@ -266,7 +267,7 @@ magics = st.one_of(st.sampled_from([IMAGES_MAGIC, LABELS_MAGIC]), st.integers(0,
 dims = st.one_of(st.integers(0, 6), st.integers(0, 2**32 - 1))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(
     magic=magics,
     shape=st.lists(dims, min_size=1, max_size=3),

@@ -348,6 +348,19 @@ def test_exact_population_normalizer_trains_full_batch():
     assert len(records) == cfg.epochs  # one full-batch step per epoch
 
 
+@pytest.mark.parametrize(
+    "normalizer, steps", [("online", 7), ("batch", 6), ("layer", 6), ("none", 6), ("exact-population", 1)]
+)
+def test_steps_per_epoch_when_batch_size_does_not_divide_the_set(normalizer, steps):
+    # 50 samples in groups of 8. The streaming normalizer also trains the
+    # trailing group of 2, ceil(50 / 8) = 7 steps; the other kinds drop it,
+    # floor(50 / 8) = 6; exact-population takes the whole set as one group.
+    data = small_blobs(seed=8, samples=50)
+    cfg = TrainConfig(eta=0.01, batch_size=8, epochs=3, normalizer=normalizer, hidden=4, seed=8)
+    records, _ = train(cfg, data)
+    assert [r.step for r in records] == [steps, 2 * steps, 3 * steps]
+
+
 def test_metrics_csv_round_trips(tmp_path):
     data = small_blobs(seed=5)
     cfg = TrainConfig(eta=0.05, epochs=2, batch_size=16, normalizer="layer", hidden=8, seed=5)

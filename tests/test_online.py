@@ -392,7 +392,7 @@ def test_empty_training_block_leaves_the_state_alone():
         assert np.array_equal(getattr(state, name), getattr(before, name))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     features=st.integers(1, 16),
     alpha_f=st.floats(0.5, 0.9999),
