@@ -7,6 +7,7 @@ then the row-major uint8 payload.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 
@@ -54,6 +55,11 @@ def read_idx_images(path) -> np.ndarray:
             raise IdxMagicError(f"bad image magic 0x{magic:08x}")
         count, rows, cols = struct.unpack(">III", _read_exact(fh, 12, "dimensions"))
         raw = _read_exact(fh, count * rows * cols, "pixels")
+    # numpy sizes even an empty array by the product of its nonzero dimensions.
+    if 8 * math.prod(d for d in (count, rows, cols) if d) > np.iinfo(np.intp).max:
+        raise IdxError(
+            f"image dimensions {count} x {rows} x {cols} exceed a float64 array's size limit"
+        )
     pixels = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows, cols)
     return pixels.astype(np.float64) / 255.0
 

@@ -277,9 +277,10 @@ class OnlineNorm:
     way DenseLayer holds w and b; the model's optimizer holds the momentum.
     A training pass runs the n samples through the stream in order; provided
     the parameters change only between blocks, it equals n single-sample
-    passes to within rounding (<= 1e-10 relative), exactly at n = 1. A single instance is a stateful stream processor
-    and must see a strict forward/backward interleaving during training;
-    distinct instances are independent.
+    passes to within rounding (<= 1e-10 relative), exactly at n = 1. A single
+    instance is a stateful stream processor and must see a strict
+    forward/backward interleaving during training; distinct instances are
+    independent.
     """
 
     PARAMS = ("gain", "bias")

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from onlinenorm.reference import (
     BatchNorm,
     DegenerateBatchError,
     LayerNorm,
+    PopulationNorm,
     exact_backward,
     exact_normalize,
     jacobian_dense,
@@ -273,3 +276,73 @@ def test_layer_norm_batched_adapter_matches_rowwise():
     for i in range(5):
         expect, _, _ = exact_normalize(x[i])
         assert np.allclose(y[i], expect, atol=1e-14)
+
+
+# ------------------------------------------------- every exact normalizer
+
+NORMALIZERS = {"batch": BatchNorm, "population": PopulationNorm, "layer": LayerNorm}
+
+
+def _run(kind, x, g):
+    """Training-mode output of a fresh normalizer of the kind, and its gradient for g."""
+    if kind == "exact":
+        y, _, sigma = exact_normalize(x)
+        return y, exact_backward(y, g, sigma)
+    norm = NORMALIZERS[kind](x.shape[1])
+    y = norm.forward(x, training=True)
+    return y, norm.backward(g)
+
+
+def _groups(kind, v):
+    """One row per set of values the kind normalizes together."""
+    if kind == "exact":
+        return v.reshape(1, -1)
+    if kind == "layer":
+        return v
+    block = v if v.ndim == 3 else v[:, :, None]
+    return block.transpose(1, 0, 2).reshape(block.shape[1], -1)
+
+
+@settings(max_examples=150)
+@given(
+    kind=st.sampled_from(("exact", *NORMALIZERS)),
+    n=st.integers(2, 12),
+    features=st.integers(1, 5),
+    spatial=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gradient_is_projected_and_matches_central_differences(kind, n, features, spatial, seed):
+    # x' = (1/sigma)(I - P_1)(I - P_y) y' along the normalized axes: in each
+    # group the gradient is orthogonal to 1 and to y, and it is the
+    # derivative of the linear loss g . y. The difference step and the error
+    # scale follow each group's spread sigma; |g| / sigma is the size of the
+    # gradient before the projections, which may cancel most of it.
+    assume(kind != "layer" or features >= 2)
+    if kind == "exact":
+        shape = (n,)
+    elif kind == "layer" or spatial == 1:
+        shape = (n, features)
+    else:
+        shape = (n, features, spatial)
+    rng = make_rng(seed)
+    x = rng.normal(3.0, 2.0, size=shape)
+    g = rng.normal(size=shape)
+    y, got = _run(kind, x, g)
+    rows, ys = _groups(kind, got), _groups(kind, y)
+    size = np.linalg.norm(rows, axis=1)
+    assert np.all(np.abs(rows.sum(axis=1)) <= 1e-9 * size * np.sqrt(rows.shape[1]))
+    assert np.all(np.abs((rows * ys).sum(axis=1)) <= 1e-9 * size * np.linalg.norm(ys, axis=1))
+    sigma = _groups(kind, x).std(axis=1)
+    fd = central_differences(lambda v: float((_run(kind, v, g)[0] * g).sum()), x, 1e-5 * sigma.min())
+    assert np.abs(got - fd).max() <= 1e-7 * (np.abs(_groups(kind, g)) / sigma[:, None]).max()
+
+
+@pytest.mark.parametrize("shape", [(6, 2), (6, 2, 3)], ids=["2d", "3d"])
+def test_population_norm_evaluates_over_the_training_axes(shape):
+    x = make_rng(49).normal(size=shape)
+    norm = PopulationNorm(2)
+    y = norm.forward(x, training=True)
+    assert np.array_equal(norm.forward(x, training=False), y)
+    for bad in (np.zeros((6, 3)), np.zeros(6)):
+        with pytest.raises(ShapeError):
+            norm.forward(bad, training=False)
