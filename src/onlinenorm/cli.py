@@ -77,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-b-grid", default="0.9,0.99,0.999,0.9999")
     common(p)
 
-    p = sub.add_parser("emulate-check", help="streaming vs group emulation deviation")
+    p = sub.add_parser("emulate-check", help="grouped kernel vs single-sample steps deviation")
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--alpha", type=float, default=0.99)
     p.add_argument("--steps", type=int, default=128)
@@ -186,7 +186,8 @@ def _cmd_emulate_check(args) -> int:
     if steps < 1:
         raise ValueError(f"--steps must be at least --n, got --steps {args.steps} and --n {args.n}")
     rng = make_rng(args.seed if args.seed is not None else 0)
-    worst = selftest.emulation_deviation(rng.uniform(-1.0, 1.0, size=steps), args.n, args.alpha)
+    x, g = rng.uniform(-1.0, 1.0, size=(2, steps, 1, 1))
+    worst = selftest.group_deviation(x, g, args.n, args.alpha, args.alpha)
     print(f"max streaming/batched deviation over {steps} steps: {worst:.3e}")
     return 0 if worst <= 1e-10 else RUNTIME_EXIT
 

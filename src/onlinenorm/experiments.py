@@ -253,10 +253,15 @@ class EquilibriumResult:
     eta: float
     l2: float
 
+    @property
+    def law_scale(self) -> float:
+        """sqrt(eta / 2 lambda), the equilibrium law's |w| per unit of E|w'|."""
+        return np.sqrt(self.eta / (2.0 * self.l2))
+
     def final_quartile_ratio(self) -> float:
         """|w| / (sqrt(eta / 2 lambda) * E|w'|) over the last quarter of steps."""
         q = self.steps.size * 3 // 4
-        expected = np.sqrt(self.eta / (2.0 * self.l2)) * self.grad_norm[q:].mean()
+        expected = self.law_scale * self.grad_norm[q:].mean()
         return float(self.weight_norm[q:].mean() / expected)
 
 
@@ -368,7 +373,7 @@ def write_growth_csv(path, profile: GrowthProfile) -> None:
 
 
 def write_equilibrium_csv(path, result: EquilibriumResult) -> None:
-    scale = np.sqrt(result.eta / (2.0 * result.l2))
+    scale = result.law_scale
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("step,weight_norm,grad_norm,ratio\n")
         for t, wn, gn in zip(result.steps, result.weight_norm, result.grad_norm):

@@ -72,6 +72,8 @@ class TrainConfig:
             raise ValueError("hidden and depth must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.eval_interval < 0:
+            raise ValueError(f"eval_interval must be >= 0, got {self.eval_interval}")
 
 
 @dataclass

@@ -34,7 +34,6 @@ SELFTEST_CHECKS = [
     "layer scaling gradient vs finite differences",
     "exact backward orthogonal to 1 and y",
     "batch-two output exactly +-1 with zero gradient",
-    "group emulation matches streaming",
     "backward accumulators stay bounded",
     "state serialization round-trips",
     "dense Jacobian consistent with backward",
@@ -66,7 +65,7 @@ def test_emulate_check_reports_deviation(capsys):
 
 
 def test_emulate_check_deviation_above_tolerance_exits_three(monkeypatch, capsys):
-    monkeypatch.setattr(selftest, "emulation_deviation", lambda xs, n, alpha: 2e-10)
+    monkeypatch.setattr(selftest, "group_deviation", lambda x, g, block, alpha_f, alpha_b: 2e-10)
     code, out, _ = run_cli(["emulate-check", "--n", "4", "--steps", "64"], capsys)
     assert code == 3
     assert "deviation over 64 steps: 2.000e-10" in out

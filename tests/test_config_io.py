@@ -119,7 +119,8 @@ def test_serialize_refuses_values_it_cannot_write_back():
 
 @pytest.mark.parametrize(
     "line",
-    ["eta = nan", "l2 = nan", "divergence_limit = nan", "divergence_limit = -1", "seed = -1", "eta = inf", "l2 = inf"],
+    ["eta = nan", "l2 = nan", "divergence_limit = nan", "divergence_limit = -1", "seed = -1", "eta = inf", "l2 = inf",
+     "eval_interval = -1"],
 )
 def test_nan_and_nonpositive_limits_rejected(line):
     with pytest.raises(ConfigError) as err:

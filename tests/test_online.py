@@ -97,11 +97,6 @@ def test_asymptotic_variance_near_inverse_alpha():
     assert var == pytest.approx(1.0 / alpha, rel=0.03)
 
 
-@pytest.mark.parametrize("alpha", [0.5, 0.99, 0.999])
-def test_forward_mean_control_estimator_equivalence(alpha):
-    assert forward_mean_gap(make_rng(12).uniform(-1.0, 1.0, size=2000), alpha) < 1e-10
-
-
 def test_measurements_report_nan_not_the_largest_finite_gap(monkeypatch):
     # A NaN in the last sample poisons every later figure; each measurement
     # must return NaN, which fails any tolerance, rather than the finite
@@ -239,16 +234,6 @@ def test_first_backward_divides_by_initial_sigma():
     forward_sample(state, scalar(3.0))
     xg = backward_sample(state, scalar(0.5))
     assert xg[0, 0, 0] == 0.5  # sigma_0 = 1, accumulators zero
-
-
-def test_backward_control_estimator_equivalence():
-    pairs = make_rng(17).uniform(-1.0, 1.0, size=(2000, 2))  # (input, gradient) rows
-    assert backward_gap(pairs, 0.99) < 1e-10
-
-
-def test_accumulators_bounded_on_long_run():
-    head, tail = accumulator_maxima(make_rng(18).uniform(-1.0, 1.0, size=(20_000, 2)))
-    assert tail <= 10.0 * head
 
 
 def test_backward_spatial_means_enter_accumulators():
@@ -447,16 +432,6 @@ def test_serialization_rejects_bad_blobs():
     v2 = struct.pack("<8sIIQdd", b"ONLNORM\x00", 2, 0, 3, 0.999, 0.99) + np.zeros(5 * 3).tobytes()
     with pytest.raises(ValueError, match="version 2"):
         load_state(v2)
-
-
-def test_state_trajectory_bit_identical_for_same_stream():
-    xs = make_rng(25).normal(size=500)
-    a = OnlineNormState(1, alpha_f=0.99, alpha_b=0.99)
-    b = OnlineNormState(1, alpha_f=0.99, alpha_b=0.99)
-    ya = run_forward(a, xs)
-    yb = run_forward(b, xs)
-    assert np.array_equal(ya, yb)
-    assert np.array_equal(a.mu, b.mu) and np.array_equal(a.var, b.var)
 
 
 def test_composed_layer_pipeline_and_backward_runs():
