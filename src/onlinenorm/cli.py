@@ -8,6 +8,7 @@ directory given by --out; nothing else is written.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -19,12 +20,8 @@ from .experiments import (
     decay_sweep,
     equilibrium_experiment,
     gradient_bias_experiment,
-    write_bias_csv,
-    write_equilibrium_csv,
-    write_growth_csv,
-    write_sweep_csv,
 )
-from .net import DivergenceError, TrainConfig, train, write_metrics_csv
+from .net import DivergenceError, MetricsRecord, TrainConfig, train
 from .tensor import make_rng
 
 USAGE_EXIT, CONFIG_EXIT, RUNTIME_EXIT = 1, 2, 3
@@ -43,13 +40,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="onlinenorm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seed=0):
         p.add_argument("--out", default="out", help="output directory for CSV files")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
+        p.add_argument("--seed", type=int, default=seed, help="seed override")
 
     p = sub.add_parser("train", help="train an MLP per a config file")
     p.add_argument("--config", default=None, help="flat key = value config file")
-    common(p)
+    common(p, seed=None)
 
     p = sub.add_parser("grad-bias", help="gradient bias versus batch size")
     p.add_argument("--samples", type=int, default=2048)
@@ -75,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.add_argument("--alpha-f-grid", default="0.9,0.99,0.999,0.9999")
     p.add_argument("--alpha-b-grid", default="0.9,0.99,0.999,0.9999")
-    common(p)
+    common(p, seed=None)
 
     p = sub.add_parser("emulate-check", help="grouped kernel vs single-sample steps deviation")
     p.add_argument("--n", type=int, default=4)
@@ -103,6 +100,14 @@ def _outdir(args) -> Path:
     return out
 
 
+def write_csv(path: Path, header: str, rows) -> None:
+    """A header line, then one line per row: the repr of each value, comma-separated."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(map(repr, row)) + "\n")
+
+
 def _list(text: str, flag: str, kind=float) -> list:
     """Comma-separated values of a list flag; a malformed one is a configuration error."""
     try:
@@ -117,37 +122,36 @@ def _cmd_train(args) -> int:
     train_set, val_set = data.split(0.2, cfg.seed)
     records, _ = train(cfg, train_set, val_set)
     out = _outdir(args)
-    write_metrics_csv(out / "metrics.csv", records)
+    header = ",".join(f.name for f in dataclasses.fields(MetricsRecord))
+    write_csv(out / "metrics.csv", header, map(dataclasses.astuple, records))
     last = records[-1]
     print(f"trained {cfg.epochs} epochs: loss {last.loss:.4f} accuracy {last.accuracy:.4f}")
     return 0
 
 
 def _cmd_grad_bias(args) -> int:
-    seed = args.seed if args.seed is not None else 0
     sizes = _list(args.batch_sizes, "--batch-sizes", int)
     report = gradient_bias_experiment(
-        seed, dataset_size=args.samples, batch_sizes=sizes, repetitions=args.reps
+        args.seed, dataset_size=args.samples, batch_sizes=sizes, repetitions=args.reps
     )
     out = _outdir(args)
-    write_bias_csv(out / "grad_bias.csv", report)
+    write_csv(out / "grad_bias.csv", "batch_size,mean_angle_deg,std_angle_deg", report.as_rows())
     for b, m, s in report.as_rows():
         print(f"batch {b:5d}: angle {m:7.3f} deg (std {s:.3f})")
     return 0
 
 
 def _cmd_growth(args) -> int:
-    seed = args.seed if args.seed is not None else 0
     profile = activation_growth_experiment(
         depth=args.depth,
         width=args.width,
         noise=args.noise,
         sigma_down=args.sigma_down,
         layer_scaling=args.layer_scaling,
-        seed=seed,
+        seed=args.seed,
     )
     out = _outdir(args)
-    write_growth_csv(out / "growth.csv", profile)
+    write_csv(out / "growth.csv", "layer,rms", enumerate(map(float, profile.rms)))
     print(
         f"depth {args.depth}: log-RMS slope {profile.log_rms_slope():.4f}, "
         f"max/min RMS {profile.rms.max() / profile.rms.min():.3f}"
@@ -156,10 +160,9 @@ def _cmd_growth(args) -> int:
 
 
 def _cmd_equilibrium(args) -> int:
-    seed = args.seed if args.seed is not None else 0
-    result = equilibrium_experiment(args.eta, args.l2, args.steps, seed)
+    result = equilibrium_experiment(args.eta, args.l2, args.steps, args.seed)
     out = _outdir(args)
-    write_equilibrium_csv(out / "equilibrium.csv", result)
+    write_csv(out / "equilibrium.csv", "step,weight_norm,grad_norm,ratio", result.rows())
     print(f"final-quartile ratio {result.final_quartile_ratio():.4f}")
     return 0
 
@@ -170,7 +173,7 @@ def _cmd_sweep(args) -> int:
     data = generate_dataset(spec, cfg.seed)
     result = decay_sweep(af, ab, cfg, data)
     out = _outdir(args)
-    write_sweep_csv(out / "sweep.csv", result)
+    write_csv(out / "sweep.csv", "alpha_f,alpha_b,final_loss,diverged", result.as_rows())
     finite = result.final_loss[~result.diverged]
     best = f"best loss {finite.min():.4f}" if finite.size else "no finite cell, every cell diverged"
     print(f"{result.final_loss.size} cells, {best}")
@@ -182,13 +185,12 @@ def _cmd_emulate_check(args) -> int:
         raise ValueError(f"--n must be >= 1, got {args.n}")
     if not 0.0 < args.alpha < 1.0:
         raise ValueError(f"--alpha must be in (0, 1), got {args.alpha}")
-    steps = args.steps - args.steps % args.n
-    if steps < 1:
-        raise ValueError(f"--steps must be at least --n, got --steps {args.steps} and --n {args.n}")
-    rng = make_rng(args.seed if args.seed is not None else 0)
-    x, g = rng.uniform(-1.0, 1.0, size=(2, steps, 1, 1))
+    if args.steps < 1:
+        raise ValueError(f"--steps must be >= 1, got {args.steps}")
+    rng = make_rng(args.seed)
+    x, g = rng.uniform(-1.0, 1.0, size=(2, args.steps, 1, 1))
     worst = selftest.group_deviation(x, g, args.n, args.alpha, args.alpha)
-    print(f"max streaming/batched deviation over {steps} steps: {worst:.3e}")
+    print(f"max streaming/batched deviation over {args.steps} steps: {worst:.3e}")
     return 0 if worst <= 1e-10 else RUNTIME_EXIT
 
 

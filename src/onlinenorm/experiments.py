@@ -12,7 +12,8 @@ setup small enough to verify in seconds:
   balances gradient growth at |w| = sqrt(eta / (2 * lambda)) * E|w'|.
 
 Plus a decay-factor grid sweep. Every experiment is a pure function of its
-configuration and seed and emits one CSV.
+configuration and seed and returns a result; the CLI writes each result as
+one CSV.
 """
 
 from __future__ import annotations
@@ -210,39 +211,30 @@ def activation_growth_experiment(
     x0 = rng.normal(size=(_GROWTH_SAMPLES, width))
     weights = [rng.normal(0.0, np.sqrt(2.0 / width), size=(width, width)) for _ in range(depth)]
 
-    def scale_rows(h: np.ndarray) -> np.ndarray:
-        return layer_scale_forward(h[:, :, None])[0][:, :, 0]
-
-    # Clean pass: per-layer exact population coefficients.
+    # The clean pass stores each layer's exact population coefficients, with
+    # sigma floored; the perturbed pass reruns inference with them perturbed.
     mus, sigmas = [], []
-    h = x0
-    for w in weights:
-        a = h @ w.T
-        mu = a.mean(axis=0)
-        sigma = a.std(axis=0)
-        mus.append(mu)
-        sigmas.append(np.maximum(sigma, SIGMA_FLOOR))
-        y = (a - mu) / np.maximum(sigma, SIGMA_FLOOR)
-        if layer_scaling:
-            y = scale_rows(y)
-        h = relu(y)
-
-    # Perturbed inference with the stored coefficients.
-    rms_per_layer = np.empty(depth)
-    h = x0
-    for i, w in enumerate(weights):
-        a = h @ w.T
-        sigma_hat = sigmas[i] * (1.0 - sigma_down)
-        mu_hat = mus[i].copy()
-        if noise > 0.0:
-            sigma_hat = sigma_hat * np.exp(noise * rng.normal(size=width))
-            mu_hat = mu_hat + noise * sigmas[i] * rng.normal(size=width)
-        y = (a - mu_hat) / np.maximum(sigma_hat, SIGMA_FLOOR)
-        if layer_scaling:
-            y = scale_rows(y)
-        rms_per_layer[i] = np.sqrt((y * y).mean())
-        h = relu(y)
-    return GrowthProfile(rms_per_layer)
+    rms = np.empty(depth)
+    for perturbed in (False, True):
+        h = x0
+        for i, w in enumerate(weights):
+            a = h @ w.T
+            if perturbed:
+                mu, sigma = mus[i], sigmas[i] * (1.0 - sigma_down)
+                if noise > 0.0:
+                    sigma = sigma * np.exp(noise * rng.normal(size=width))
+                    mu = mu + noise * sigmas[i] * rng.normal(size=width)
+            else:
+                mu, sigma = a.mean(axis=0), np.maximum(a.std(axis=0), SIGMA_FLOOR)
+                mus.append(mu)
+                sigmas.append(sigma)
+            y = (a - mu) / np.maximum(sigma, SIGMA_FLOOR)
+            if layer_scaling:
+                y = layer_scale_forward(y[:, :, None])[0][:, :, 0]
+            if perturbed:
+                rms[i] = np.sqrt((y * y).mean())
+            h = relu(y)
+    return GrowthProfile(rms)
 
 
 @dataclass
@@ -263,6 +255,16 @@ class EquilibriumResult:
         q = self.steps.size * 3 // 4
         expected = self.law_scale * self.grad_norm[q:].mean()
         return float(self.weight_norm[q:].mean() / expected)
+
+    def rows(self):
+        """(step, |w|, |w'|, ratio) per record, the ratio being |w| / (law_scale * |w'|).
+
+        The ratio is NaN where |w'| is 0.
+        """
+        scale = self.law_scale
+        for t, wn, gn in zip(self.steps, self.weight_norm, self.grad_norm):
+            ratio = float(wn / (scale * gn)) if gn > 0 else float("nan")
+            yield int(t), float(wn), float(gn), ratio
 
 
 def equilibrium_experiment(eta: float, l2: float, steps: int, seed: int) -> EquilibriumResult:
@@ -325,7 +327,7 @@ class SweepResult:
         rows = []
         for i, af in enumerate(self.alpha_f_grid):
             for j, ab in enumerate(self.alpha_b_grid):
-                rows.append((af, ab, self.final_loss[i, j], int(self.diverged[i, j])))
+                rows.append((float(af), float(ab), float(self.final_loss[i, j]), int(self.diverged[i, j])))
         return rows
 
 
@@ -356,33 +358,3 @@ def decay_sweep(
                 losses[i, j] = np.inf
                 diverged[i, j] = True
     return SweepResult(af, ab, losses, diverged)
-
-
-def write_bias_csv(path, report: BiasReport) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("batch_size,mean_angle_deg,std_angle_deg\n")
-        for b, m, s in report.as_rows():
-            fh.write(f"{b},{m!r},{s!r}\n")
-
-
-def write_growth_csv(path, profile: GrowthProfile) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("layer,rms\n")
-        for i, r in enumerate(profile.rms):
-            fh.write(f"{i},{float(r)!r}\n")
-
-
-def write_equilibrium_csv(path, result: EquilibriumResult) -> None:
-    scale = result.law_scale
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("step,weight_norm,grad_norm,ratio\n")
-        for t, wn, gn in zip(result.steps, result.weight_norm, result.grad_norm):
-            ratio = float(wn / (scale * gn)) if gn > 0 else float("nan")
-            fh.write(f"{t},{float(wn)!r},{float(gn)!r},{ratio!r}\n")
-
-
-def write_sweep_csv(path, result: SweepResult) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("alpha_f,alpha_b,final_loss,diverged\n")
-        for af, ab, loss, div in result.as_rows():
-            fh.write(f"{float(af)!r},{float(ab)!r},{float(loss)!r},{div}\n")

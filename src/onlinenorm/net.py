@@ -87,19 +87,6 @@ class MetricsRecord:
     eps_1_max: float
 
 
-METRICS_HEADER = "step,epoch,loss,accuracy,weight_norm_l2,eps_y_max,eps_1_max"
-
-
-def write_metrics_csv(path, records) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(METRICS_HEADER + "\n")
-        for r in records:
-            fh.write(
-                f"{r.step},{r.epoch},{r.loss!r},{r.accuracy!r},"
-                f"{r.weight_norm_l2!r},{r.eps_y_max!r},{r.eps_1_max!r}\n"
-            )
-
-
 class Params:
     """Parameters p, gradients g and momentum v of some layers, one flat array each.
 
@@ -280,12 +267,13 @@ class Mlp:
         return float(np.sqrt(total))
 
     def eps_maxima(self) -> tuple[float, float]:
+        """Largest |eps_y| and |eps_1| over the streaming layers; NaN if any value is NaN."""
         ey = e1 = 0.0
         for n in self.norms:
             if isinstance(n, OnlineNorm):
-                ey = max(ey, float(np.abs(n.state.eps_y).max()))
-                e1 = max(e1, float(np.abs(n.state.eps_1).max()))
-        return ey, e1
+                ey = np.maximum(ey, np.abs(n.state.eps_y).max())
+                e1 = np.maximum(e1, np.abs(n.state.eps_1).max())
+        return float(ey), float(e1)
 
     def forward_batch(self, x: np.ndarray, training: bool = True) -> np.ndarray:
         """Logits for a (B, dim) group; training advances normalizer state."""
@@ -332,63 +320,48 @@ def train(cfg: TrainConfig, train_set, val_set=None) -> tuple[list[MetricsRecord
             f"batch_size {cfg.batch_size} exceeds training set size {train_set.n}"
         )
     rng = make_rng(cfg.seed)
-    sizes = [train_set.dim] + [cfg.hidden] * cfg.depth + [train_set.n_classes]
-    net = Mlp(sizes, cfg, rng)
+    net = Mlp([train_set.dim] + [cfg.hidden] * cfg.depth + [train_set.n_classes], cfg, rng)
     sum_gradients = cfg.normalizer == "online"
     group = train_set.n if cfg.normalizer == "exact-population" else cfg.batch_size
     stop = train_set.n if sum_gradients else train_set.n - group + 1
+    steps_per_epoch = len(range(0, stop, group))
+    every, last_step = cfg.eval_interval or steps_per_epoch, cfg.epochs * steps_per_epoch
     records: list[MetricsRecord] = []
     step = 0
-    interval_losses: list[float] = []
-    interval_sizes: list[int] = []
-    interval_hits = 0
-
-    def flush(epoch: int) -> None:
-        nonlocal interval_losses, interval_sizes, interval_hits
-        if not interval_losses:
-            return
-        loss = float(np.average(interval_losses, weights=interval_sizes))
-        if val_set is not None:
-            acc = evaluate_accuracy(net, val_set)
-        else:
-            acc = interval_hits / sum(interval_sizes)
-        ey, e1 = net.eps_maxima()
-        records.append(
-            MetricsRecord(step, epoch, loss, acc, net.weight_norm(), ey, e1)
-        )
-        interval_losses = []
-        interval_sizes = []
-        interval_hits = 0
-
-    try:
-        for epoch in range(cfg.epochs):
-            order = rng.permutation(train_set.n)
-            xs, ys = train_set.x[order], train_set.labels[order]
-            for start in range(0, stop, group):
-                labels = ys[start : start + group]
-                logits = net.forward_batch(xs[start : start + group], training=True)
-                loss, probs = softmax_xent_forward(logits, labels)
-                grad = softmax_xent_backward(probs, labels)
-                if sum_gradients:
-                    grad *= labels.size
-                net.backward_batch(grad)
-                sgd_momentum_step(net.params, cfg.eta, cfg.momentum, cfg.l2)
-                step += 1
-                interval_losses.append(loss)
-                interval_sizes.append(labels.size)
-                interval_hits += int((np.argmax(logits, axis=1) == labels).sum())
-                if not math.isfinite(loss) or abs(loss) > cfg.divergence_limit:
-                    raise DivergenceError(f"loss diverged: {loss}")
-                if cfg.eval_interval and step % cfg.eval_interval == 0:
-                    flush(epoch)
-            if not cfg.eval_interval:
-                flush(epoch)
-        flush(cfg.epochs - 1)
-    except DivergenceError as exc:
-        ey, e1 = net.eps_maxima()
-        records.append(MetricsRecord(step, epoch, loss, 0.0, net.weight_norm(), ey, e1))
-        exc.records = records
-        raise
+    losses: list[float] = []
+    sizes: list[int] = []
+    hits = 0
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(train_set.n)
+        xs, ys = train_set.x[order], train_set.labels[order]
+        for start in range(0, stop, group):
+            labels = ys[start : start + group]
+            logits = net.forward_batch(xs[start : start + group], training=True)
+            loss, probs = softmax_xent_forward(logits, labels)
+            grad = softmax_xent_backward(probs, labels)
+            if sum_gradients:
+                grad *= labels.size
+            net.backward_batch(grad)
+            sgd_momentum_step(net.params, cfg.eta, cfg.momentum, cfg.l2)
+            step += 1
+            losses.append(loss)
+            sizes.append(labels.size)
+            hits += int((np.argmax(logits, axis=1) == labels).sum())
+            diverged = not math.isfinite(loss) or abs(loss) > cfg.divergence_limit
+            if not (diverged or step % every == 0 or step == last_step):
+                continue
+            if diverged:
+                mean_loss, acc = loss, 0.0
+            else:
+                mean_loss = float(np.average(losses, weights=sizes))
+                acc = hits / sum(sizes) if val_set is None else evaluate_accuracy(net, val_set)
+            ey, e1 = net.eps_maxima()
+            records.append(MetricsRecord(step, epoch, mean_loss, acc, net.weight_norm(), ey, e1))
+            if diverged:
+                exc = DivergenceError(f"loss diverged: {loss}")
+                exc.records = records
+                raise exc
+            losses, sizes, hits = [], [], 0
     return records, net
 
 

@@ -71,12 +71,20 @@ def test_emulate_check_deviation_above_tolerance_exits_three(monkeypatch, capsys
     assert "deviation over 64 steps: 2.000e-10" in out
 
 
+@pytest.mark.parametrize("n, steps", [(200, 128), (3, 10)])
+def test_emulate_check_runs_steps_that_are_not_a_multiple_of_n(n, steps, capsys):
+    # The last block may be short; a group size above --steps gives one block.
+    code, out, _ = run_cli(["emulate-check", "--n", str(n), "--steps", str(steps)], capsys)
+    assert code == 0
+    assert f"deviation over {steps} steps: " in out
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [
         (["emulate-check", "--n", "0"], "--n"),
         (["emulate-check", "--steps", "0"], "--steps"),
-        (["emulate-check", "--n", "200", "--steps", "128"], "--steps"),
+        (["emulate-check", "--steps", "-1"], "--steps"),
         (["growth", "--width", "0"], "width"),
         (["equilibrium", "--steps", "0"], "steps"),
         (["grad-bias", "--samples", "32", "--batch-sizes", "4", "--reps", "0"], "--reps"),

@@ -4,16 +4,13 @@ import numpy as np
 import pytest
 
 from onlinenorm import experiments
+from onlinenorm.cli import write_csv
 from onlinenorm.datasets import DatasetSpec, generate_dataset
 from onlinenorm.experiments import (
     activation_growth_experiment,
     decay_sweep,
     equilibrium_experiment,
     gradient_bias_experiment,
-    write_bias_csv,
-    write_equilibrium_csv,
-    write_growth_csv,
-    write_sweep_csv,
 )
 from onlinenorm.net import TrainConfig, train
 from onlinenorm.online import backward_sample
@@ -244,14 +241,14 @@ def test_sweep_rejects_bad_grids():
 
 def test_experiment_csvs_parse_strictly(tmp_path):
     report = gradient_bias_experiment(0, dataset_size=32, batch_sizes=(4,), repetitions=1)
-    write_bias_csv(tmp_path / "bias.csv", report)
+    write_csv(tmp_path / "bias.csv", "batch_size,mean_angle_deg,std_angle_deg", report.as_rows())
     profile = activation_growth_experiment(depth=4, seed=0)
-    write_growth_csv(tmp_path / "growth.csv", profile)
+    write_csv(tmp_path / "growth.csv", "layer,rms", enumerate(map(float, profile.rms)))
     eq = equilibrium_experiment(0.1, 1e-3, 200, 0)
-    write_equilibrium_csv(tmp_path / "eq.csv", eq)
+    write_csv(tmp_path / "eq.csv", "step,weight_norm,grad_norm,ratio", eq.rows())
     data, base = sweep_setup()
     sweep = decay_sweep([0.99], [0.99], base, data)
-    write_sweep_csv(tmp_path / "sweep.csv", sweep)
+    write_csv(tmp_path / "sweep.csv", "alpha_f,alpha_b,final_loss,diverged", sweep.as_rows())
     import csv
 
     for name, cols in (

@@ -1,11 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from onlinenorm.cli import write_csv
 from onlinenorm.datasets import DatasetSpec, generate_dataset
 from onlinenorm.net import (
     Conv2D,
     DenseLayer,
     DivergenceError,
+    MetricsRecord,
     Mlp,
     Params,
     TrainConfig,
@@ -15,7 +19,6 @@ from onlinenorm.net import (
     softmax_xent_backward,
     softmax_xent_forward,
     train,
-    write_metrics_csv,
 )
 from onlinenorm.online import OnlineNormState, forward_inference, forward_sample
 from onlinenorm.selftest import central_differences
@@ -366,7 +369,8 @@ def test_metrics_csv_round_trips(tmp_path):
     cfg = TrainConfig(eta=0.05, epochs=2, batch_size=16, normalizer="layer", hidden=8, seed=5)
     records, _ = train(cfg, data)
     path = tmp_path / "metrics.csv"
-    write_metrics_csv(path, records)
+    header = ",".join(f.name for f in dataclasses.fields(MetricsRecord))
+    write_csv(path, header, map(dataclasses.astuple, records))
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "step,epoch,loss,accuracy,weight_norm_l2,eps_y_max,eps_1_max"
     assert len(lines) == len(records) + 1
@@ -381,3 +385,15 @@ def test_online_training_reports_accumulator_magnitudes():
     records, _ = train(cfg, data)
     assert records[-1].eps_y_max > 0.0
     assert np.isfinite(records[-1].eps_1_max)
+
+
+@pytest.mark.parametrize("layer", [0, 1])
+def test_eps_maxima_propagates_nan_from_any_layer(layer):
+    data = small_blobs(seed=6, samples=40)
+    cfg = TrainConfig(eta=0.005, batch_size=1, epochs=1, normalizer="online", hidden=4, depth=2, seed=6)
+    _, net = train(cfg, data)
+    assert all(np.isfinite(net.eps_maxima()))
+    state = net.norms[layer].state
+    state.eps_y[0] = np.nan
+    state.eps_1[-1] = np.nan
+    assert all(np.isnan(net.eps_maxima()))

@@ -3,16 +3,18 @@ to within rounding, the scan behind it matches a plain loop, the streaming
 state keeps its invariants over random shapes and decays, the conv layer
 matches its einsum formulas, the gradient-bias network's grouped pass
 matches one call per batch, the parameter store steps like one update
-per array, and a one-sample OnlineNorm step gives the bits of the general
-per-sample arithmetic."""
+per array, a one-sample OnlineNorm step gives the bits of the general
+per-sample arithmetic, and train() records at the steps its schedule names,
+each with the mean loss of its interval."""
 
 import copy
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from onlinenorm import net as net_module
 from onlinenorm.datasets import DatasetSpec, generate_dataset
 from onlinenorm.experiments import _CLASSES, _SIDE, _BiasNet, _interleave
 from onlinenorm.net import (
@@ -421,3 +423,57 @@ def test_training_keeps_every_layer_on_the_parameter_store(kind, batch_size):
     untrained = Mlp([4, 6, 6, 3], cfg, make_rng(cfg.seed))
     assert not np.array_equal(net.params.p, untrained.params.p)
     assert_layers_view_the_store(net.params, net.dense + [n for n in net.norms if isinstance(n, OnlineNorm)])
+
+
+@settings(max_examples=60)
+@given(
+    kind=st.sampled_from(NORMALIZER_KINDS),
+    n=st.integers(10, 40),
+    batch_size=st.integers(1, 8),
+    epochs=st.integers(1, 3),
+    eval_interval=st.integers(0, 7),
+    validation=st.booleans(),
+    seed=seeds,
+)
+def test_train_records_on_schedule_with_interval_mean_losses(
+    kind, n, batch_size, epochs, eval_interval, validation, seed
+):
+    # Batch normalization needs groups of at least two samples.
+    assume(kind != "batch" or batch_size >= 2)
+    data = generate_dataset(DatasetSpec(kind="gaussian-blobs", classes=2, samples=n, dim=2), seed)
+    train_set, val_set = data.split(0.2, seed) if validation else (data, None)
+    cfg = TrainConfig(
+        eta=0.01, batch_size=batch_size, epochs=epochs, normalizer=kind,
+        hidden=2, eval_interval=eval_interval, seed=seed,
+    )
+    step_losses, step_sizes = [], []
+    forward = net_module.softmax_xent_forward
+
+    def recording_forward(logits, labels):
+        loss, probs = forward(logits, labels)
+        step_losses.append(loss)
+        step_sizes.append(labels.size)
+        return loss, probs
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(net_module, "softmax_xent_forward", recording_forward)
+        records, _ = train(cfg, train_set, val_set)
+
+    if kind == "exact-population":
+        per_epoch = 1
+    elif kind == "online":
+        per_epoch = -(-train_set.n // batch_size)
+    else:
+        per_epoch = train_set.n // batch_size
+    total = epochs * per_epoch
+    assert len(step_losses) == total
+    every = eval_interval or per_epoch
+    expected = list(range(every, total + 1, every))
+    if expected[-1:] != [total]:
+        expected.append(total)
+    assert [r.step for r in records] == expected
+    previous = 0
+    for r in records:
+        assert r.epoch == (r.step - 1) // per_epoch
+        assert r.loss == np.average(step_losses[previous : r.step], weights=step_sizes[previous : r.step])
+        previous = r.step
