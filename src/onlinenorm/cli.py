@@ -1,8 +1,10 @@
 """Command-line front door.
 
 Exit codes: 0 success, 1 usage error, 2 configuration error, 3 runtime
-failure (including training divergence). All files land inside the
-directory given by --out; nothing else is written.
+failure (including divergence). All files land inside the directory given
+by --out; nothing else is written. Commands run with numpy's floating-point
+warnings off: each reports a non-finite outcome through its exit code or
+its output instead.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ import argparse
 import dataclasses
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import selftest
 from .config import ConfigError, parse_config
@@ -227,7 +231,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
-        return _DISPATCH[args.command](args)
+        with np.errstate(all="ignore"):
+            return _DISPATCH[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return CONFIG_EXIT

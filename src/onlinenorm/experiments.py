@@ -196,7 +196,8 @@ def activation_growth_experiment(
     systematic (1 - sigma_down) shrink of sigma) and inference is rerun.
     Because downstream coefficients were fit to the clean network, errors
     compound through depth; RMS is recorded after normalization (and after
-    the optional per-sample RMS rescaling), before ReLU.
+    the optional per-sample RMS rescaling), before ReLU. A layer whose RMS
+    is not finite raises DivergenceError naming the first such layer.
     """
     # Each check is written so that NaN fails it. A slope needs two layers.
     if depth < 2:
@@ -234,6 +235,9 @@ def activation_growth_experiment(
             if perturbed:
                 rms[i] = np.sqrt((y * y).mean())
             h = relu(y)
+    bad = np.flatnonzero(~np.isfinite(rms))
+    if bad.size:
+        raise DivergenceError(f"activation RMS diverged at layer {bad[0]}: {rms[bad[0]]}")
     return GrowthProfile(rms)
 
 
@@ -278,7 +282,8 @@ def equilibrium_experiment(eta: float, l2: float, steps: int, seed: int) -> Equi
     then a_b * ms + (1 - a_b) * x'^2 after each backward). That makes E|w'|
     invariant to weight scale and so reproduces the first-moment
     equilibrium law directly. Plain SGD with L2 decay; |w'| records the
-    loss gradient only.
+    loss gradient only. A gradient norm, or a recorded weight norm, that is
+    not finite raises DivergenceError.
     """
     if not 0.0 < eta < math.inf:
         raise ValueError(f"eta (--eta) must be finite and > 0, got {eta}")
@@ -308,8 +313,11 @@ def equilibrium_experiment(eta: float, l2: float, steps: int, seed: int) -> Equi
             raise DivergenceError(f"gradient diverged at step {t}")
         w = w - eta * (g + l2 * w)
         if t % _EQ_RECORD_EVERY == 0:
+            wnorm = math.sqrt(w.dot(w))
+            if not math.isfinite(wnorm):
+                raise DivergenceError(f"weight norm diverged at step {t}")
             rec_steps.append(t)
-            rec_wnorm.append(math.sqrt(w.dot(w)))
+            rec_wnorm.append(wnorm)
             rec_gnorm.append(gnorm)
     return EquilibriumResult(
         np.array(rec_steps), np.array(rec_wnorm), np.array(rec_gnorm), eta, l2

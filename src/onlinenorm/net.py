@@ -25,7 +25,7 @@ NORMALIZER_KINDS = ("online", "batch", "layer", "exact-population", "none")
 
 
 class DivergenceError(RuntimeError):
-    """Training loss left the finite, bounded regime."""
+    """A run's loss, parameters or measured figures left the finite, bounded regime."""
 
 
 @dataclass
@@ -34,7 +34,8 @@ class TrainConfig:
 
     eval_interval counts optimizer steps between metric rows; 0 means one
     row per epoch. Divergence halts the run when |loss| exceeds
-    divergence_limit or stops being finite.
+    divergence_limit or stops being finite, or when a row finds the
+    parameters' sum of squares or an eps accumulator not finite.
     """
 
     eta: float = 0.1
@@ -308,9 +309,11 @@ def train(cfg: TrainConfig, train_set, val_set=None) -> tuple[list[MetricsRecord
     and drop it. exact-population takes one group of the whole set. A
     record's loss is the mean per-sample loss since the previous record.
 
-    On divergence the offending record is appended before DivergenceError is
-    raised; the partial records stay available on the exception as
-    exc.records.
+    The run diverges at a step whose loss is not finite or exceeds
+    divergence_limit, or at a record that finds the parameters' sum of
+    squares, eps_y_max or eps_1_max not finite. The offending record is
+    appended before DivergenceError is raised; the partial records stay
+    available on the exception as exc.records.
     """
     cfg.validate()
     if train_set.n == 0:
@@ -357,8 +360,11 @@ def train(cfg: TrainConfig, train_set, val_set=None) -> tuple[list[MetricsRecord
                 acc = hits / sum(sizes) if val_set is None else evaluate_accuracy(net, val_set)
             ey, e1 = net.eps_maxima()
             records.append(MetricsRecord(step, epoch, mean_loss, acc, net.weight_norm(), ey, e1))
-            if diverged:
-                exc = DivergenceError(f"loss diverged: {loss}")
+            finite = math.isfinite(net.params.p @ net.params.p) and math.isfinite(ey) and math.isfinite(e1)
+            if diverged or not finite:
+                exc = DivergenceError(
+                    f"loss diverged: {loss}" if diverged else f"parameters or accumulators diverged at step {step}"
+                )
                 exc.records = records
                 raise exc
             losses, sizes, hits = [], [], 0

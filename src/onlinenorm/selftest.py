@@ -9,11 +9,11 @@ the CLI prints one PASS/FAIL line per row.
 
 The oracles are written out here rather than derived from the kernel: the
 control accumulator eps += x - (1 - alpha) * eps, the estimator recurrence
-for mu_y, and central finite differences. The streaming measurements feed
-the kernel one (1, 1, 1) block per sample. group_deviation, the one check
-of a group against the stream, holds the kernel's scan over consecutive
-blocks, the path training runs, against its own one-sample steps, which
-keep the recurrences' written order of operations.
+for mu_y, and central finite differences. Every sample-by-sample
+measurement is one or two runs of stream, the kernel over consecutive
+blocks, compared with an oracle. group_deviation, the one check of a group
+against the stream, holds blocks of a training group's size against blocks
+of one sample, which keep the recurrences' written order of operations.
 Every "largest" is a numpy maximum, so a NaN figure comes back as NaN and
 fails any tolerance; Python's max(worst, nan) would keep worst.
 """
@@ -24,16 +24,6 @@ import numpy as np
 
 from . import online, reference
 from .tensor import make_rng
-
-
-def _steps(xs) -> np.ndarray:
-    """A 1-D stream as consecutive (1, 1, 1) sample blocks."""
-    return np.reshape(np.asarray(xs, dtype=np.float64), (-1, 1, 1, 1))
-
-
-def _pair_steps(pairs) -> np.ndarray:
-    """An (N, 2) stream of (input, gradient) rows as N pairs of (1, 1, 1) blocks."""
-    return np.reshape(np.asarray(pairs, dtype=np.float64), (-1, 2, 1, 1, 1))
 
 
 def central_differences(loss, v: np.ndarray, h: float) -> np.ndarray:
@@ -47,19 +37,44 @@ def central_differences(loss, v: np.ndarray, h: float) -> np.ndarray:
     return fd
 
 
+def stream(x, g, block: int, alpha_f: float, alpha_b: float):
+    """Run the kernel forward, then backward, over consecutive blocks of `block` samples.
+
+    x and g are (n, features, spatial) inputs and output gradients, or 1-D
+    streams of n one-feature samples; g = None runs forwards only. Returns
+    copies of the per-sample y, x' (None without g) and (n, features) sigma
+    each sample was divided by, and the (blocks, 4, features) rows of mu,
+    var, eps_y and eps_1 after each block. The last block may be short.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 1:
+        x = x.reshape(-1, 1, 1)
+        g = None if g is None else np.asarray(g, dtype=np.float64).reshape(-1, 1, 1)
+    state = online.OnlineNormState(x.shape[1], alpha_f, alpha_b)
+    starts = range(0, len(x), block)
+    y, sigma = np.empty(x.shape), np.empty(x.shape[:2])
+    xg = None if g is None else np.empty(x.shape)
+    states = np.empty((len(starts), 4, x.shape[1]))
+    for i, start in enumerate(starts):
+        part = slice(start, start + block)
+        y[part] = online.forward_sample(state, x[part])
+        sigma[part] = state.pending[1]
+        if g is not None:
+            xg[part] = online.backward_sample(state, g[part])
+        states[i] = state.mu, state.var, state.eps_y, state.eps_1
+    return y, xg, sigma, states
+
+
 def forward_mean_gap(xs, alpha: float) -> float:
     """Largest gap between the running mean and (1 - alpha) * eps over the stream xs.
 
     eps is the forward control accumulator, eps_t = eps_{t-1} + x_t - (1 - alpha) eps_{t-1}.
     """
-    state = online.OnlineNormState(1, alpha_f=alpha, alpha_b=0.99)
-    steps = _steps(xs)
-    gaps = np.empty(len(steps))
-    eps = 0.0
-    for t, x in enumerate(steps):
-        online.forward_sample(state, x)
-        eps += x[0, 0, 0] - (1.0 - alpha) * eps
-        gaps[t] = abs(state.mu[0] - (1.0 - alpha) * eps)
+    mu = stream(xs, None, 1, alpha, 0.99)[3][:, 0, 0]
+    gaps, eps = np.empty(len(mu)), 0.0
+    for t, x in enumerate(xs):
+        eps += x - (1.0 - alpha) * eps
+        gaps[t] = abs(mu[t] - (1.0 - alpha) * eps)
     return float(gaps.max())
 
 
@@ -71,16 +86,11 @@ def backward_gap(pairs, alpha_b: float) -> float:
     The forward decay is pinned at 0.99, which keeps the normalized stream
     bounded.
     """
-    state = online.OnlineNormState(1, alpha_f=0.99, alpha_b=alpha_b)
-    steps = _pair_steps(pairs)
-    gaps = np.empty(len(steps))
-    mu_y = 0.0
-    for t, (x, g) in enumerate(steps):
-        y = online.forward_sample(state, x)
-        online.backward_sample(state, g)
-        yv, gv = y[0, 0, 0], g[0, 0, 0]
+    y, _, _, states = stream(pairs[:, 0], pairs[:, 1], 1, 0.99, alpha_b)
+    gaps, mu_y = np.empty(len(pairs)), 0.0
+    for t, (yv, gv) in enumerate(zip(y[:, 0, 0], pairs[:, 1])):
         mu_y = (1.0 - (1.0 - alpha_b) * yv * yv) * mu_y + (1.0 - alpha_b) * gv * yv
-        gaps[t] = abs(mu_y - (1.0 - alpha_b) * state.eps_y[0])
+        gaps[t] = abs(mu_y - (1.0 - alpha_b) * states[t, 2, 0])
     return float(gaps.max())
 
 
@@ -90,14 +100,7 @@ def accumulator_maxima(pairs) -> tuple[float, float]:
     Both decays are 0.99; row t of the (N, 2) array pairs is sample t's
     input and output gradient.
     """
-    state = online.OnlineNormState(1, alpha_f=0.99, alpha_b=0.99)
-    steps = _pair_steps(pairs)
-    accs = np.empty((len(steps), 2))
-    for t, (x, g) in enumerate(steps):
-        online.forward_sample(state, x)
-        online.backward_sample(state, g)
-        accs[t] = state.eps_y[0], state.eps_1[0]
-    mags = np.abs(accs)
+    mags = np.abs(stream(pairs[:, 0], pairs[:, 1], 1, 0.99, 0.99)[3][:, 2:, 0])
     return float(mags[:1000].max(initial=0.0)), float(mags[1000:].max(initial=0.0))
 
 
@@ -105,26 +108,13 @@ def group_deviation(x, g, block: int, alpha_f: float, alpha_b: float) -> float:
     """Largest gap between the kernel run on blocks and run one sample at a time.
 
     x and g are (n, features, spatial) inputs and output gradients. The
-    grouped run takes consecutive blocks of `block` samples, the last one
-    possibly short, each forward then backward; the streamed run takes n
-    (1, features, spatial) blocks. The gap covers y, x', the sigma each
-    sample was divided by and every state array, each relative to max(1,
-    the largest |value| of the streamed run); it is exactly 0 when every
-    value agrees bit for bit.
+    grouped run streams blocks of `block` samples, the streamed run blocks
+    of one. The gap covers y, x', the sigma each sample was divided by and
+    every final state array, each relative to max(1, the largest |value| of
+    the streamed run); it is exactly 0 when every value agrees bit for bit.
     """
-
-    def run(size):
-        state = online.OnlineNormState(x.shape[1], alpha_f, alpha_b)
-        ys, sigmas, xgs = [], [], []
-        for start in range(0, len(x), size):
-            part = slice(start, start + size)
-            ys.append(online.forward_sample(state, x[part]))
-            sigmas.append(state.pending[1])
-            xgs.append(online.backward_sample(state, g[part]))
-        outputs = [np.concatenate(ys), np.concatenate(xgs), np.concatenate(sigmas)]
-        return outputs + [getattr(state, k) for k in ("mu", "var", "eps_y", "eps_1")]
-
-    grouped, streamed = run(block), run(1)
+    runs = [stream(x, g, size, alpha_f, alpha_b) for size in (block, 1)]
+    grouped, streamed = ([*run[:3], *run[3][-1]] for run in runs)
     return float(np.max([np.abs(a - b).max() / np.maximum(1.0, np.abs(b).max()) for a, b in zip(grouped, streamed)]))
 
 
@@ -199,11 +189,10 @@ def _layer_scale_ms_error() -> float:
 
 def _roundtrip_mismatches() -> int:
     """Fields of a state that differ after save_state/load_state of it, once
-    it has run a 50-sample block."""
-    rng = make_rng(23)
+    it holds the statistics a 50-sample block leaves."""
+    x, g = make_rng(23).normal(size=(2, 50, 5, 3))
     state = online.OnlineNormState(5, alpha_f=0.97, alpha_b=0.9)
-    online.forward_sample(state, rng.normal(size=(50, 5, 3)))
-    online.backward_sample(state, rng.normal(size=(50, 5, 3)))
+    state.mu, state.var, state.eps_y, state.eps_1 = stream(x, g, 50, 0.97, 0.9)[3][-1]
     clone = online.load_state(online.save_state(state))
     fields = ("features", "alpha_f", "alpha_b", "mu", "var", "eps_y", "eps_1")
     return sum(not np.array_equal(getattr(clone, k), getattr(state, k)) for k in fields)

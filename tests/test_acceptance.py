@@ -4,7 +4,8 @@ Each test prints one PASS/FAIL line (run with -s to see them inline);
 together they gate the build. Criteria with runtime budgets stay well
 inside them on commodity hardware. Criteria 01, 02, 03, 05, 06 and 12
 take their figures from the measuring functions in onlinenorm.selftest,
-which `onlinenorm selftest` runs at a smaller scale.
+which `onlinenorm selftest` runs at a smaller scale; criterion 04 runs the
+kernel through the same module's stream.
 """
 
 import time
@@ -18,7 +19,6 @@ from onlinenorm.experiments import (
     gradient_bias_experiment,
 )
 from onlinenorm.net import TrainConfig, scale_hyperparams, train
-from onlinenorm.online import OnlineNormState, forward_sample
 from onlinenorm.selftest import (
     accumulator_maxima,
     backward_gap,
@@ -27,6 +27,7 @@ from onlinenorm.selftest import (
     forward_mean_gap,
     group_deviation,
     layer_scale_fd_error,
+    stream,
 )
 from onlinenorm.tensor import make_rng
 
@@ -35,11 +36,6 @@ def report(number, passed, detail):
     status = "PASS" if passed else "FAIL"
     print(f"[criterion {number:2d}] {status} - {detail}")
     assert passed, f"criterion {number}: {detail}"
-
-
-def scalar(x):
-    """One sample with one feature: a (1, 1, 1) block."""
-    return np.full((1, 1, 1), float(x))
 
 
 def test_criterion_01_gradient_oracle_suite():
@@ -85,12 +81,7 @@ def test_criterion_03_control_estimator_equivalences():
 def test_criterion_04_asymptotic_moments():
     t0 = time.time()
     rng = make_rng(42)
-    state = OnlineNormState(1, alpha_f=0.99, alpha_b=0.99)
-    xs = 5.0 + 2.0 * rng.normal(size=100_000)
-    ys = np.empty(xs.size)
-    for t, x in enumerate(xs):
-        y = forward_sample(state, scalar(x))
-        ys[t] = y[0, 0, 0]
+    ys = stream(5.0 + 2.0 * rng.normal(size=100_000), None, 1, 0.99, 0.99)[0].ravel()
     half = ys[50_000:]
     mean = float(half.mean())
     var = float(half.var())

@@ -189,10 +189,39 @@ def test_divergent_training_exits_three(tmp_path, capsys):
         "normalizer = none\nhidden = 8\nsamples = 200\ndim = 4\ndivergence_limit = 1000.0\n",
         encoding="utf-8",
     )
-    with np.errstate(all="ignore"):
-        code, _, err = run_cli(["train", "--config", str(cfg), "--out", str(tmp_path / "o")], capsys)
+    code, _, err = run_cli(["train", "--config", str(cfg), "--out", str(tmp_path / "o")], capsys)
     assert code == 3
     assert "diverged" in err
+
+
+# Each run reaches a non-finite value. Every command reports it through its
+# exit code, or records it as a divergent sweep cell, and prints no numpy
+# warning: pyproject's filterwarnings turns one into an error.
+NON_FINITE_RUNS = {
+    "train-class-scale": (["train"], "samples = 20\nepochs = 1\nclass_scale = 1e300\n", 3, None),
+    "train-eta": (["train"], "samples = 20\nepochs = 1\neta = 1e300\n", 3, None),
+    "growth-noise": (["growth", "--depth", "3", "--noise", "1e300"], None, 3, None),
+    "growth-sigma-down": (["growth", "--depth", "64", "--sigma-down", "0.999999"], None, 3, None),
+    "equilibrium-1-step": (["equilibrium", "--eta", "1e300", "--steps", "1"], None, 3, None),
+    "equilibrium-10-steps": (["equilibrium", "--eta", "1e300", "--steps", "10"], None, 3, None),
+    "emulate-check-alpha": (["emulate-check", "--alpha", "1e-300"], None, 3, None),
+    "sweep-divergent-cell": (
+        ["sweep", "--alpha-f-grid", "0.9,0.999", "--alpha-b-grid", "0.5,0.99", "--seed", "1"],
+        "samples = 200\nepochs = 1\nhidden = 8\nbatch_size = 16\n", 0, "0.999,0.5,inf,1",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, config, code, sweep_row", NON_FINITE_RUNS.values(), ids=NON_FINITE_RUNS)
+def test_non_finite_runs_exit_by_their_code_without_warnings(argv, config, code, sweep_row, tmp_path, capsys):
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config, encoding="utf-8")
+        argv = [*argv, "--config", str(tmp_path / "run.cfg")]
+    out = tmp_path / "o"
+    got, _, err = run_cli([*argv, "--out", str(out)], capsys)
+    assert got == code, err
+    if sweep_row is not None:
+        assert sweep_row in (out / "sweep.csv").read_text().splitlines()
 
 
 def test_growth_subcommand_writes_csv(tmp_path, capsys):
@@ -251,12 +280,11 @@ def test_sweep_with_every_cell_divergent_exits_zero(tmp_path, capsys):
         encoding="utf-8",
     )
     out = tmp_path / "s"
-    with np.errstate(all="ignore"):
-        code, stdout, _ = run_cli(
-            ["sweep", "--config", str(cfg), "--alpha-f-grid", "0.9,0.99",
-             "--alpha-b-grid", "0.5", "--out", str(out)],
-            capsys,
-        )
+    code, stdout, _ = run_cli(
+        ["sweep", "--config", str(cfg), "--alpha-f-grid", "0.9,0.99",
+         "--alpha-b-grid", "0.5", "--out", str(out)],
+        capsys,
+    )
     assert code == 0
     assert "no finite cell" in stdout
     with open(out / "sweep.csv", newline="") as fh:

@@ -342,6 +342,18 @@ def test_online_divergence_raises_divergence_error_with_records():
     assert not np.isfinite(records[-1].loss)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_non_finite_parameters_halt_after_their_record():
+    # One step at eta = 1e300 leaves finite parameters whose sum of squares
+    # overflows. The step's loss was computed before the step and is finite.
+    data = small_blobs(seed=2, samples=16)
+    cfg = TrainConfig(eta=1e300, batch_size=16, epochs=2, normalizer="online", hidden=8, seed=2)
+    with pytest.raises(DivergenceError, match="parameters or accumulators diverged at step 1") as err:
+        train(cfg, data)
+    (record,) = err.value.records
+    assert np.isfinite(record.loss) and record.weight_norm_l2 == np.inf
+
+
 def test_exact_population_normalizer_trains_full_batch():
     data = small_blobs(seed=4)
     cfg = TrainConfig(eta=0.5, momentum=0.9, l2=1e-4, epochs=40,

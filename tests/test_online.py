@@ -19,7 +19,7 @@ from onlinenorm.online import (
 )
 from onlinenorm import online
 from onlinenorm.selftest import (
-    accumulator_maxima, backward_gap, central_differences, forward_mean_gap, layer_scale_fd_error,
+    accumulator_maxima, backward_gap, central_differences, forward_mean_gap, layer_scale_fd_error, stream,
 )
 from onlinenorm.tensor import ShapeError, make_rng
 
@@ -33,14 +33,6 @@ def sample(values):
     """One sample as a (1, features, spatial) block; 1-D values mean spatial = 1."""
     a = np.asarray(values, dtype=np.float64)
     return a.reshape(1, a.shape[0], -1)
-
-
-def run_forward(state, xs):
-    ys = []
-    for x in xs:
-        y = forward_sample(state, scalar(x))
-        ys.append(y[0, 0, 0])
-    return np.array(ys)
 
 
 # ---------------------------------------------------------------- forward
@@ -60,21 +52,17 @@ def test_first_sample_after_reset():
 def test_mean_matches_decayed_sum_oracle(alpha):
     rng = make_rng(10)
     xs = rng.uniform(-2.0, 2.0, size=1000)
-    state = OnlineNormState(1, alpha_f=alpha, alpha_b=0.99)
-    for t, x in enumerate(xs):
-        forward_sample(state, scalar(x))
-        if t % 97 == 0 or t == xs.size - 1:
-            expect = (1 - alpha) * sum(alpha ** (t - j) * xs[j] for j in range(t + 1))
-            assert abs(state.mu[0] - expect) < 1e-9
+    mu = stream(xs, None, 1, alpha, 0.99)[3][:, 0, 0]
+    for t in [*range(0, xs.size, 97), xs.size - 1]:
+        expect = (1 - alpha) * sum(alpha ** (t - j) * xs[j] for j in range(t + 1))
+        assert abs(mu[t] - expect) < 1e-9
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.99, 0.999])
 def test_var_matches_unrolled_recurrence_oracle(alpha):
     rng = make_rng(11)
     xs = rng.uniform(-2.0, 2.0, size=400)
-    state = OnlineNormState(1, alpha_f=alpha, alpha_b=0.99)
-    for x in xs:
-        forward_sample(state, scalar(x))
+    var = stream(xs, None, 1, alpha, 0.99)[3][-1, 1, 0]
     t = xs.size - 1
 
     def mu_closed(j):
@@ -85,14 +73,13 @@ def test_var_matches_unrolled_recurrence_oracle(alpha):
     expect = alpha ** (t + 1) * 1.0 + alpha * (1 - alpha) * sum(
         alpha ** (t - j) * (xs[j] - mu_closed(j - 1)) ** 2 for j in range(t + 1)
     )
-    assert abs(state.var[0] - expect) < 1e-9
+    assert abs(var - expect) < 1e-9
 
 
 def test_asymptotic_variance_near_inverse_alpha():
     alpha = 0.999
     rng = make_rng(20)
-    state = OnlineNormState(1, alpha_f=alpha, alpha_b=0.99)
-    ys = run_forward(state, rng.normal(size=100_000))
+    ys = stream(rng.normal(size=100_000), None, 1, alpha, 0.99)[0]
     var = ys[50_000:].var()
     assert var == pytest.approx(1.0 / alpha, rel=0.03)
 
@@ -113,14 +100,11 @@ def test_measurements_report_nan_not_the_largest_finite_gap(monkeypatch):
 
 def test_accumulated_centered_output_bounded():
     alpha = 0.9
-    rng = make_rng(13)
-    state = OnlineNormState(1, alpha_f=alpha, alpha_b=0.99)
-    total = 0.0
-    bound = 1.0 / (1 - alpha)
-    for x in rng.uniform(-1.0, 1.0, size=20_000):
-        total += x - state.mu[0]
-        forward_sample(state, scalar(x))
-        assert abs(total) <= bound + 1e-9
+    xs = make_rng(13).uniform(-1.0, 1.0, size=20_000)
+    mu = stream(xs, None, 1, alpha, 0.99)[3][:, 0, 0]
+    # Sample t is centred on the mean before it, mu_{t-1}, and mu_{-1} = 0.
+    totals = np.cumsum(xs - np.concatenate(([0.0], mu[:-1])))
+    assert np.abs(totals).max() <= 1.0 / (1 - alpha) + 1e-9
 
 
 def test_forward_spatial_uses_feature_statistics():
@@ -352,11 +336,8 @@ def test_invalid_construction():
 
 
 def test_var_stays_nonnegative():
-    rng = make_rng(23)
-    state = OnlineNormState(3, alpha_f=0.5, alpha_b=0.5)
-    for _ in range(500):
-        forward_sample(state, sample(rng.normal(size=(3, 2))))
-        assert (state.var >= 0.0).all()
+    states = stream(make_rng(23).normal(size=(500, 3, 2)), None, 1, 0.5, 0.5)[3]
+    assert (states[:, 1] >= 0.0).all()
 
 
 def test_layer_scaling_of_an_empty_block():
