@@ -192,8 +192,15 @@ def _cmd_emulate_check(args) -> int:
     if args.steps < 1:
         raise ValueError(f"--steps must be >= 1, got {args.steps}")
     rng = make_rng(args.seed)
-    x, g = rng.uniform(-1.0, 1.0, size=(2, args.steps, 1, 1))
+    x, g = rng.uniform(-1.0, 1.0, size=(2, args.steps, 1))
     worst = selftest.group_deviation(x, g, args.n, args.alpha, args.alpha)
+    if not np.isfinite(worst):
+        # A value that is not finite in either run makes the deviation so.
+        run = selftest.stream(x, g, 1, args.alpha, args.alpha)
+        finite = np.logical_and.reduce([np.isfinite(a.reshape(args.steps, -1)).all(axis=1) for a in run])
+        bad = np.flatnonzero(~finite)
+        where = f"at sample {bad[0]} of the streamed run" if bad.size else f"in blocks of {args.n} only"
+        raise DivergenceError(f"emulate-check diverged {where}")
     print(f"max streaming/batched deviation over {args.steps} steps: {worst:.3e}")
     return 0 if worst <= 1e-10 else RUNTIME_EXIT
 

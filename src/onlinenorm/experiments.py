@@ -197,7 +197,8 @@ def activation_growth_experiment(
     Because downstream coefficients were fit to the clean network, errors
     compound through depth; RMS is recorded after normalization (and after
     the optional per-sample RMS rescaling), before ReLU. A layer whose RMS
-    is not finite raises DivergenceError naming the first such layer.
+    is 0 or not finite, where log(RMS) has no finite value, raises
+    DivergenceError naming the first such layer.
     """
     # Each check is written so that NaN fails it. A slope needs two layers.
     if depth < 2:
@@ -231,11 +232,11 @@ def activation_growth_experiment(
                 sigmas.append(sigma)
             y = (a - mu) / np.maximum(sigma, SIGMA_FLOOR)
             if layer_scaling:
-                y = layer_scale_forward(y[:, :, None])[0][:, :, 0]
+                y = layer_scale_forward(y)[0]
             if perturbed:
                 rms[i] = np.sqrt((y * y).mean())
             h = relu(y)
-    bad = np.flatnonzero(~np.isfinite(rms))
+    bad = np.flatnonzero(~((0.0 < rms) & (rms < math.inf)))
     if bad.size:
         raise DivergenceError(f"activation RMS diverged at layer {bad[0]}: {rms[bad[0]]}")
     return GrowthProfile(rms)
@@ -298,14 +299,14 @@ def equilibrium_experiment(eta: float, l2: float, steps: int, seed: int) -> Equi
     rec_steps, rec_wnorm, rec_gnorm = [], [], []
     # One-sample blocks rewritten every step; the layer keeps neither of them.
     # y' = -s for the supervision sign s drawn as an index into (-1, 1).
-    a, y_grad, signs = np.empty((1, 1, 1)), np.empty((1, 1, 1)), (1.0, -1.0)
+    a, y_grad, signs = np.empty((1, 1)), np.empty((1, 1)), (1.0, -1.0)
     for t in range(steps):
         u = rng.normal(size=_EQ_DIM)
-        a[0, 0, 0] = np.dot(w, u)
+        a[0, 0] = np.dot(w, u)
         forward_sample(state, a)
         state.pending[1][0, 0] = max(math.sqrt(ms), SIGMA_FLOOR)
-        y_grad[0, 0, 0] = signs[rng.integers(0, 2)]
-        x_grad = float(backward_sample(state, y_grad)[0, 0, 0])
+        y_grad[0, 0] = signs[rng.integers(0, 2)]
+        x_grad = float(backward_sample(state, y_grad)[0, 0])
         ms = ab * ms + cb * (x_grad * x_grad)
         g = x_grad * u
         gnorm = math.sqrt(g.dot(g))

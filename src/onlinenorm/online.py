@@ -30,22 +30,25 @@ backward consumes it. That sigma is the divisor of the first stage's
 output; a caller may replace it in between, as the equilibrium experiment
 does with the running RMS of the produced gradient.
 
-Every function takes a float64 block of shape (n, features, spatial): n
-consecutive samples, n = 1 being the streaming step. Rearranged, each
+Every function takes a float64 block of n consecutive samples, n = 1
+being the streaming step: (n, features) from a fully connected layer,
+whose spatial size S is 1, or (n, features, spatial). Rearranged, each
 recurrence is first-order linear, h_t = a_t h_{t-1} + b_t: mu and var with
 a = a_f (var once mu is known), eps_y with a_t = 1 - (1 - a_b) mean(y_t^2)
 and b_t = mean(y'_t y_t), and eps_1 with a = a_b and
 b_t = mean(xt_t) / sigma_{t-1}. A block of n >= 2 runs each one as a
-log-depth scan over the block, vectorized across features, and is equal
-to n single-sample calls to within rounding (<= 1e-10 relative). A block
-of n = 1 takes one step in the order written above, on its
-(features, spatial) sample. At spatial size S = 1 that step uses two
-exact identities: the mean of one value is that value (x / 1 == x), so
-x_t - mu_{t-1} is mean(x_t) - mu_{t-1}; and the in-sample variance is 0,
-so a_f * var + (1 - a_f) * 0 == a_f * var. Such a sample takes no
-reduction, no square and no x - mean. (Where a length-1 reduction would
-turn -0.0 into +0.0, that mean is only squared or added to running sums
-that start at +0.0, so the bits agree.)
+log-depth scan over the block (recursive doubling, as in Hillis & Steele
+1986 and Blelloch 1990), vectorized across features, and is equal to n
+single-sample calls to within rounding (<= 1e-10 relative). A block of
+n = 1 takes one step in the order written above. An (n, features) block,
+at every n, uses two exact identities of S = 1: the mean of one value is
+that value (x / 1 == x), so x_t - mu_{t-1} is mean(x_t) - mu_{t-1}; and
+the in-sample variance is 0, so its term (1 - a_f) * 0 drops out of var.
+It takes no spatial reduction, no in-sample variance and no broadcast over
+a spatial axis, and gives the bits of the same block shaped
+(n, features, 1), which takes the general arithmetic. (Where a length-1
+reduction would turn -0.0 into +0.0, that mean is only squared or added
+to running sums that start at +0.0, so the bits agree.)
 Training may run a whole block forward before its backward because the
 forward statistics never read the backward accumulators, and the weights
 feeding the layer change only between blocks. Values are not checked for
@@ -54,11 +57,12 @@ finiteness.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
 
-from .tensor import SIGMA_FLOOR, ShapeError, as_block, spatial_mean
+from .tensor import SIGMA_FLOOR, ShapeError, feature_axes, per_feature, spatial_mean
 
 
 class InterleaveError(RuntimeError):
@@ -100,9 +104,14 @@ class OnlineNormState:
 
 def _block(x, features: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3 or x.shape[1] != features:
-        raise ShapeError(f"expected an (n, {features}, spatial) block, got shape {x.shape}")
+    if x.ndim not in (2, 3) or x.shape[1] != features:
+        raise ShapeError(f"expected an (n, {features}) or (n, {features}, spatial) block, got shape {x.shape}")
     return x
+
+
+def _per_sample(v: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """An (n,) array shaped to broadcast over each sample of the block."""
+    return v[:, None] if block.ndim == 2 else v[:, None, None]
 
 
 def _scan(a, b: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -116,7 +125,7 @@ def _scan(a, b: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     if not len(b):
         return b, h.copy()
-    scalar = np.ndim(a) == 0
+    scalar = not isinstance(a, np.ndarray)
     b[0] += (a if scalar else a[0]) * h
     if not scalar:
         a = a.copy()
@@ -127,7 +136,8 @@ def _scan(a, b: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             a = a * a
         else:
             b[d:] += a[d:] * b[:-d]
-            a[d:] *= a[:-d]
+            if 2 * d < n:  # the last step's products would go unread
+                a[d:] *= a[:-d]
         d *= 2
     return np.concatenate((h[None], b[:-1])), b[-1].copy()
 
@@ -136,25 +146,29 @@ def forward_sample(state: OnlineNormState, x: np.ndarray) -> np.ndarray:
     """Normalize each sample of a block with the running statistics, then advance them."""
     x = _block(x, state.features)
     af, cf = state.alpha_f, 1.0 - state.alpha_f
+    flat = x.ndim == 2
     if len(x) == 1:
-        x0, s = x[0], x.shape[2]
-        mx = x0[:, 0] if s == 1 else spatial_mean(x0)
+        x0 = x[0]
+        mx = x0 if flat else spatial_mean(x0)
         mu, var = state.mu, state.var
         state.mu = af * mu + cf * mx
         delta = mx - mu
-        decayed = af * var if s == 1 else af * var + cf * spatial_mean(np.square(x0 - mx[:, None]))
+        decayed = af * var if flat else af * var + cf * spatial_mean(np.square(x0 - mx[:, None]))
         state.var = decayed + af * cf * delta * delta
         sigma = np.maximum(np.sqrt(var), SIGMA_FLOOR)
-        y = (delta / sigma)[None, :, None] if s == 1 else ((x0 - mu[:, None]) / sigma[:, None])[None]
+        y = (delta / sigma)[None] if flat else ((x0 - mu[:, None]) / sigma[:, None])[None]
         sigma_used = sigma[None]
     else:
-        mx = spatial_mean(x)
-        d = x - mx[:, :, None]
+        mx = x if flat else spatial_mean(x)
         mu, state.mu = _scan(af, cf * mx, state.mu)
         delta = mx - mu
-        var, state.var = _scan(af, cf * spatial_mean(d * d) + af * cf * delta * delta, state.var)
+        spread = af * cf * delta * delta
+        if not flat:
+            d = x - mx[:, :, None]
+            spread = cf * spatial_mean(d * d) + spread
+        var, state.var = _scan(af, spread, state.var)
         sigma_used = np.maximum(np.sqrt(var), SIGMA_FLOOR)
-        y = (x - mu[:, :, None]) / sigma_used[:, :, None]
+        y = delta / sigma_used if flat else (x - mu[:, :, None]) / sigma_used[:, :, None]
     state.pending = (y, sigma_used)
     return y
 
@@ -163,7 +177,7 @@ def forward_inference(state: OnlineNormState, x: np.ndarray) -> np.ndarray:
     """Normalize a block with the current statistics without advancing the state."""
     x = _block(x, state.features)
     sigma = np.maximum(np.sqrt(state.var), SIGMA_FLOOR)
-    return (x - state.mu[:, None]) / sigma[:, None]
+    return (x - per_feature(state.mu, x)) / per_feature(sigma, x)
 
 
 def layer_scale_forward(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -173,9 +187,9 @@ def layer_scale_forward(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     which layer_scale_backward takes back. A one-sample block divides by
     its zeta as a scalar.
     """
-    n, f, s = y.shape
-    zeta = np.sqrt(np.add.reduce((y * y).reshape(n, f * s), axis=1) / (f * s))
-    z = y / (max(zeta[0], SIGMA_FLOOR) if n == 1 else np.maximum(zeta, SIGMA_FLOOR)[:, None, None])
+    n, m = len(y), math.prod(y.shape[1:])
+    zeta = np.sqrt(np.add.reduce((y * y).reshape(n, m), axis=1) / m)
+    z = y / (max(zeta[0], SIGMA_FLOOR) if n == 1 else _per_sample(np.maximum(zeta, SIGMA_FLOOR), y))
     return z, zeta
 
 
@@ -188,15 +202,15 @@ def layer_scale_backward(z_grad: np.ndarray, z: np.ndarray, zeta: np.ndarray) ->
     """
     if z_grad.shape != z.shape:
         raise ShapeError(f"gradient shape {z_grad.shape} vs output {z.shape}")
-    n, f, s = z.shape
-    coupling = np.add.reduce((z * z_grad).reshape(n, f * s), axis=1)
+    n, m = len(z), math.prod(z.shape[1:])
+    coupling = np.add.reduce((z * z_grad).reshape(n, m), axis=1)
     if n == 1:
         zeta = zeta[0]
-        return z_grad / SIGMA_FLOOR if zeta < SIGMA_FLOOR else (z_grad - z * (coupling[0] / (f * s))) / zeta
+        return z_grad / SIGMA_FLOOR if zeta < SIGMA_FLOOR else (z_grad - z * (coupling[0] / m)) / zeta
     scaled = zeta >= SIGMA_FLOOR
-    coupling = np.where(scaled, coupling / (f * s), 0.0)
+    coupling = np.where(scaled, coupling / m, 0.0)
     divisor = np.where(scaled, zeta, SIGMA_FLOOR)
-    return (z_grad - z * coupling[:, None, None]) / divisor[:, None, None]
+    return (z_grad - z * _per_sample(coupling, z)) / _per_sample(divisor, z)
 
 
 def backward_sample(state: OnlineNormState, y_grad: np.ndarray) -> np.ndarray:
@@ -212,14 +226,22 @@ def backward_sample(state: OnlineNormState, y_grad: np.ndarray) -> np.ndarray:
         raise ShapeError(f"gradient shape {y_grad.shape} vs output {y.shape}")
 
     ab, cb = state.alpha_b, 1.0 - state.alpha_b
+    flat = y.ndim == 2
     if len(y) == 1:
-        y0, s = y[0], y.shape[2]
-        xt = y_grad[0] - cb * state.eps_y[:, None] * y0
+        y0 = y[0]
+        eps_y, eps_1 = (state.eps_y, state.eps_1) if flat else (state.eps_y[:, None], state.eps_1[:, None])
+        xt = y_grad[0] - cb * eps_y * y0
         p = xt * y0
-        state.eps_y = state.eps_y + (p[:, 0] if s == 1 else spatial_mean(p))
-        xg = xt / sigma_used.T - cb * state.eps_1[:, None]
-        state.eps_1 = state.eps_1 + (xg[:, 0] if s == 1 else spatial_mean(xg))
+        state.eps_y = state.eps_y + (p if flat else spatial_mean(p))
+        xg = xt / (sigma_used[0] if flat else sigma_used.T) - cb * eps_1
+        state.eps_1 = state.eps_1 + (xg if flat else spatial_mean(xg))
         xg = xg[None]
+    elif flat:
+        eps_y, state.eps_y = _scan(1.0 - cb * (y * y), y_grad * y, state.eps_y)
+        xs = (y_grad - cb * eps_y * y) / sigma_used
+        # _scan overwrites its b, and xs is still needed.
+        eps_1, state.eps_1 = _scan(ab, xs.copy(), state.eps_1)
+        xg = xs - cb * eps_1
     else:
         eps_y, state.eps_y = _scan(1.0 - cb * spatial_mean(y * y), spatial_mean(y_grad * y), state.eps_y)
         xs = (y_grad - cb * eps_y[:, :, None] * y) / sigma_used[:, :, None]
@@ -272,9 +294,10 @@ class OnlineNorm:
     """Composed streaming normalizer: normalization, a per-feature gain and
     bias, then layer scaling.
 
-    Takes (n, features) or (n, features, spatial) blocks, like BatchNorm and
-    LayerNorm, and holds its gain and bias with their gradient buffers the
-    way DenseLayer holds w and b; the model's optimizer holds the momentum.
+    Takes (n, features) or (n, features, spatial) blocks, like BatchNorm,
+    and returns blocks of the same shape. It holds its gain and bias with
+    their gradient buffers the way DenseLayer holds w and b; the model's
+    optimizer holds the momentum.
     A training pass runs the n samples through the stream in order; provided
     the parameters change only between blocks, it equals n single-sample
     passes to within rounding (<= 1e-10 relative), exactly at n = 1. A single
@@ -295,27 +318,20 @@ class OnlineNorm:
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
         """Training advances the statistics; evaluation freezes them and keeps no record."""
-        xb, squeeze = as_block(x)
-        if training:
-            y = forward_sample(self.state, xb)
-        else:
-            y = forward_inference(self.state, xb)
-        # (1, features, 1) views have a one-sample block's shape, so at n = 1
-        # numpy multiplies element by element with no broadcast.
-        z, zeta = layer_scale_forward(self.gain[None, :, None] * y + self.bias[None, :, None])
+        y = forward_sample(self.state, x) if training else forward_inference(self.state, x)
+        z, zeta = layer_scale_forward(per_feature(self.gain, y) * y + per_feature(self.bias, y))
         if training:
             self._scaled = (z, zeta)
-        return z[:, :, 0] if squeeze else z
+        return z
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._scaled is None:
             raise InterleaveError("backward before any forward")
-        grad, squeeze = as_block(grad)
-        grad = layer_scale_backward(grad, *self._scaled)
+        grad = layer_scale_backward(np.asarray(grad, dtype=np.float64), *self._scaled)
         pending = self.state.pending
-        out = backward_sample(self.state, self.gain[None, :, None] * grad)
+        out = backward_sample(self.state, per_feature(self.gain, grad) * grad)
         # Accumulated only once backward_sample has consumed the pending
         # record, so a refused backward leaves the gradients as they were.
-        self.d_gain += np.add.reduce(grad * pending[0], axis=(0, 2))
-        self.d_bias += np.add.reduce(grad, axis=(0, 2))
-        return out[:, :, 0] if squeeze else out
+        self.d_gain += np.add.reduce(grad * pending[0], axis=feature_axes(grad))
+        self.d_bias += np.add.reduce(grad, axis=feature_axes(grad))
+        return out

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import SIGMA_FLOOR, ShapeError, as_block
+from .tensor import SIGMA_FLOOR, ShapeError, feature_axes, per_feature
 
 # Decay of BatchNorm's running inference statistics.
 _STATS_DECAY = 0.99
@@ -29,14 +29,21 @@ class DegenerateBatchError(ValueError):
     """Population standard deviation fell below the divisor floor."""
 
 
+def _mean(v: np.ndarray, axes) -> np.ndarray:
+    """v.mean(axis=axes, keepdims=True): the same sum and division, without
+    its per-call overhead."""
+    total = np.add.reduce(v, axis=axes, keepdims=True)
+    return total / (v.size // total.size)
+
+
 def _normalize(x: np.ndarray, axes):
     """Normalize x over axes: (y, mu, var, sigma) with keepdims, mu the
     effective mean and sigma = sqrt(var) floored at SIGMA_FLOOR."""
-    mu = x.mean(axis=axes, keepdims=True)
+    mu = _mean(x, axes)
     d = x - mu
-    r = d.mean(axis=axes, keepdims=True)
+    r = _mean(d, axes)
     d = d - r
-    var = (d * d).mean(axis=axes, keepdims=True)
+    var = _mean(d * d, axes)
     sigma = np.maximum(np.sqrt(var), SIGMA_FLOOR)
     return d / sigma, mu + r, var, sigma
 
@@ -46,10 +53,9 @@ def _normalize_backward(g: np.ndarray, y: np.ndarray, sigma, axes) -> np.ndarray
     then removal of its y component as a sum divided by the count."""
     if g.shape != y.shape:
         raise ShapeError(f"gradient shape {g.shape} vs output {y.shape}")
-    w = g - g.mean(axis=axes, keepdims=True)
-    w = w - w.mean(axis=axes, keepdims=True)
-    coupling = (w * y).sum(axis=axes, keepdims=True)
-    return (w - coupling / (y.size // coupling.size) * y) / sigma
+    w = g - _mean(g, axes)
+    w = w - _mean(w, axes)
+    return (w - _mean(w * y, axes) * y) / sigma
 
 
 def exact_normalize(values) -> tuple[np.ndarray, float, float]:
@@ -83,8 +89,9 @@ def jacobian_dense(values) -> np.ndarray:
 class BatchNorm:
     """Per-feature exact normalization over the batch (and spatial) dimension.
 
-    Training keeps running inference statistics by exponential average and
-    rejects one-sample batches, where a fully connected feature has no variance.
+    Takes (n, features) or (n, features, spatial) batches. Training keeps
+    running inference statistics by exponential average and rejects
+    one-sample batches, where a fully connected feature has no variance.
     """
 
     def __init__(self, features: int):
@@ -94,31 +101,31 @@ class BatchNorm:
         self._cache = None
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        xb, squeeze = as_block(x)
-        if xb.shape[1] != self.features:
-            raise ShapeError(f"batch has {xb.shape[1]} features, layer has {self.features}")
-        if training:
-            if xb.shape[0] < 2:
-                raise ShapeError("batch normalization needs batch size >= 2")
-            y, mu, var, sigma = _normalize(xb, (0, 2))
-            a = _STATS_DECAY
-            self.running_mu = a * self.running_mu + (1.0 - a) * mu.reshape(-1)
-            self.running_var = a * self.running_var + (1.0 - a) * var.reshape(-1)
-            self._cache = (y, sigma)
-        else:
-            y = self._inference(xb)
-        return y[:, :, 0] if squeeze else y
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim not in (2, 3):
+            raise ShapeError(f"expected 2-D or 3-D batch, got {x.ndim}-D")
+        if x.shape[1] != self.features:
+            raise ShapeError(f"batch has {x.shape[1]} features, layer has {self.features}")
+        if not training:
+            return self._inference(x)
+        if x.shape[0] < 2:
+            raise ShapeError("batch normalization needs batch size >= 2")
+        y, mu, var, sigma = _normalize(x, feature_axes(x))
+        a = _STATS_DECAY
+        self.running_mu = a * self.running_mu + (1.0 - a) * mu.reshape(-1)
+        self.running_var = a * self.running_var + (1.0 - a) * var.reshape(-1)
+        self._cache = (y, sigma)
+        return y
 
-    def _inference(self, xb: np.ndarray) -> np.ndarray:
+    def _inference(self, x: np.ndarray) -> np.ndarray:
         sigma = np.maximum(np.sqrt(self.running_var), SIGMA_FLOOR)
-        return (xb - self.running_mu[None, :, None]) / sigma[None, :, None]
+        return (x - per_feature(self.running_mu, x)) / per_feature(sigma, x)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward before training-mode forward")
-        gb, squeeze = as_block(grad)
-        out = _normalize_backward(gb, *self._cache, (0, 2))
-        return out[:, :, 0] if squeeze else out
+        y, sigma = self._cache
+        return _normalize_backward(np.asarray(grad, dtype=np.float64), y, sigma, feature_axes(y))
 
 
 class PopulationNorm(BatchNorm):
@@ -126,8 +133,8 @@ class PopulationNorm(BatchNorm):
     the whole population; evaluation normalizes the presented population over
     the same axes with its own statistics instead of running ones."""
 
-    def _inference(self, xb: np.ndarray) -> np.ndarray:
-        return _normalize(xb, (0, 2))[0]
+    def _inference(self, x: np.ndarray) -> np.ndarray:
+        return _normalize(x, feature_axes(x))[0]
 
 
 class LayerNorm:

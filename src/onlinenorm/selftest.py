@@ -40,16 +40,17 @@ def central_differences(loss, v: np.ndarray, h: float) -> np.ndarray:
 def stream(x, g, block: int, alpha_f: float, alpha_b: float):
     """Run the kernel forward, then backward, over consecutive blocks of `block` samples.
 
-    x and g are (n, features, spatial) inputs and output gradients, or 1-D
-    streams of n one-feature samples; g = None runs forwards only. Returns
-    copies of the per-sample y, x' (None without g) and (n, features) sigma
-    each sample was divided by, and the (blocks, 4, features) rows of mu,
-    var, eps_y and eps_1 after each block. The last block may be short.
+    x and g are (n, features) or (n, features, spatial) inputs and output
+    gradients, or 1-D streams of n one-feature samples; g = None runs
+    forwards only. Returns copies of the per-sample y, x' (None without g)
+    and (n, features) sigma each sample was divided by, and the
+    (blocks, 4, features) rows of mu, var, eps_y and eps_1 after each
+    block. The last block may be short.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
-        x = x.reshape(-1, 1, 1)
-        g = None if g is None else np.asarray(g, dtype=np.float64).reshape(-1, 1, 1)
+        x = x.reshape(-1, 1)
+        g = None if g is None else np.asarray(g, dtype=np.float64).reshape(-1, 1)
     state = online.OnlineNormState(x.shape[1], alpha_f, alpha_b)
     starts = range(0, len(x), block)
     y, sigma = np.empty(x.shape), np.empty(x.shape[:2])
@@ -88,7 +89,7 @@ def backward_gap(pairs, alpha_b: float) -> float:
     """
     y, _, _, states = stream(pairs[:, 0], pairs[:, 1], 1, 0.99, alpha_b)
     gaps, mu_y = np.empty(len(pairs)), 0.0
-    for t, (yv, gv) in enumerate(zip(y[:, 0, 0], pairs[:, 1])):
+    for t, (yv, gv) in enumerate(zip(y[:, 0], pairs[:, 1])):
         mu_y = (1.0 - (1.0 - alpha_b) * yv * yv) * mu_y + (1.0 - alpha_b) * gv * yv
         gaps[t] = abs(mu_y - (1.0 - alpha_b) * states[t, 2, 0])
     return float(gaps.max())
@@ -107,11 +108,12 @@ def accumulator_maxima(pairs) -> tuple[float, float]:
 def group_deviation(x, g, block: int, alpha_f: float, alpha_b: float) -> float:
     """Largest gap between the kernel run on blocks and run one sample at a time.
 
-    x and g are (n, features, spatial) inputs and output gradients. The
-    grouped run streams blocks of `block` samples, the streamed run blocks
-    of one. The gap covers y, x', the sigma each sample was divided by and
-    every final state array, each relative to max(1, the largest |value| of
-    the streamed run); it is exactly 0 when every value agrees bit for bit.
+    x and g are (n, features) or (n, features, spatial) inputs and output
+    gradients. The grouped run streams blocks of `block` samples, the
+    streamed run blocks of one. The gap covers y, x', the sigma each sample
+    was divided by and every final state array, each relative to max(1, the
+    largest |value| of the streamed run); it is exactly 0 when every value
+    agrees bit for bit.
     """
     runs = [stream(x, g, size, alpha_f, alpha_b) for size in (block, 1)]
     grouped, streamed = ([*run[:3], *run[3][-1]] for run in runs)
@@ -173,8 +175,8 @@ def layer_scale_fd_error(seed: int, trials: int) -> float:
         n = int(rng.integers(3, 12))
         y = rng.normal(size=n) * rng.uniform(0.5, 3.0)
         loss_w = rng.normal(size=n)
-        z, zeta = online.layer_scale_forward(y.reshape(1, n, 1))
-        got = online.layer_scale_backward(loss_w.reshape(1, n, 1), z, zeta).ravel()
+        z, zeta = online.layer_scale_forward(y[None])
+        got = online.layer_scale_backward(loss_w[None], z, zeta)[0]
         fd = central_differences(
             lambda v: float(np.dot(loss_w, v / np.sqrt((v * v).mean()))), y, 1e-6
         )

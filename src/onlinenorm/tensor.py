@@ -1,9 +1,11 @@
 """Dense-array substrate shared by every other module.
 
 Everything is float64: the verification tolerances sit near 1e-10, which
-float32 cannot hold. Activations travel as blocks of shape (n, features)
-or (n, features, spatial): n samples, each a feature-major map; fully
-connected layers use spatial = 1. FeatureMap holds one validated sample.
+float32 cannot hold. Activations travel as blocks of n samples: (n,
+features) for fully connected layers, whose spatial size is 1, and (n,
+features, spatial) for feature maps. A fully connected block stays 2-D
+through every normalizer; none adds a length-1 spatial axis. FeatureMap
+holds one validated sample.
 """
 
 from __future__ import annotations
@@ -63,17 +65,15 @@ def spatial_mean(v: np.ndarray) -> np.ndarray:
     return np.add.reduce(v, axis=-1) / v.shape[-1]
 
 
-def as_block(x) -> tuple[np.ndarray, bool]:
-    """Coerce (n, features) or (n, features, spatial) to a 3-D float64 block.
+def feature_axes(block: np.ndarray):
+    """Axes that hold each feature's values in an (n, features) or
+    (n, features, spatial) block: 0, or (0, 2)."""
+    return 0 if block.ndim == 2 else (0, 2)
 
-    The flag says whether the input was 2-D, so callers can squeeze back.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 2:
-        return x[:, :, None], True
-    if x.ndim == 3:
-        return x, False
-    raise ShapeError(f"expected 2-D or 3-D batch, got {x.ndim}-D")
+
+def per_feature(v: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """A (features,) array shaped to broadcast over the block's samples."""
+    return v if block.ndim == 2 else v[:, None]
 
 
 def relu(x: np.ndarray) -> np.ndarray:

@@ -71,6 +71,21 @@ def test_emulate_check_deviation_above_tolerance_exits_three(monkeypatch, capsys
     assert "deviation over 64 steps: 2.000e-10" in out
 
 
+def test_emulate_check_reports_a_diverged_stream_as_divergence(capsys):
+    # At alpha = 1e-300 both runs leave the finite range, the streamed one
+    # (eps_y) from sample 34 at seed 0: no deviation figure is printed.
+    code, out, err = run_cli(["emulate-check", "--alpha", "1e-300", "--seed", "0"], capsys)
+    assert code == 3 and out == ""
+    assert "diverged at sample 34 of the streamed run" in err
+
+
+def test_emulate_check_names_a_divergence_of_the_grouped_run_alone(monkeypatch, capsys):
+    monkeypatch.setattr(selftest, "group_deviation", lambda x, g, block, alpha_f, alpha_b: float("nan"))
+    code, out, err = run_cli(["emulate-check", "--n", "4", "--steps", "64"], capsys)
+    assert code == 3 and out == ""
+    assert "diverged in blocks of 4 only" in err
+
+
 @pytest.mark.parametrize("n, steps", [(200, 128), (3, 10)])
 def test_emulate_check_runs_steps_that_are_not_a_multiple_of_n(n, steps, capsys):
     # The last block may be short; a group size above --steps gives one block.
@@ -202,6 +217,7 @@ NON_FINITE_RUNS = {
     "train-eta": (["train"], "samples = 20\nepochs = 1\neta = 1e300\n", 3, None),
     "growth-noise": (["growth", "--depth", "3", "--noise", "1e300"], None, 3, None),
     "growth-sigma-down": (["growth", "--depth", "64", "--sigma-down", "0.999999"], None, 3, None),
+    "growth-zero-rms": (["growth", "--depth", "3", "--width", "1", "--noise", "200", "--seed", "0"], None, 3, None),
     "equilibrium-1-step": (["equilibrium", "--eta", "1e300", "--steps", "1"], None, 3, None),
     "equilibrium-10-steps": (["equilibrium", "--eta", "1e300", "--steps", "10"], None, 3, None),
     "emulate-check-alpha": (["emulate-check", "--alpha", "1e-300"], None, 3, None),

@@ -159,7 +159,7 @@ def test_output_rms_rescaling_mode(monkeypatch):
 
     def recording_backward(state, y_grad):
         x_grad = backward_sample(state, y_grad)
-        mags.append(x_grad[0, 0, 0] ** 2)
+        mags.append(x_grad[0, 0] ** 2)
         return x_grad
 
     monkeypatch.setattr(experiments, "backward_sample", recording_backward)

@@ -123,8 +123,10 @@ def test_forward_errors():
     state = OnlineNormState(2)
     with pytest.raises(ShapeError):
         forward_sample(state, sample([1.0, 2.0, 3.0]))
-    with pytest.raises(ShapeError):
-        forward_sample(state, np.zeros((1, 2)))  # a block must be 3-D
+    # A block is (n, features) or (n, features, spatial).
+    for shape in ((2,), (1, 2, 1, 1)):
+        with pytest.raises(ShapeError):
+            forward_sample(state, np.zeros(shape))
 
 
 # ---------------------------------------------------------- layer scaling

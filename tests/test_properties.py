@@ -4,8 +4,10 @@ state keeps its invariants over random shapes and decays, the conv layer
 matches its einsum formulas, the gradient-bias network's grouped pass
 matches one call per batch, the parameter store steps like one update
 per array, a one-sample OnlineNorm step gives the bits of the general
-per-sample arithmetic, and train() records at the steps its schedule names,
-each with the mean loss of its interval."""
+per-sample arithmetic, a fully connected (n, F) block gives the bits of the
+same block as (n, F, 1) in OnlineNorm, BatchNorm and LayerNorm and takes no
+spatial path, and train() records at the steps its schedule names, each
+with the mean loss of its interval."""
 
 import copy
 
@@ -15,6 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from onlinenorm import net as net_module
+from onlinenorm import online, tensor
 from onlinenorm.datasets import DatasetSpec, generate_dataset
 from onlinenorm.experiments import _CLASSES, _SIDE, _BiasNet, _interleave
 from onlinenorm.net import (
@@ -38,6 +41,7 @@ from onlinenorm.online import (
     layer_scale_forward,
     _scan,
 )
+from onlinenorm.reference import BatchNorm, LayerNorm, _normalize, _normalize_backward
 from onlinenorm.selftest import group_deviation
 from onlinenorm.tensor import SIGMA_FLOOR, make_rng, spatial_mean
 
@@ -250,6 +254,86 @@ def test_one_sample_step_matches_the_general_arithmetic(features, spatial, alpha
             assert np.array_equal(getattr(layer.state, name), ref[name]), name
         assert np.array_equal(layer.d_gain, ref["d_gain"])
         assert np.array_equal(layer.d_bias, ref["d_bias"])
+
+
+def spatial(a):
+    """An (n, F) block as the (n, F, 1) block of a feature map of one position."""
+    return a[:, :, None]
+
+
+@settings(max_examples=60)
+@given(
+    blocks=st.lists(st.integers(2, 64), min_size=1, max_size=3),
+    features=st.integers(1, 32),
+    alpha_f=decays,
+    alpha_b=decays,
+    seed=seeds,
+)
+def test_fully_connected_block_matches_the_general_arithmetic(blocks, features, alpha_f, alpha_b, seed):
+    # An (n, F) block takes the S = 1 identities (mean(x) = x, in-sample
+    # variance 0); the same block as (n, F, 1) takes the spatial means, the
+    # in-sample variance and the broadcasts over the spatial axis.
+    rng = make_rng(seed)
+    flat, general = (OnlineNormState(features, alpha_f=alpha_f, alpha_b=alpha_b) for _ in range(2))
+    layer, layer3 = (OnlineNorm(features, alpha_f=alpha_f, alpha_b=alpha_b) for _ in range(2))
+    gain, bias = rng.normal(size=(2, features))
+    for each in (layer, layer3):
+        each.gain[:], each.bias[:] = gain, bias
+    for n in blocks:
+        x, g = rng.normal(3.0, 2.0, size=(n, features)), rng.normal(size=(n, features))
+        assert np.array_equal(forward_sample(flat, x), forward_sample(general, spatial(x))[:, :, 0])
+        assert np.array_equal(flat.pending[1], general.pending[1])  # sigma
+        assert np.array_equal(backward_sample(flat, g), backward_sample(general, spatial(g))[:, :, 0])
+        for name in STATE_ARRAYS:
+            assert np.array_equal(getattr(flat, name), getattr(general, name)), name
+        assert np.array_equal(layer.forward(x), layer3.forward(spatial(x))[:, :, 0])
+        assert np.array_equal(layer.backward(g), layer3.backward(spatial(g))[:, :, 0])
+        assert np.array_equal(layer.d_gain, layer3.d_gain)
+        assert np.array_equal(layer.d_bias, layer3.d_bias)
+
+
+@settings(max_examples=40)
+@given(
+    blocks=st.lists(st.integers(2, 64), min_size=1, max_size=3),
+    features=st.integers(2, 32),
+    seed=seeds,
+)
+def test_fully_connected_batch_and_layer_norm_match_the_general_arithmetic(blocks, features, seed):
+    # BatchNorm reduces an (n, F) block over axis 0 and an (n, F, 1) block
+    # over axes (0, 2). LayerNorm takes (n, F) only; its general arithmetic
+    # is the exact normalization over a sample's (features, spatial) axes.
+    rng = make_rng(seed)
+    bn, bn3, ln = BatchNorm(features), BatchNorm(features), LayerNorm(features)
+    for n in blocks:
+        x, g = rng.normal(3.0, 2.0, size=(n, features)), rng.normal(size=(n, features))
+        assert np.array_equal(bn.forward(x), bn3.forward(spatial(x))[:, :, 0])
+        assert np.array_equal(bn.backward(g), bn3.backward(spatial(g))[:, :, 0])
+        assert np.array_equal(bn.running_mu, bn3.running_mu)
+        assert np.array_equal(bn.running_var, bn3.running_var)
+        assert np.array_equal(bn.forward(x, training=False), bn3.forward(spatial(x), training=False)[:, :, 0])
+        y3, _, _, sigma3 = _normalize(spatial(x), (1, 2))
+        assert np.array_equal(ln.forward(x), y3[:, :, 0])
+        assert np.array_equal(ln.backward(g), _normalize_backward(spatial(g), y3, sigma3, (1, 2))[:, :, 0])
+
+
+def test_fully_connected_blocks_take_no_spatial_path(monkeypatch):
+    # A fully connected block stays 2-D through every normalizer: no
+    # spatial mean is taken, and no record kept for the backward has a third axis.
+    def refuse(v):
+        raise AssertionError("a fully connected block took a spatial mean")
+
+    for module in (tensor, online):
+        monkeypatch.setattr(module, "spatial_mean", refuse)
+    rng = make_rng(31)
+    for n in (1, 2, 32):
+        x, g = rng.normal(size=(2, n, 6))
+        layers = [OnlineNorm(6), LayerNorm(6)] + ([BatchNorm(6)] if n > 1 else [])
+        for layer in layers:
+            assert layer.forward(x).shape == (n, 6)
+            records = (*layer.state.pending, *layer._scaled) if isinstance(layer, OnlineNorm) else layer._cache
+            assert all(np.ndim(r) <= 2 for r in records), type(layer).__name__
+            assert layer.backward(g).shape == (n, 6)
+            assert layer.forward(x, training=False).shape == (n, 6)
 
 
 @settings(max_examples=20)
