@@ -97,22 +97,20 @@ class _BiasNet:
         self.params = Params([self.conv, self.dense])
 
     def gradient(self, x: np.ndarray, labels: np.ndarray, groups: int = 1) -> np.ndarray:
-        """Sum over the interleaved batches of each one's mean-loss parameter gradient."""
+        """Sum over the interleaved batches of each one's mean-loss parameter
+        gradient. Each full-size intermediate is freed after its last read."""
         n = x.shape[0]
         b = n // groups
-        images = x.reshape(n, 1, _SIDE, _SIDE)
-        a = self.conv.forward(images)
         norm = BatchNorm(groups * _CHANNELS)
-        spatial = a.shape[2] * a.shape[3]
-        an = norm.forward(a.reshape(b, groups * _CHANNELS, spatial), training=True)
-        h = relu(an)
-        logits = self.dense.forward(h.reshape(n, self.flat))
+        a = self.conv.forward(x.reshape(n, 1, _SIDE, _SIDE))
+        an = norm.forward(a.reshape(b, groups * _CHANNELS, -1), training=True)
+        del a
+        logits = self.dense.forward(relu(an).reshape(n, self.flat))
         _, probs = softmax_xent_forward(logits, labels)
         # The loss averages over all n samples; each batch's averages over b.
         g = softmax_xent_backward(probs, labels) * groups
-        gh = self.dense.backward(g).reshape(b, groups * _CHANNELS, spatial)
-        gn = norm.backward(relu_backward(gh, an))
-        self.conv.backward(gn.reshape(a.shape))
+        gn = norm.backward(relu_backward(self.dense.backward(g).reshape(an.shape), an))
+        self.conv.backward(gn.reshape(n, _CHANNELS, _SIDE - 2, _SIDE - 2))
         flat = self.params.g.copy()
         self.params.g[...] = 0.0
         return flat

@@ -110,7 +110,8 @@ class Params:
 
 
 class DenseLayer:
-    """Affine map with its gradient buffers."""
+    """Affine map with its gradient buffers. A training forward's input is
+    held until backward has formed the weight gradient; evaluation holds none."""
 
     PARAMS = ("w", "b")
 
@@ -126,11 +127,12 @@ class DenseLayer:
         self.d_b = np.zeros(n_out)
         self._x = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.w.shape[1]:
             raise ShapeError(f"dense input {x.shape} vs weights {self.w.shape}")
-        self._x = x
+        if training:
+            self._x = x
         return x @ self.w.T + self.b
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -139,6 +141,7 @@ class DenseLayer:
         if grad.shape != (self._x.shape[0], self.w.shape[0]):
             raise ShapeError(f"dense gradient {grad.shape}")
         self.d_w += grad.T @ self._x
+        self._x = None
         self.d_b += np.add.reduce(grad, axis=0)
         return grad @ self.w
 
@@ -277,16 +280,20 @@ class Mlp:
         return float(ey), float(e1)
 
     def forward_batch(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        """Logits for a (B, dim) group; training advances normalizer state."""
-        self._pre = []
+        """Logits for a (B, dim) group; training advances normalizer state and
+        records what backward_batch reads. Evaluation records nothing: it frees
+        each activation after its last read and leaves those records intact."""
+        if training:
+            self._pre = []
         h = x
         for dense, norm in zip(self.dense[:-1], self.norms):
-            a = dense.forward(h)
+            a = dense.forward(h, training)
             if norm is not None:
                 a = norm.forward(a, training=training)
-            self._pre.append(a)
+            if training:
+                self._pre.append(a)
             h = relu(a)
-        return self.dense[-1].forward(h)
+        return self.dense[-1].forward(h, training)
 
     def backward_batch(self, grad: np.ndarray) -> None:
         """Accumulate parameter gradients for the last training forward_batch."""

@@ -38,14 +38,16 @@ def _mean(v: np.ndarray, axes) -> np.ndarray:
 
 def _normalize(x: np.ndarray, axes):
     """Normalize x over axes: (y, mu, var, sigma) with keepdims, mu the
-    effective mean and sigma = sqrt(var) floored at SIGMA_FLOOR."""
+    effective mean and sigma = sqrt(var) floored at SIGMA_FLOOR. Both kernels
+    work in place only on arrays they allocate: never on x, g or a cached y."""
     mu = _mean(x, axes)
     d = x - mu
     r = _mean(d, axes)
-    d = d - r
+    d -= r
     var = _mean(d * d, axes)
     sigma = np.maximum(np.sqrt(var), SIGMA_FLOOR)
-    return d / sigma, mu + r, var, sigma
+    d /= sigma
+    return d, mu + r, var, sigma
 
 
 def _normalize_backward(g: np.ndarray, y: np.ndarray, sigma, axes) -> np.ndarray:
@@ -54,8 +56,12 @@ def _normalize_backward(g: np.ndarray, y: np.ndarray, sigma, axes) -> np.ndarray
     if g.shape != y.shape:
         raise ShapeError(f"gradient shape {g.shape} vs output {y.shape}")
     w = g - _mean(g, axes)
-    w = w - _mean(w, axes)
-    return (w - _mean(w * y, axes) * y) / sigma
+    w -= _mean(w, axes)
+    t = w * y
+    np.multiply(_mean(t, axes), y, out=t)
+    w -= t
+    w /= sigma
+    return w
 
 
 def exact_normalize(values) -> tuple[np.ndarray, float, float]:

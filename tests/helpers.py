@@ -1,5 +1,7 @@
 """Shared oracles for the test suite."""
 
+import tracemalloc
+
 import numpy as np
 
 from onlinenorm.net import softmax_xent_backward, softmax_xent_forward
@@ -22,3 +24,14 @@ def logistic_oracle(data, epochs=30, eta=0.05):
             b -= eta * g.sum(axis=0)
     logits = data.x @ w.T + b
     return float((np.argmax(logits, axis=1) == data.labels).mean())
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes traced by tracemalloc while fn() runs, above what was held before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()

@@ -16,6 +16,8 @@ from onlinenorm.net import TrainConfig, train
 from onlinenorm.online import backward_sample
 from onlinenorm.tensor import SIGMA_FLOOR, make_rng
 
+from helpers import traced_peak
+
 
 # ------------------------------------------------------------ gradient bias
 
@@ -38,6 +40,19 @@ def test_bias_experiment_is_pure_function_of_seed():
     b = gradient_bias_experiment(5, dataset_size=64, batch_sizes=(4,), repetitions=2)
     assert a.mean_angle_deg == b.mean_angle_deg
     assert a.std_angle_deg == b.std_angle_deg
+
+
+@pytest.mark.parametrize("groups", [1, 512])
+def test_bias_gradient_peaks_at_few_conv_outputs(groups):
+    # The grouped pass drops each full-size intermediate after its last
+    # read, so a 1024-sample call holds a few conv outputs at once.
+    rng = make_rng(81)
+    net = experiments._BiasNet(rng)
+    n = 1024
+    x = rng.normal(size=(n, experiments._SIDE**2))
+    labels = rng.integers(0, experiments._CLASSES, size=n)
+    conv_output = n * experiments._CHANNELS * (experiments._SIDE - 2) ** 2 * 8
+    assert traced_peak(lambda: net.gradient(x, labels, groups)) <= 5 * conv_output
 
 
 def test_bias_experiment_preconditions():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from onlinenorm.cli import write_csv
-from onlinenorm.datasets import DatasetSpec, generate_dataset
+from onlinenorm.datasets import Dataset, DatasetSpec, generate_dataset
 from onlinenorm.net import (
     Conv2D,
     DenseLayer,
@@ -24,7 +24,7 @@ from onlinenorm.online import OnlineNormState, forward_inference, forward_sample
 from onlinenorm.selftest import central_differences
 from onlinenorm.tensor import ShapeError, make_rng
 
-from helpers import logistic_oracle
+from helpers import logistic_oracle, traced_peak
 
 
 # ------------------------------------------------------------------- dense
@@ -74,6 +74,21 @@ def test_dense_shape_errors():
     layer.forward(np.zeros((2, 3)))
     with pytest.raises(ShapeError):
         layer.backward(np.zeros((2, 3)))
+
+
+def test_dense_backward_consumes_its_record_and_evaluation_keeps_none():
+    rng = make_rng(61)
+    layer = DenseLayer(3, 2, rng)
+    x, g = rng.normal(size=(4, 3)), rng.normal(size=(4, 2))
+    layer.forward(x)
+    want = layer.backward(g), layer.d_w.copy(), layer.d_b.copy()
+    with pytest.raises(RuntimeError, match="backward before forward"):
+        layer.backward(g)
+    layer.d_w[...] = layer.d_b[...] = 0.0
+    layer.forward(x)
+    layer.forward(rng.normal(size=(5, 3)), training=False)
+    got = layer.backward(g), layer.d_w, layer.d_b
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 # --------------------------------------------------------------- optimizer
@@ -253,6 +268,37 @@ def test_full_network_gradient_check(kind):
         fd.append((up - dn) / (2 * h))
     fd = np.array(fd)
     assert np.abs(grads - fd).max() / np.abs(fd).max() <= 1e-5
+
+
+@pytest.mark.parametrize("size", [5, 8])
+@pytest.mark.parametrize("kind", ["online", "batch", "layer", "exact-population", "none"])
+def test_evaluation_between_forward_and_backward_leaves_the_gradient_unchanged(kind, size):
+    # An evaluation records nothing, so the pending training forward's
+    # records reach its backward as they were, whether the evaluated set's
+    # size differs from the group's or equals it.
+    data = generate_dataset(DatasetSpec(kind="gaussian-blobs", classes=3, samples=8 + size, dim=4), 67)
+    x, labels = data.x[:8], data.labels[:8]
+    evaluated = Dataset(data.x[8:], data.labels[8:], data.n_classes)
+    cfg = TrainConfig(normalizer=kind, hidden=6, depth=2)
+    grads = []
+    for evaluate in (False, True):
+        net = Mlp([4, 6, 6, 3], cfg, make_rng(68))
+        logits = net.forward_batch(x, training=True)
+        if evaluate:
+            evaluate_accuracy(net, evaluated)
+        _, probs = softmax_xent_forward(logits, labels)
+        net.backward_batch(softmax_xent_backward(probs, labels))
+        grads.append(net.params.g.copy())
+    assert np.array_equal(grads[1], grads[0])
+
+
+@pytest.mark.parametrize("kind", ["online", "batch", "layer"])
+def test_evaluation_peaks_at_few_hidden_activations(kind):
+    # Evaluation keeps no per-layer record, so each (n, hidden) activation
+    # is freed after its last read.
+    data = generate_dataset(DatasetSpec(kind="gaussian-blobs", classes=3, samples=1000, dim=8), 69)
+    net = Mlp([8, 128, 128, 128, 3], TrainConfig(normalizer=kind, hidden=128, depth=3), make_rng(70))
+    assert traced_peak(lambda: evaluate_accuracy(net, data)) <= 6 * data.n * 128 * 8
 
 
 def test_streaming_norm_scale_invariance_after_requilibration():

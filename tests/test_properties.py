@@ -6,8 +6,10 @@ matches one call per batch, the parameter store steps like one update
 per array, a one-sample OnlineNorm step gives the bits of the general
 per-sample arithmetic, a fully connected (n, F) block gives the bits of the
 same block as (n, F, 1) in OnlineNorm, BatchNorm and LayerNorm and takes no
-spatial path, and train() records at the steps its schedule names, each
-with the mean loss of its interval."""
+spatial path, the in-place exact-normalization kernel gives the bits of its
+out-of-place form and never writes to its caller's arrays, and train()
+records at the steps its schedule names, each with the mean loss of its
+interval."""
 
 import copy
 
@@ -41,7 +43,15 @@ from onlinenorm.online import (
     layer_scale_forward,
     _scan,
 )
-from onlinenorm.reference import BatchNorm, LayerNorm, _normalize, _normalize_backward
+from onlinenorm.reference import (
+    BatchNorm,
+    LayerNorm,
+    PopulationNorm,
+    _normalize,
+    _normalize_backward,
+    exact_backward,
+    exact_normalize,
+)
 from onlinenorm.selftest import group_deviation
 from onlinenorm.tensor import SIGMA_FLOOR, make_rng, spatial_mean
 
@@ -314,6 +324,73 @@ def test_fully_connected_batch_and_layer_norm_match_the_general_arithmetic(block
         y3, _, _, sigma3 = _normalize(spatial(x), (1, 2))
         assert np.array_equal(ln.forward(x), y3[:, :, 0])
         assert np.array_equal(ln.backward(g), _normalize_backward(spatial(g), y3, sigma3, (1, 2))[:, :, 0])
+
+
+def _mean(v, axes):
+    total = np.add.reduce(v, axis=axes, keepdims=True)
+    return total / (v.size // total.size)
+
+
+def _out_of_place_normalize(x, axes):
+    mu = _mean(x, axes)
+    d = x - mu
+    r = _mean(d, axes)
+    d = d - r
+    var = _mean(d * d, axes)
+    sigma = np.maximum(np.sqrt(var), SIGMA_FLOOR)
+    return d / sigma, mu + r, var, sigma
+
+
+def _out_of_place_backward(g, y, sigma, axes):
+    w = g - _mean(g, axes)
+    w = w - _mean(w, axes)
+    return (w - _mean(w * y, axes) * y) / sigma
+
+
+@settings(max_examples=60)
+@given(
+    n=st.integers(2, 16),
+    features=st.integers(2, 8),
+    spatial=st.one_of(st.none(), st.integers(1, 4)),
+    seed=seeds,
+)
+def test_exact_kernel_writes_only_its_own_arrays(n, features, spatial, seed):
+    # The kernel works in place on the arrays it allocates; the caller's x
+    # and g, and the y a layer caches for its backward, keep their bits, and
+    # every output has the bits of the out-of-place expressions.
+    rng = make_rng(seed)
+    shape = (n, features) if spatial is None else (n, features, spatial)
+    x, g, x_eval = rng.normal(3.0, 2.0, size=(3, *shape))
+    before = x.copy(), g.copy(), x_eval.copy()
+    layers = [BatchNorm(features), PopulationNorm(features)]
+    if spatial is None:
+        layers.append(LayerNorm(features))
+    for layer in layers:
+        axes = 1 if isinstance(layer, LayerNorm) else tensor.feature_axes(x)
+        want_y, want_mu, want_var, want_sigma = _out_of_place_normalize(x, axes)
+        if type(layer) is BatchNorm:  # one step of the running statistics from (0, 1)
+            mu = 0.99 * np.zeros(features) + (1.0 - 0.99) * want_mu.reshape(-1)
+            var = 0.99 * np.ones(features) + (1.0 - 0.99) * want_var.reshape(-1)
+            sigma = np.maximum(np.sqrt(var), SIGMA_FLOOR)
+            want_eval = (x_eval - tensor.per_feature(mu, x)) / tensor.per_feature(sigma, x)
+        else:
+            want_eval = _out_of_place_normalize(x_eval, axes)[0]
+        y = layer.forward(x)
+        cached = y.copy()
+        assert np.array_equal(y, want_y)
+        assert np.array_equal(layer.backward(g), _out_of_place_backward(g, want_y, want_sigma, axes))
+        assert np.array_equal(layer.forward(x_eval, training=False), want_eval)
+        assert np.array_equal(y, cached) and np.array_equal(layer._cache[0], cached)
+        assert all(np.array_equal(a, b) for a, b in zip((x, g, x_eval), before))
+
+    flat_y, mu, sigma = exact_normalize(x)
+    want_y, want_mu, want_var, _ = _out_of_place_normalize(x.reshape(-1), 0)
+    assert np.array_equal(flat_y, want_y) and mu == want_mu[0] and sigma == np.sqrt(want_var[0])
+    cached = flat_y.copy()
+    got = exact_backward(flat_y, g, sigma)
+    assert np.array_equal(got, _out_of_place_backward(g.reshape(-1), want_y, sigma, 0))
+    assert np.array_equal(flat_y, cached)
+    assert all(np.array_equal(a, b) for a, b in zip((x, g), before))
 
 
 def test_fully_connected_blocks_take_no_spatial_path(monkeypatch):
