@@ -92,7 +92,11 @@ def _load_config(path: str | None, seed: int | None) -> tuple[TrainConfig, Datas
     if path is None:
         cfg, spec = TrainConfig(), DatasetSpec()
     else:
-        cfg, spec = parse_config(Path(path).read_text(encoding="utf-8"))
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
+        cfg, spec = parse_config(text)
     if seed is not None:
         cfg.seed = seed
     return cfg, spec
@@ -100,7 +104,10 @@ def _load_config(path: str | None, seed: int | None) -> tuple[TrainConfig, Datas
 
 def _outdir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {args.out!r} cannot be made a directory: {exc}") from None
     return out
 
 

@@ -89,7 +89,8 @@ class MetricsRecord:
 
 
 class Params:
-    """Parameters p, gradients g and momentum v of some layers, one flat array each.
+    """Parameters p, gradients g and momentum v of some layers, one flat array
+    each, and one work buffer of the same size for the optimizer step.
 
     Each layer names its parameters in PARAMS; the gradient of `w` is `d_w`.
     Both are rebound to views of p and g, so layers must update them in place.
@@ -100,6 +101,7 @@ class Params:
         self.p = np.concatenate([getattr(layer, name).ravel() for layer, name in slots])
         self.g = np.concatenate([getattr(layer, "d_" + name).ravel() for layer, name in slots])
         self.v = np.zeros_like(self.p)
+        self.work = np.empty_like(self.p)
         start = 0
         for layer, name in slots:
             value = getattr(layer, name)
@@ -126,6 +128,11 @@ class DenseLayer:
         self.d_w = np.zeros_like(self.w)
         self.d_b = np.zeros(n_out)
         self._x = None
+        # np.dot takes a 1 x 1 operand as a scalar, by BLAS axpy, which skips a
+        # zero: NaN * 0 would read 0 and a -0.0 product +0.0. With both weight
+        # dimensions above 1 no operand is 1 x 1, and np.dot gives the bits of
+        # @ at less call overhead.
+        self._dot = np.dot if min(self.w.shape) > 1 else np.matmul
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -133,17 +140,19 @@ class DenseLayer:
             raise ShapeError(f"dense input {x.shape} vs weights {self.w.shape}")
         if training:
             self._x = x
-        return x @ self.w.T + self.b
+        return self._dot(x, self.w.T) + self.b
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """Accumulate d_w and d_b; return the input gradient, or None without input_grad."""
         if self._x is None:
             raise RuntimeError("backward before forward")
         if grad.shape != (self._x.shape[0], self.w.shape[0]):
             raise ShapeError(f"dense gradient {grad.shape}")
-        self.d_w += grad.T @ self._x
+        self.d_w += self._dot(grad.T, self._x)
         self._x = None
-        self.d_b += np.add.reduce(grad, axis=0)
-        return grad @ self.w
+        # A one-row sum is that row with -0.0 as +0.0, which d_b, only added to from +0.0, cannot tell.
+        self.d_b += grad[0] if len(grad) == 1 else np.add.reduce(grad, axis=0)
+        return self._dot(grad, self.w) if input_grad else None
 
 
 class Conv2D:
@@ -193,10 +202,13 @@ class Conv2D:
 def softmax_xent_forward(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over the batch; returns (loss, softmax probabilities)."""
     logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels)
     shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
     expd = np.exp(shifted)
     probs = expd / np.add.reduce(expd, axis=1, keepdims=True)
+    if len(labels) == 1:
+        # Adding +0.0 gives a one-term sum's bits: it turns -0.0 into +0.0.
+        return float(-np.log(np.maximum(probs[0, labels[0]], 1e-300))) + 0.0, probs
+    labels = np.asarray(labels)
     picked = probs[np.arange(labels.size), labels]
     loss = float(np.add.reduce(-np.log(np.maximum(picked, 1e-300))) / labels.size)
     return loss, probs
@@ -204,16 +216,23 @@ def softmax_xent_forward(logits: np.ndarray, labels: np.ndarray) -> tuple[float,
 
 def softmax_xent_backward(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     grad = probs.copy()
+    if len(labels) == 1:
+        grad[0, labels[0]] -= 1.0
+        return grad
     grad[np.arange(labels.size), labels] -= 1.0
     return grad / labels.size
 
 
 def sgd_momentum_step(params: Params, eta: float, momentum: float, l2: float) -> None:
-    """v = mu*v + (1-mu)*(g + l2*w); w -= eta*v; gradients cleared."""
-    p, g, v = params.p, params.g, params.v
+    """v = mu*v + (1-mu)*(g + l2*w); w -= eta*v; gradients cleared. Works in params.work."""
+    p, g, v, t = params.p, params.g, params.v, params.work
     v *= momentum
-    v += (1.0 - momentum) * (g + l2 * p)
-    p -= eta * v
+    np.multiply(p, l2, out=t)
+    t += g
+    t *= 1.0 - momentum
+    v += t
+    np.multiply(v, eta, out=t)
+    p -= t
     g.fill(0.0)
 
 
@@ -296,15 +315,14 @@ class Mlp:
         return self.dense[-1].forward(h, training)
 
     def backward_batch(self, grad: np.ndarray) -> None:
-        """Accumulate parameter gradients for the last training forward_batch."""
+        """Accumulate parameter gradients for the last training forward_batch.
+        The first dense layer forms no input gradient."""
         g = self.dense[-1].backward(grad)
-        for dense, norm, pre in zip(
-            reversed(self.dense[:-1]), reversed(self.norms), reversed(self._pre)
-        ):
-            g = relu_backward(g, pre)
-            if norm is not None:
-                g = norm.backward(g)
-            g = dense.backward(g)
+        for i in reversed(range(len(self.norms))):
+            g = relu_backward(g, self._pre[i])
+            if self.norms[i] is not None:
+                g = self.norms[i].backward(g)
+            g = self.dense[i].backward(g, input_grad=i > 0)
 
 
 def train(cfg: TrainConfig, train_set, val_set=None) -> tuple[list[MetricsRecord], Mlp]:
@@ -349,14 +367,15 @@ def train(cfg: TrainConfig, train_set, val_set=None) -> tuple[list[MetricsRecord
             logits = net.forward_batch(xs[start : start + group], training=True)
             loss, probs = softmax_xent_forward(logits, labels)
             grad = softmax_xent_backward(probs, labels)
-            if sum_gradients:
+            if sum_gradients and group > 1:
                 grad *= labels.size
             net.backward_batch(grad)
             sgd_momentum_step(net.params, cfg.eta, cfg.momentum, cfg.l2)
             step += 1
             losses.append(loss)
             sizes.append(labels.size)
-            hits += int((np.argmax(logits, axis=1) == labels).sum())
+            if val_set is None:
+                hits += int((np.argmax(logits, axis=1) == labels).sum())
             diverged = not math.isfinite(loss) or abs(loss) > cfg.divergence_limit
             if not (diverged or step % every == 0 or step == last_step):
                 continue

@@ -197,6 +197,30 @@ def test_missing_config_file_exits_two(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("kind", ["directory", "not-utf-8"])
+def test_unreadable_config_file_exits_two_naming_it(kind, tmp_path, capsys):
+    if kind == "directory":
+        path = tmp_path
+    else:
+        path = tmp_path / "latin-1.cfg"
+        path.write_bytes("epochs = 1  # caf\xe9\n".encode("latin-1"))
+    code, _, err = run_cli(["train", "--config", str(path), "--out", str(tmp_path / "o")], capsys)
+    assert code == 2
+    assert err.startswith("config error: ") and str(path) in err
+
+
+@pytest.mark.parametrize("below", [False, True])
+def test_out_that_cannot_be_a_directory_exits_two_naming_out(below, tmp_path, capsys):
+    # --out names an existing file, or a path beneath one.
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n", encoding="utf-8")
+    out = blocker / "sub" if below else blocker
+    code, _, err = run_cli(["growth", "--depth", "2", "--width", "2", "--out", str(out)], capsys)
+    assert code == 2
+    assert err.startswith("config error: --out ") and str(out) in err
+    assert blocker.read_text(encoding="utf-8") == "kept\n"
+
+
 def test_divergent_training_exits_three(tmp_path, capsys):
     cfg = tmp_path / "div.cfg"
     cfg.write_text(

@@ -6,17 +6,21 @@ matches one call per batch, the parameter store steps like one update
 per array, a one-sample OnlineNorm step gives the bits of the general
 per-sample arithmetic, a fully connected (n, F) block gives the bits of the
 same block as (n, F, 1) in OnlineNorm, BatchNorm and LayerNorm and takes no
-spatial path, the in-place exact-normalization kernel gives the bits of its
-out-of-place form and never writes to its caller's arrays, and train()
-records at the steps its schedule names, each with the mean loss of its
-interval."""
+spatial path, softmax cross-entropy and OnlineNorm's parameter gradients
+at one sample and the dense layer at groups of 1 to 4 give the general
+arithmetic's bits on signed zeros, huge values and NaN, the in-place
+exact-normalization kernel gives the bits of its out-of-place form and
+never writes to its caller's arrays, and train() records at the steps its
+schedule names, each with the mean loss of its interval and, without a
+validation set, its training accuracy."""
 
 import copy
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from onlinenorm import net as net_module
 from onlinenorm import online, tensor
@@ -326,6 +330,116 @@ def test_fully_connected_batch_and_layer_norm_match_the_general_arithmetic(block
         assert np.array_equal(ln.backward(g), _normalize_backward(spatial(g), y3, sigma3, (1, 2))[:, :, 0])
 
 
+# Signed zeros, magnitudes whose exponentials underflow or whose products
+# overflow, NaN, and ordinary values.
+edge_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, np.nan, 1e300, -1e300, 800.0, -800.0]),
+    st.floats(-50.0, 50.0),
+)
+
+
+def edge_arrays(shape):
+    return hnp.arrays(np.float64, shape, elements=edge_floats)
+
+
+def same_bits(got, want):
+    """Equal under np.array_equal(..., equal_nan=True), and byte for byte, so
+    that the signs of zeros and of NaNs agree as well."""
+    got, want = np.asarray(got), np.asarray(want)
+    return np.array_equal(got, want, equal_nan=True) and got.tobytes() == want.tobytes()
+
+
+one_sample_logits = st.integers(1, 6).flatmap(
+    lambda classes: st.tuples(edge_arrays((1, classes)), st.integers(0, classes - 1))
+)
+
+
+@settings(max_examples=100)
+@given(case=one_sample_logits)
+# The label's probability rounds to exactly 1, so its -log is -0.0, which
+# the general path's one-term sum turns into +0.0.
+@example(case=(np.array([[800.0, -800.0]]), 0))
+def test_one_sample_softmax_xent_gives_the_general_bits(case):
+    logits, label = case
+    labels = np.array([label])
+    with np.errstate(all="ignore"):
+        loss, probs = net_module.softmax_xent_forward(logits, labels)
+        grad = net_module.softmax_xent_backward(probs, labels)
+        # The general arithmetic, which every group size took before.
+        shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+        expd = np.exp(shifted)
+        want_probs = expd / np.add.reduce(expd, axis=1, keepdims=True)
+        picked = want_probs[np.arange(labels.size), labels]
+        want_loss = float(np.add.reduce(-np.log(np.maximum(picked, 1e-300))) / labels.size)
+        want_grad = want_probs.copy()
+        want_grad[np.arange(labels.size), labels] -= 1.0
+        want_grad = want_grad / labels.size
+    assert type(loss) is float
+    assert same_bits(loss, want_loss)
+    assert same_bits(probs, want_probs)
+    assert same_bits(grad, want_grad)
+
+
+@st.composite
+def dense_cases(draw):
+    """Weights, bias and two (input, output gradient) steps of one dense layer."""
+    n, n_in, n_out = draw(st.integers(1, 4)), draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    steps = [(draw(edge_arrays((n, n_in))), draw(edge_arrays((n, n_out)))) for _ in range(2)]
+    return draw(edge_arrays((n_out, n_in))), draw(edge_arrays(n_out)), steps
+
+
+@settings(max_examples=80)
+@given(case=dense_cases(), input_grad=st.booleans())
+# A 1 x 1 operand: np.dot would take it as a scalar and skip it when zero,
+# reading NaN * 0 as 0 and -0.0 products as +0.0.
+@example(case=(np.zeros((2, 1)), np.zeros(2), [(np.zeros((1, 1)), np.full((1, 2), np.nan))] * 2), input_grad=True)
+@example(case=(np.zeros((1, 1)), np.array([-0.0]), [(np.array([[-0.0]]), np.array([[-0.0]]))] * 2), input_grad=True)
+def test_dense_layer_gives_the_general_bits(case, input_grad):
+    w, b, steps = case
+    layer = DenseLayer(w.shape[1], w.shape[0])
+    layer.w[:], layer.b[:] = w, b
+    want_dw, want_db = np.zeros_like(layer.w), np.zeros_like(layer.b)
+    for x, grad in steps:  # the second backward adds to the first's sums
+        with np.errstate(all="ignore"):
+            out = layer.forward(x)
+            got = layer.backward(grad, input_grad=input_grad)
+            # The general arithmetic, which every group size took before.
+            want_out = x @ layer.w.T + layer.b
+            want_dw += grad.T @ x
+            want_db += np.add.reduce(grad, axis=0)
+            want_in = grad @ layer.w
+        assert same_bits(out, want_out)
+        assert same_bits(layer.d_w, want_dw)
+        assert same_bits(layer.d_b, want_db)
+        if input_grad:
+            assert same_bits(got, want_in)
+        else:
+            assert got is None
+
+
+@settings(max_examples=80)
+@given(features=st.integers(1, 9), alpha_f=decays, alpha_b=decays, steps=st.integers(1, 4), data=st.data())
+def test_one_sample_online_norm_parameter_gradients_give_the_general_bits(
+    features, alpha_f, alpha_b, steps, data
+):
+    layer = OnlineNorm(features, alpha_f=alpha_f, alpha_b=alpha_b)
+    layer.gain[:] = data.draw(edge_arrays(features))
+    layer.bias[:] = data.draw(edge_arrays(features))
+    want_gain, want_bias = np.zeros(features), np.zeros(features)
+    for _ in range(steps):
+        x, g = data.draw(edge_arrays((1, features))), data.draw(edge_arrays((1, features)))
+        with np.errstate(all="ignore"):
+            layer.forward(x)
+            y = layer.state.pending[0]
+            grad = layer_scale_backward(g, *layer._scaled)
+            layer.backward(g)
+            # The general arithmetic, which every block size took before.
+            want_gain += np.add.reduce(grad * y, axis=0)
+            want_bias += np.add.reduce(grad, axis=0)
+        assert same_bits(layer.d_gain, want_gain)
+        assert same_bits(layer.d_bias, want_bias)
+
+
 def _mean(v, axes):
     total = np.add.reduce(v, axis=axes, keepdims=True)
     return total / (v.size // total.size)
@@ -607,13 +721,14 @@ def test_train_records_on_schedule_with_interval_mean_losses(
         eta=0.01, batch_size=batch_size, epochs=epochs, normalizer=kind,
         hidden=2, eval_interval=eval_interval, seed=seed,
     )
-    step_losses, step_sizes = [], []
+    step_losses, step_sizes, step_hits = [], [], []
     forward = net_module.softmax_xent_forward
 
     def recording_forward(logits, labels):
         loss, probs = forward(logits, labels)
         step_losses.append(loss)
         step_sizes.append(labels.size)
+        step_hits.append(int((np.argmax(logits, axis=1) == labels).sum()))
         return loss, probs
 
     with pytest.MonkeyPatch.context() as mp:
@@ -637,4 +752,6 @@ def test_train_records_on_schedule_with_interval_mean_losses(
     for r in records:
         assert r.epoch == (r.step - 1) // per_epoch
         assert r.loss == np.average(step_losses[previous : r.step], weights=step_sizes[previous : r.step])
+        if not validation:  # the training samples' accuracy over the interval
+            assert r.accuracy == sum(step_hits[previous : r.step]) / sum(step_sizes[previous : r.step])
         previous = r.step
