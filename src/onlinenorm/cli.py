@@ -102,6 +102,14 @@ def _load_config(path: str | None, seed: int | None) -> tuple[TrainConfig, Datas
     return cfg, spec
 
 
+def _dataset(spec: DatasetSpec, seed: int):
+    """The configured dataset; an IDX file that cannot be read is a configuration error."""
+    try:
+        return generate_dataset(spec, seed)
+    except OSError as exc:
+        raise ConfigError(f"cannot read IDX file: {exc}") from None
+
+
 def _outdir(args) -> Path:
     out = Path(args.out)
     try:
@@ -129,7 +137,7 @@ def _list(text: str, flag: str, kind=float) -> list:
 
 def _cmd_train(args) -> int:
     cfg, spec = _load_config(args.config, args.seed)
-    data = generate_dataset(spec, cfg.seed)
+    data = _dataset(spec, cfg.seed)
     train_set, val_set = data.split(0.2, cfg.seed)
     records, _ = train(cfg, train_set, val_set)
     out = _outdir(args)
@@ -181,7 +189,7 @@ def _cmd_equilibrium(args) -> int:
 def _cmd_sweep(args) -> int:
     af, ab = _list(args.alpha_f_grid, "--alpha-f-grid"), _list(args.alpha_b_grid, "--alpha-b-grid")
     cfg, spec = _load_config(args.config, args.seed)
-    data = generate_dataset(spec, cfg.seed)
+    data = _dataset(spec, cfg.seed)
     result = decay_sweep(af, ab, cfg, data)
     out = _outdir(args)
     write_csv(out / "sweep.csv", "alpha_f,alpha_b,final_loss,diverged", result.as_rows())
@@ -248,9 +256,6 @@ def main(argv=None) -> int:
         with np.errstate(all="ignore"):
             return _DISPATCH[args.command](args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return CONFIG_EXIT
-    except FileNotFoundError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return CONFIG_EXIT
     except (DivergenceError, ValueError, RuntimeError) as exc:

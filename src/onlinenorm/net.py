@@ -23,6 +23,10 @@ from .tensor import ShapeError, make_rng, relu, relu_backward
 
 NORMALIZER_KINDS = ("online", "batch", "layer", "exact-population", "none")
 
+# Samples per evaluation block: evaluation memory scales with this, not with
+# the validation set.
+_EVAL_BLOCK = 128
+
 
 class DivergenceError(RuntimeError):
     """A run's loss, parameters or measured figures left the finite, bounded regime."""
@@ -184,13 +188,16 @@ class Conv2D:
         out = np.tensordot(self.k, win, axes=((1, 2, 3), (1, 4, 5)))  # (oc, b, h, w)
         return out.transpose(1, 0, 2, 3) + self.b[None, :, None, None]
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """Accumulate d_k and d_b; return the input gradient, or None without input_grad."""
         if self._windows is None:
             raise RuntimeError("backward before forward")
         win = self._windows
         b, ic, hgt, wid, kh, kw = win.shape
         self.d_k += np.tensordot(win, grad, axes=((0, 2, 3), (0, 2, 3))).transpose(3, 0, 1, 2)
         self.d_b += grad.sum(axis=(0, 2, 3))
+        if not input_grad:
+            return None
         cols = np.tensordot(self.k, grad, axes=((0,), (1,)))  # (ic, kh, kw, b, h, w)
         dx = np.zeros((ic, b, hgt + kh - 1, wid + kw - 1))
         for i in range(kh):
@@ -301,7 +308,10 @@ class Mlp:
     def forward_batch(self, x: np.ndarray, training: bool = True) -> np.ndarray:
         """Logits for a (B, dim) group; training advances normalizer state and
         records what backward_batch reads. Evaluation records nothing: it frees
-        each activation after its last read and leaves those records intact."""
+        each activation after its last read and leaves those records intact.
+        Unless a normalizer declares WHOLE_SET_INFERENCE, an evaluated sample's
+        logits do not depend on the rest of the group beyond rounding, so
+        evaluate_accuracy runs the set in blocks."""
         if training:
             self._pre = []
         h = x
@@ -398,8 +408,20 @@ def train(cfg: TrainConfig, train_set, val_set=None) -> tuple[list[MetricsRecord
 
 
 def evaluate_accuracy(net: Mlp, dataset) -> float:
-    """Fraction of the set classified correctly; NaN for an empty set."""
+    """Fraction of the set classified correctly; NaN for an empty set.
+
+    The set runs through the network in consecutive blocks of _EVAL_BLOCK
+    samples, so evaluation holds O(block x width) activations whatever the
+    set's size, and the hits are counted exactly. A normalizer whose
+    inference normalizes the presented set by its own statistics declares
+    WHOLE_SET_INFERENCE and gets the whole set as one block.
+    """
     if dataset.n == 0:
         return float("nan")
-    logits = net.forward_batch(dataset.x, training=False)
-    return float((np.argmax(logits, axis=1) == dataset.labels).mean())
+    whole = any(getattr(norm, "WHOLE_SET_INFERENCE", False) for norm in net.norms)
+    block = dataset.n if whole else _EVAL_BLOCK
+    hits = 0
+    for start in range(0, dataset.n, block):
+        logits = net.forward_batch(dataset.x[start : start + block], training=False)
+        hits += int(np.count_nonzero(np.argmax(logits, axis=1) == dataset.labels[start : start + block]))
+    return hits / dataset.n

@@ -137,7 +137,10 @@ class BatchNorm:
 class PopulationNorm(BatchNorm):
     """Exact population normalization: trains like BatchNorm on one batch holding
     the whole population; evaluation normalizes the presented population over
-    the same axes with its own statistics instead of running ones."""
+    the same axes with its own statistics instead of running ones, so it must
+    be shown the whole set at once."""
+
+    WHOLE_SET_INFERENCE = True
 
     def _inference(self, x: np.ndarray) -> np.ndarray:
         return _normalize(x, feature_axes(x))[0]

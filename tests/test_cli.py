@@ -366,6 +366,21 @@ def test_idx_header_larger_than_any_buffer_exits_three(tmp_path, capsys):
     assert "truncated IDX file" in err
 
 
+@pytest.mark.parametrize("which", ["images_path", "labels_path"])
+def test_idx_path_naming_a_directory_exits_two_naming_it(which, tmp_path, capsys):
+    paths = {"images_path": tmp_path / "img.idx", "labels_path": tmp_path / "lab.idx"}
+    write_idx_images(paths["images_path"], np.zeros((4, 2, 2), dtype=np.uint8))
+    write_idx_labels(paths["labels_path"], np.zeros(4, dtype=np.uint8))
+    paths[which] = tmp_path / "dir"
+    paths[which].mkdir()
+    cfg = tmp_path / "idx.cfg"
+    cfg.write_text("dataset = idx-file\n" + "".join(f"{k} = {v}\n" for k, v in paths.items()), encoding="utf-8")
+    code, _, err = run_cli(["train", "--config", str(cfg), "--out", str(tmp_path / "o")], capsys)
+    assert code == 2
+    assert err.startswith("config error: cannot read IDX file") and str(paths[which]) in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_idx_pair_without_samples_exits_three(tmp_path, capsys):
     images, labels = tmp_path / "img.idx", tmp_path / "lab.idx"
     write_idx_images(images, np.zeros((0, 2, 2), dtype=np.uint8))

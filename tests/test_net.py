@@ -235,6 +235,20 @@ def test_conv_input_gradient_matches_finite_differences():
         assert got.flat[i] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
 
+def test_conv_backward_without_input_grad_returns_none_and_the_same_parameter_gradients():
+    rng = make_rng(72)
+    x = rng.normal(size=(3, 2, 6, 5))
+    grad = rng.normal(size=(3, 4, 4, 3))
+    grads = []
+    for input_grad in (True, False):
+        conv = Conv2D(2, 4, 3, make_rng(73))
+        conv.forward(x)
+        dx = conv.backward(grad, input_grad=input_grad)
+        assert (dx is None) is not input_grad
+        grads.append(conv.d_k.tobytes() + conv.d_b.tobytes())
+    assert grads[1] == grads[0]
+
+
 # -------------------------------------------------------------- full network
 
 
@@ -270,12 +284,13 @@ def test_full_network_gradient_check(kind):
     assert np.abs(grads - fd).max() / np.abs(fd).max() <= 1e-5
 
 
-@pytest.mark.parametrize("size", [5, 8])
+@pytest.mark.parametrize("size", [5, 8, 300])
 @pytest.mark.parametrize("kind", ["online", "batch", "layer", "exact-population", "none"])
 def test_evaluation_between_forward_and_backward_leaves_the_gradient_unchanged(kind, size):
     # An evaluation records nothing, so the pending training forward's
     # records reach its backward as they were, whether the evaluated set's
-    # size differs from the group's or equals it.
+    # size differs from the group's or equals it, and whether it runs in one
+    # block or in several.
     data = generate_dataset(DatasetSpec(kind="gaussian-blobs", classes=3, samples=8 + size, dim=4), 67)
     x, labels = data.x[:8], data.labels[:8]
     evaluated = Dataset(data.x[8:], data.labels[8:], data.n_classes)
@@ -294,11 +309,12 @@ def test_evaluation_between_forward_and_backward_leaves_the_gradient_unchanged(k
 
 @pytest.mark.parametrize("kind", ["online", "batch", "layer"])
 def test_evaluation_peaks_at_few_hidden_activations(kind):
-    # Evaluation keeps no per-layer record, so each (n, hidden) activation
-    # is freed after its last read.
-    data = generate_dataset(DatasetSpec(kind="gaussian-blobs", classes=3, samples=1000, dim=8), 69)
+    # Evaluation runs in blocks of 128 samples and keeps no per-layer record,
+    # so its peak is a few (128, hidden) activations whatever the set's size.
     net = Mlp([8, 128, 128, 128, 3], TrainConfig(normalizer=kind, hidden=128, depth=3), make_rng(70))
-    assert traced_peak(lambda: evaluate_accuracy(net, data)) <= 6 * data.n * 128 * 8
+    for samples in (1000, 4000):
+        data = generate_dataset(DatasetSpec(kind="gaussian-blobs", classes=3, samples=samples, dim=8), 69)
+        assert traced_peak(lambda: evaluate_accuracy(net, data)) <= 6 * 128 * 128 * 8
 
 
 def test_streaming_norm_scale_invariance_after_requilibration():

@@ -12,9 +12,12 @@ arithmetic's bits on signed zeros, huge values and NaN, the in-place
 exact-normalization kernel gives the bits of its out-of-place form and
 never writes to its caller's arrays, and train() records at the steps its
 schedule names, each with the mean loss of its interval and, without a
-validation set, its training accuracy."""
+validation set, its training accuracy, and evaluation in blocks of 128
+samples gives the whole set's accuracy (exact-population, whose inference
+reads the whole set, runs it as one block)."""
 
 import copy
+import functools
 
 import numpy as np
 import pytest
@@ -33,6 +36,7 @@ from onlinenorm.net import (
     Mlp,
     Params,
     TrainConfig,
+    evaluate_accuracy,
     sgd_momentum_step,
     train,
 )
@@ -549,6 +553,58 @@ def test_mlp_group_matches_one_row_passes(batch, seed):
     for dg, dr in zip(group.dense, rows.dense):
         for got, want in ((dg.d_w, dr.d_w), (dg.d_b, dr.d_b)):
             assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+@functools.cache
+def evaluated_net(kind, trained):
+    """A (4, 8, 8, 3) network of the given kind, untrained or after two epochs on blobs."""
+    cfg = TrainConfig(normalizer=kind, hidden=8, depth=2, epochs=2, batch_size=8, seed=5)
+    if not trained:
+        return Mlp([4, 8, 8, 3], cfg, make_rng(cfg.seed))
+    data = generate_dataset(DatasetSpec(kind="gaussian-blobs", classes=3, samples=200, dim=4), 6)
+    return train(cfg, data)[1]
+
+
+def evaluate_in_blocks(net, data):
+    """evaluate_accuracy(net, data), the size of each group it ran forward, and
+    the accuracy of the whole set's logits in one forward_batch."""
+    sizes = []
+    forward = net.forward_batch
+
+    def recording(x, training=True):
+        sizes.append(len(x))
+        return forward(x, training)
+
+    net.forward_batch = recording
+    try:
+        accuracy = evaluate_accuracy(net, data)
+    finally:
+        del net.forward_batch
+    logits = net.forward_batch(data.x, training=False)
+    return accuracy, sizes, float((np.argmax(logits, axis=1) == data.labels).mean())
+
+
+# Set sizes on either side of one and two block edges, and beyond.
+eval_sizes = st.sampled_from([1, 127, 128, 129, 255, 256, 257]) | st.integers(1, 600)
+
+
+@settings(max_examples=40)
+@given(kind=st.sampled_from(["online", "batch", "layer", "none"]), trained=st.booleans(), n=eval_sizes, seed=seeds)
+def test_blocked_evaluation_gives_the_whole_set_accuracy(kind, trained, n, seed):
+    data = generate_dataset(DatasetSpec(kind="gaussian-blobs", classes=3, samples=n, dim=4), seed)
+    accuracy, sizes, whole = evaluate_in_blocks(evaluated_net(kind, trained), data)
+    assert sizes == [min(128, n - start) for start in range(0, n, 128)]
+    assert type(accuracy) is float and accuracy == whole
+
+
+@settings(max_examples=10)
+@given(trained=st.booleans(), n=st.integers(129, 600), seed=seeds)
+def test_exact_population_evaluates_the_whole_set_at_once(trained, n, seed):
+    # Its inference normalizes the presented set by that set's own statistics.
+    data = generate_dataset(DatasetSpec(kind="gaussian-blobs", classes=3, samples=n, dim=4), seed)
+    accuracy, sizes, whole = evaluate_in_blocks(evaluated_net("exact-population", trained), data)
+    assert sizes == [n]
+    assert accuracy == whole
 
 
 def einsum_conv(x, k, b, grad):
