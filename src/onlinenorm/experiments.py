@@ -142,6 +142,9 @@ def gradient_bias_experiment(
         raise ValueError(f"dataset size (--samples) must be >= 2, got {dataset_size}")
     if repetitions < 1:
         raise ValueError(f"repetitions (--reps) must be >= 1, got {repetitions}")
+    batch_sizes = list(batch_sizes)
+    if not batch_sizes:
+        raise ValueError("batch sizes (--batch-sizes) must be nonempty")
     for b in batch_sizes:
         if b < 2:
             raise ValueError(
@@ -165,7 +168,7 @@ def gradient_bias_experiment(
     net = _BiasNet(rng)
     truth = net.gradient(data.x, data.labels)
 
-    sizes = list(batch_sizes) + [dataset_size]
+    sizes = batch_sizes + [dataset_size]
     means, stds = [], []
     for b in sizes:
         angles = []
@@ -310,7 +313,10 @@ def equilibrium_experiment(eta: float, l2: float, steps: int, seed: int) -> Equi
         gnorm = math.sqrt(g.dot(g))
         if not math.isfinite(gnorm):
             raise DivergenceError(f"gradient diverged at step {t}")
-        w = w - eta * (g + l2 * w)
+        step = l2 * w
+        step += g
+        step *= eta
+        w = w - step
         if t % _EQ_RECORD_EVERY == 0:
             wnorm = math.sqrt(w.dot(w))
             if not math.isfinite(wnorm):

@@ -49,7 +49,10 @@ b_t = mean(xt_t) / sigma_{t-1}. A block of n >= 2 runs each one as a
 log-depth scan over the block (recursive doubling, as in Hillis & Steele
 1986 and Blelloch 1990), vectorized across features, and is equal to n
 single-sample calls to within rounding (<= 1e-10 relative). A block of
-n = 1 takes one step in the order written above. An (n, features) block,
+n = 1 takes one step in the order written above. A (1, 1) block, one
+sample of one feature, takes that step in Python floats, which cost a
+fraction of numpy's per-call dispatch, and gives the array path's bits,
+NaN signs and divisions by a zero divisor included. An (n, features) block,
 at every n, uses two exact identities of S = 1: the mean of one value is
 that value (x / 1 == x), so x_t - mu_{t-1} is mean(x_t) - mu_{t-1}; and
 the in-sample variance is 0, so its term (1 - a_f) * 0 drops out of var.
@@ -156,7 +159,17 @@ def forward_sample(state: OnlineNormState, x: np.ndarray) -> np.ndarray:
     x = _block(x, state.features)
     af, cf = state.alpha_f, 1.0 - state.alpha_f
     flat = x.ndim == 2
-    if len(x) == 1:
+    if x.shape == (1, 1):
+        x0, mu, var = x.item(), state.mu.item(), state.var.item()
+        delta = x0 - mu
+        state.mu = np.array((af * mu + cf * x0,))
+        state.var = np.array((af * var + af * cf * delta * delta,))
+        # math.sqrt raises on a negative var; np.sqrt gives the array path's NaN.
+        # max keeps a NaN only as its first argument, as np.maximum does.
+        sigma = max(math.sqrt(var) if var >= 0.0 else np.sqrt(var).item(), SIGMA_FLOOR)
+        y = np.array(((delta / sigma,),))
+        sigma_used = np.array(((sigma,),))
+    elif len(x) == 1:
         x0 = x[0]
         mx = x0 if flat else spatial_mean(x0)
         mu, var = state.mu, state.var
@@ -236,7 +249,16 @@ def backward_sample(state: OnlineNormState, y_grad: np.ndarray) -> np.ndarray:
 
     ab, cb = state.alpha_b, 1.0 - state.alpha_b
     flat = y.ndim == 2
-    if len(y) == 1:
+    if y.shape == (1, 1):
+        y0, sigma = y.item(), sigma_used.item()
+        eps_y, eps_1 = state.eps_y.item(), state.eps_1.item()
+        xt = y_grad.item() - cb * eps_y * y0
+        state.eps_y = np.array((eps_y + xt * y0,))
+        # A caller may have written 0 into sigma; / would raise where numpy gives inf or NaN.
+        xg = (xt / sigma if sigma else np.divide(xt, sigma).item()) - cb * eps_1
+        state.eps_1 = np.array((eps_1 + xg,))
+        xg = np.array(((xg,),))
+    elif len(y) == 1:
         y0 = y[0]
         eps_y, eps_1 = (state.eps_y, state.eps_1) if flat else (state.eps_y[:, None], state.eps_1[:, None])
         xt = y_grad[0] - cb * eps_y * y0

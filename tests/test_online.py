@@ -40,40 +40,48 @@ def sample(values):
 
 def test_first_sample_after_reset():
     alpha = 0.9
-    state = OnlineNormState(1, alpha_f=alpha, alpha_b=0.99)
-    y = forward_sample(state, scalar(3.0))
-    assert y[0, 0, 0] == 3.0
-    assert state.mu[0] == pytest.approx((1 - alpha) * 3.0, abs=1e-15)
-    assert state.var[0] == pytest.approx(alpha + alpha * (1 - alpha) * 9.0, abs=1e-15)
-    assert state.pending[1][0, 0] == 1.0
+    # One feature, then three whose columns are independent streams.
+    for x in (scalar(3.0), np.array([[3.0, -1.0, 0.5]])):
+        v = x.reshape(-1)
+        state = OnlineNormState(v.size, alpha_f=alpha, alpha_b=0.99)
+        y = forward_sample(state, x)
+        assert np.array_equal(y, x)
+        assert state.mu == pytest.approx((1 - alpha) * v, abs=1e-15)
+        assert state.var == pytest.approx(alpha + alpha * (1 - alpha) * v * v, abs=1e-15)
+        assert np.all(state.pending[1] == 1.0)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.9, 0.99, 0.999])
 def test_mean_matches_decayed_sum_oracle(alpha):
     rng = make_rng(10)
-    xs = rng.uniform(-2.0, 2.0, size=1000)
-    mu = stream(xs, None, 1, alpha, 0.99)[3][:, 0, 0]
-    for t in [*range(0, xs.size, 97), xs.size - 1]:
-        expect = (1 - alpha) * sum(alpha ** (t - j) * xs[j] for j in range(t + 1))
-        assert abs(mu[t] - expect) < 1e-9
+    # One feature, then three whose columns are independent streams.
+    for xs in (rng.uniform(-2.0, 2.0, size=1000), rng.uniform(-2.0, 2.0, size=(1000, 3))):
+        mu = stream(xs, None, 1, alpha, 0.99)[3][:, 0]
+        for t in [*range(0, len(xs), 97), len(xs) - 1]:
+            expect = (1 - alpha) * sum(alpha ** (t - j) * xs[j] for j in range(t + 1))
+            assert np.abs(mu[t] - expect).max() < 1e-9
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.99, 0.999])
 def test_var_matches_unrolled_recurrence_oracle(alpha):
     rng = make_rng(11)
     xs = rng.uniform(-2.0, 2.0, size=400)
-    var = stream(xs, None, 1, alpha, 0.99)[3][-1, 1, 0]
+    wide = rng.uniform(-2.0, 2.0, size=(400, 3))
+    # One feature, then three whose columns are independent streams.
+    cases = [(xs, stream(xs, None, 1, alpha, 0.99)[3][-1, 1, 0])]
+    cases += zip(wide.T, stream(wide, None, 1, alpha, 0.99)[3][-1, 1])
     t = xs.size - 1
+    for xs, var in cases:
 
-    def mu_closed(j):
-        if j < 0:
-            return 0.0
-        return (1 - alpha) * sum(alpha ** (j - k) * xs[k] for k in range(j + 1))
+        def mu_closed(j):
+            if j < 0:
+                return 0.0
+            return (1 - alpha) * sum(alpha ** (j - k) * xs[k] for k in range(j + 1))
 
-    expect = alpha ** (t + 1) * 1.0 + alpha * (1 - alpha) * sum(
-        alpha ** (t - j) * (xs[j] - mu_closed(j - 1)) ** 2 for j in range(t + 1)
-    )
-    assert abs(var - expect) < 1e-9
+        expect = alpha ** (t + 1) * 1.0 + alpha * (1 - alpha) * sum(
+            alpha ** (t - j) * (xs[j] - mu_closed(j - 1)) ** 2 for j in range(t + 1)
+        )
+        assert abs(var - expect) < 1e-9
 
 
 def test_asymptotic_variance_near_inverse_alpha():
@@ -100,11 +108,13 @@ def test_measurements_report_nan_not_the_largest_finite_gap(monkeypatch):
 
 def test_accumulated_centered_output_bounded():
     alpha = 0.9
-    xs = make_rng(13).uniform(-1.0, 1.0, size=20_000)
-    mu = stream(xs, None, 1, alpha, 0.99)[3][:, 0, 0]
-    # Sample t is centred on the mean before it, mu_{t-1}, and mu_{-1} = 0.
-    totals = np.cumsum(xs - np.concatenate(([0.0], mu[:-1])))
-    assert np.abs(totals).max() <= 1.0 / (1 - alpha) + 1e-9
+    rng = make_rng(13)
+    # One feature, then three whose columns are independent streams.
+    for xs in (rng.uniform(-1.0, 1.0, size=(20_000, 1)), rng.uniform(-1.0, 1.0, size=(20_000, 3))):
+        mu = stream(xs, None, 1, alpha, 0.99)[3][:, 0]
+        # Sample t is centred on the mean before it, mu_{t-1}, and mu_{-1} = 0.
+        totals = np.cumsum(xs - np.concatenate((np.zeros((1, xs.shape[1])), mu[:-1])), axis=0)
+        assert np.abs(totals).max() <= 1.0 / (1 - alpha) + 1e-9
 
 
 def test_forward_spatial_uses_feature_statistics():
@@ -216,10 +226,11 @@ def test_layer_scale_backward_zero_sample_gives_finite_gradient():
 
 
 def test_first_backward_divides_by_initial_sigma():
-    state = OnlineNormState(1, alpha_f=0.9, alpha_b=0.9)
-    forward_sample(state, scalar(3.0))
-    xg = backward_sample(state, scalar(0.5))
-    assert xg[0, 0, 0] == 0.5  # sigma_0 = 1, accumulators zero
+    # One feature, then three whose columns are independent streams.
+    for x, g in ((scalar(3.0), scalar(0.5)), (np.array([[3.0, -1.0, 0.5]]), np.array([[0.5, -2.0, 0.25]]))):
+        state = OnlineNormState(x.shape[1], alpha_f=0.9, alpha_b=0.9)
+        forward_sample(state, x)
+        assert np.array_equal(backward_sample(state, g), g)  # sigma_0 = 1, accumulators zero
 
 
 def test_backward_spatial_means_enter_accumulators():

@@ -4,7 +4,9 @@ state keeps its invariants over random shapes and decays, the conv layer
 matches its einsum formulas, the gradient-bias network's grouped pass
 matches one call per batch, the parameter store steps like one update
 per array, a one-sample OnlineNorm step gives the bits of the general
-per-sample arithmetic, a fully connected (n, F) block gives the bits of the
+per-sample arithmetic, a one-value (1, 1) streaming step, taken in Python
+floats, gives the array path's bits on signed zeros, NaNs, infinities and
+zero divisors, a fully connected (n, F) block gives the bits of the
 same block as (n, F, 1) in OnlineNorm, BatchNorm and LayerNorm and takes no
 spatial path, softmax cross-entropy and OnlineNorm's parameter gradients
 at one sample and the dense layer at groups of 1 to 4 give the general
@@ -442,6 +444,53 @@ def test_one_sample_online_norm_parameter_gradients_give_the_general_bits(
             want_bias += np.add.reduce(grad, axis=0)
         assert same_bits(layer.d_gain, want_gain)
         assert same_bits(layer.d_bias, want_bias)
+
+
+# Signed zeros, signed NaNs and infinities, a square that overflows, one that
+# underflows, and ordinary values.
+stream_values = st.one_of(
+    st.sampled_from([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1e300, -1e300, 1e-300]),
+    st.floats(-50.0, 50.0),
+)
+nonzero_values = stream_values.filter(lambda v: v != 0.0)
+
+
+@st.composite
+def one_value_steps(draw):
+    """A state, then 1-4 steps of (x, y', the divisor written into pending[1] or None)."""
+    state = {"mu": draw(stream_values), "var": draw(st.sampled_from([1.0, -1.0, 0.0, np.nan, np.inf])),
+             "eps_y": draw(nonzero_values), "eps_1": draw(nonzero_values)}
+    divisors = st.one_of(st.none(), st.sampled_from([0.0, -0.0, np.nan, np.inf, SIGMA_FLOOR]))
+    steps = draw(st.lists(st.tuples(stream_values, stream_values, divisors), min_size=1, max_size=4))
+    return state, steps
+
+
+@settings(max_examples=200)
+@given(case=one_value_steps(), alpha_f=decays, alpha_b=decays)
+def test_one_value_step_gives_the_array_bits(case, alpha_f, alpha_b):
+    # A (1, 1) block steps in Python floats; column 0 of a (1, 2) block
+    # takes the array path over the same stream.
+    start, steps = case
+    one, two = OnlineNormState(1, alpha_f, alpha_b), OnlineNormState(2, alpha_f, alpha_b)
+    for name, value in start.items():
+        setattr(one, name, np.array([value]))
+        setattr(two, name, np.array([value, 1.0]))
+    for x, g, divisor in steps:
+        held = {name: getattr(one, name) for name in STATE_ARRAYS}
+        kept = {name: a.copy() for name, a in held.items()}
+        with np.errstate(all="ignore"):
+            y, want_y = forward_sample(one, np.array([[x]])), forward_sample(two, np.array([[x, 0.5]]))
+            sigma, want_sigma = one.pending[1].copy(), two.pending[1][:, :1].copy()
+            if divisor is not None:
+                one.pending[1][0, 0] = two.pending[1][0, 0] = divisor
+            xg, want_xg = backward_sample(one, np.array([[g]])), backward_sample(two, np.array([[g, 0.5]]))
+        assert y.shape == xg.shape == sigma.shape == (1, 1)
+        assert same_bits(y, want_y[:, :1])
+        assert same_bits(sigma, want_sigma)
+        assert same_bits(xg, want_xg[:, :1])
+        for name in STATE_ARRAYS:
+            assert same_bits(getattr(one, name), getattr(two, name)[:1]), name
+            assert same_bits(held[name], kept[name]), name  # rebound, never written
 
 
 def _mean(v, axes):
