@@ -446,12 +446,8 @@ def test_one_sample_online_norm_parameter_gradients_give_the_general_bits(
         assert same_bits(layer.d_bias, want_bias)
 
 
-# Signed zeros, signed NaNs and infinities, a square that overflows, one that
-# underflows, and ordinary values.
-stream_values = st.one_of(
-    st.sampled_from([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1e300, -1e300, 1e-300]),
-    st.floats(-50.0, 50.0),
-)
+# edge_floats, with a negative NaN, infinities and a square that underflows.
+stream_values = st.one_of(edge_floats, st.sampled_from([-np.nan, np.inf, -np.inf, 1e-300]))
 nonzero_values = stream_values.filter(lambda v: v != 0.0)
 
 
