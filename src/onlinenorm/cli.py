@@ -1,10 +1,10 @@
 """Command-line front door.
 
 Exit codes: 0 success, 1 usage error, 2 configuration error, 3 runtime
-failure (including divergence). All files land inside the directory given
-by --out; nothing else is written. Commands run with numpy's floating-point
-warnings off: each reports a non-finite outcome through its exit code or
-its output instead.
+failure (including divergence and running out of memory). All files land
+inside the directory given by --out; nothing else is written. Commands run
+with numpy's floating-point warnings off: each reports a non-finite outcome
+through its exit code or its output instead.
 """
 
 from __future__ import annotations
@@ -258,8 +258,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return CONFIG_EXIT
-    except (DivergenceError, ValueError, RuntimeError) as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
+    except (DivergenceError, ValueError, RuntimeError, MemoryError) as exc:
+        print(f"runtime error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return RUNTIME_EXIT
 
 

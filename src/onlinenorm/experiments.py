@@ -110,7 +110,7 @@ class _BiasNet:
         # The loss averages over all n samples; each batch's averages over b.
         g = softmax_xent_backward(probs, labels) * groups
         gn = norm.backward(relu_backward(self.dense.backward(g).reshape(an.shape), an))
-        self.conv.backward(gn.reshape(n, _CHANNELS, _SIDE - 2, _SIDE - 2), input_grad=False)
+        self.conv.backward(gn.reshape(n, _CHANNELS, _SIDE - 2, _SIDE - 2))
         flat = self.params.g.copy()
         self.params.g[...] = 0.0
         return flat

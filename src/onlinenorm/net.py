@@ -2,7 +2,8 @@
 
 Dense layers, one small valid-padding conv layer, ReLU, softmax
 cross-entropy, SGD with momentum and L2 decay, and the batch-size scaling
-rules for learning rate and momentum. The training loop runs one group
+rules for learning rate and momentum. The conv layer is only ever an input
+layer and forms no input gradient. The training loop runs one group
 of samples at a time through the whole network, layer by layer, for every
 normalizer kind. The streaming normalizer runs the group's samples through
 its stream in order; weights change only between groups, so a group of B
@@ -121,13 +122,10 @@ class DenseLayer:
 
     PARAMS = ("w", "b")
 
-    def __init__(self, n_in: int, n_out: int, rng=None, weight_scale: float | None = None):
+    def __init__(self, n_in: int, n_out: int, rng, weight_scale: float | None = None):
         if weight_scale is None:
             weight_scale = np.sqrt(2.0 / n_in)
-        if rng is None:
-            self.w = np.zeros((n_out, n_in))
-        else:
-            self.w = rng.normal(0.0, weight_scale, size=(n_out, n_in))
+        self.w = rng.normal(0.0, weight_scale, size=(n_out, n_in))
         self.b = np.zeros(n_out)
         self.d_w = np.zeros_like(self.w)
         self.d_b = np.zeros(n_out)
@@ -164,8 +162,8 @@ class Conv2D:
 
     The forward pass and the kernel gradient contract the input's sliding
     windows with np.tensordot, so they run as BLAS matrix products. The
-    input gradient is a scatter-add: each output position's (ic, kh, kw)
-    patch of grad-times-kernel is added back onto the window it came from.
+    layer is only ever a network's input layer, so its backward forms no
+    input gradient.
     """
 
     PARAMS = ("k", "b")
@@ -188,22 +186,12 @@ class Conv2D:
         out = np.tensordot(self.k, win, axes=((1, 2, 3), (1, 4, 5)))  # (oc, b, h, w)
         return out.transpose(1, 0, 2, 3) + self.b[None, :, None, None]
 
-    def backward(self, grad: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
-        """Accumulate d_k and d_b; return the input gradient, or None without input_grad."""
+    def backward(self, grad: np.ndarray) -> None:
+        """Accumulate d_k and d_b."""
         if self._windows is None:
             raise RuntimeError("backward before forward")
-        win = self._windows
-        b, ic, hgt, wid, kh, kw = win.shape
-        self.d_k += np.tensordot(win, grad, axes=((0, 2, 3), (0, 2, 3))).transpose(3, 0, 1, 2)
+        self.d_k += np.tensordot(self._windows, grad, axes=((0, 2, 3), (0, 2, 3))).transpose(3, 0, 1, 2)
         self.d_b += grad.sum(axis=(0, 2, 3))
-        if not input_grad:
-            return None
-        cols = np.tensordot(self.k, grad, axes=((0,), (1,)))  # (ic, kh, kw, b, h, w)
-        dx = np.zeros((ic, b, hgt + kh - 1, wid + kw - 1))
-        for i in range(kh):
-            for j in range(kw):
-                dx[:, :, i : i + hgt, j : j + wid] += cols[:, i, j]
-        return dx.transpose(1, 0, 2, 3)
 
 
 def softmax_xent_forward(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -277,7 +265,8 @@ def _make_normalizer(kind: str, features: int, cfg: TrainConfig):
 
 
 class Mlp:
-    """Dense/normalize/ReLU stack with a linear classifier head."""
+    """Dense/normalize/ReLU stack with a linear classifier head. whole_set: a normalizer
+    declares WHOLE_SET_INFERENCE, so training and evaluation each take the whole set at once."""
 
     def __init__(self, sizes, cfg: TrainConfig, rng):
         self.dense = []
@@ -287,6 +276,7 @@ class Mlp:
             self.norms.append(_make_normalizer(cfg.normalizer, sizes[i + 1], cfg))
         self.dense.append(DenseLayer(sizes[-2], sizes[-1], rng))
         self.params = Params(self.dense + [n for n in self.norms if isinstance(n, OnlineNorm)])
+        self.whole_set = any(getattr(n, "WHOLE_SET_INFERENCE", False) for n in self.norms)
         self._pre = []
 
     def weight_norm(self) -> float:
@@ -353,14 +343,14 @@ def train(cfg: TrainConfig, train_set, val_set=None) -> tuple[list[MetricsRecord
     cfg.validate()
     if train_set.n == 0:
         raise ValueError("training set is empty")
-    if cfg.normalizer not in ("online", "exact-population") and cfg.batch_size > train_set.n:
-        raise ValueError(
-            f"batch_size {cfg.batch_size} exceeds training set size {train_set.n}"
-        )
+    if train_set.dim == 0:
+        raise ValueError("training set has no features")
     rng = make_rng(cfg.seed)
     net = Mlp([train_set.dim] + [cfg.hidden] * cfg.depth + [train_set.n_classes], cfg, rng)
     sum_gradients = cfg.normalizer == "online"
-    group = train_set.n if cfg.normalizer == "exact-population" else cfg.batch_size
+    group = train_set.n if net.whole_set else cfg.batch_size
+    if not sum_gradients and group > train_set.n:
+        raise ValueError(f"batch_size {cfg.batch_size} exceeds training set size {train_set.n}")
     stop = train_set.n if sum_gradients else train_set.n - group + 1
     steps_per_epoch = len(range(0, stop, group))
     every, last_step = cfg.eval_interval or steps_per_epoch, cfg.epochs * steps_per_epoch
@@ -418,8 +408,7 @@ def evaluate_accuracy(net: Mlp, dataset) -> float:
     """
     if dataset.n == 0:
         return float("nan")
-    whole = any(getattr(norm, "WHOLE_SET_INFERENCE", False) for norm in net.norms)
-    block = dataset.n if whole else _EVAL_BLOCK
+    block = dataset.n if net.whole_set else _EVAL_BLOCK
     hits = 0
     for start in range(0, dataset.n, block):
         logits = net.forward_batch(dataset.x[start : start + block], training=False)

@@ -6,9 +6,13 @@ projections off the ones vector and off the normalized output,
 
     x' = (1/sigma) (I - P_1) (I - P_y) y'
 
-is orthogonal to both 1 and y. Exact, batch and layer normalization run this
-one primitive, _normalize and _normalize_backward, over the whole population,
-over (batch, spatial) of each feature, or over each sample's features.
+is orthogonal to both 1 and y. Where sigma falls below SIGMA_FLOOR the
+forward divides by the floor instead, a constant, so the gradient there is
+(I - P_1) y' / SIGMA_FLOOR: the y projection is dropped, as layer scaling
+drops its coupling term, and the choice is made from the unfloored sigma.
+Exact, batch and layer normalization run this one primitive, _normalize and
+_normalize_backward, over the whole population, over (batch, spatial) of
+each feature, or over each sample's features.
 Centering is a corrected two-pass: subtract the mean, then the residual mean
 of the centered values. That removes the first-order effect of the rounded
 mean and, for two-sample batches, makes the output bit-exactly (+1, -1) and
@@ -38,29 +42,32 @@ def _mean(v: np.ndarray, axes) -> np.ndarray:
 
 def _normalize(x: np.ndarray, axes):
     """Normalize x over axes: (y, mu, var, sigma) with keepdims, mu the
-    effective mean and sigma = sqrt(var) floored at SIGMA_FLOOR. Both kernels
-    work in place only on arrays they allocate: never on x, g or a cached y."""
+    effective mean and sigma = sqrt(var) unfloored; y divides by sigma
+    floored at SIGMA_FLOOR. Both kernels work in place only on arrays they
+    allocate: never on x, g or a cached y."""
     mu = _mean(x, axes)
     d = x - mu
     r = _mean(d, axes)
     d -= r
     var = _mean(d * d, axes)
-    sigma = np.maximum(np.sqrt(var), SIGMA_FLOOR)
-    d /= sigma
+    sigma = np.sqrt(var)
+    d /= np.maximum(sigma, SIGMA_FLOOR)
     return d, mu + r, var, sigma
 
 
 def _normalize_backward(g: np.ndarray, y: np.ndarray, sigma, axes) -> np.ndarray:
-    """(1/sigma)(I - P_1)(I - P_y) g over axes: the corrected centering of g,
-    then removal of its y component as a sum divided by the count."""
+    """(1/sigma)(I - P_1)(I - P_y) g over axes, given the forward's unfloored
+    sigma: the corrected centering of g, then removal of its y component as
+    a sum divided by the count. Where sigma < SIGMA_FLOOR the forward divided
+    by the floor, so the y component stays and the division is by the floor."""
     if g.shape != y.shape:
         raise ShapeError(f"gradient shape {g.shape} vs output {y.shape}")
     w = g - _mean(g, axes)
     w -= _mean(w, axes)
     t = w * y
-    np.multiply(_mean(t, axes), y, out=t)
+    np.multiply(np.where(sigma < SIGMA_FLOOR, 0.0, _mean(t, axes)), y, out=t)
     w -= t
-    w /= sigma
+    w /= np.maximum(sigma, SIGMA_FLOOR)
     return w
 
 
@@ -70,8 +77,8 @@ def exact_normalize(values) -> tuple[np.ndarray, float, float]:
     x = np.asarray(values, dtype=np.float64).reshape(-1)
     if x.size < 2:
         raise ShapeError(f"population needs at least 2 samples, got {x.size}")
-    y, mu, var, _ = _normalize(x, 0)
-    sigma = float(np.sqrt(var[0]))
+    y, mu, _, sigma = _normalize(x, 0)
+    sigma = float(sigma[0])
     if sigma < SIGMA_FLOOR:
         raise DegenerateBatchError(f"population std {sigma} below floor {SIGMA_FLOOR}")
     return y, float(mu[0]), sigma

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from onlinenorm import selftest
+from onlinenorm import cli, selftest
 from onlinenorm.cli import main
 from onlinenorm.idx import IMAGES_MAGIC, write_idx_images, write_idx_labels
 
@@ -391,3 +391,34 @@ def test_idx_pair_without_samples_exits_three(tmp_path, capsys):
     code, _, err = run_cli(["train", "--config", str(cfg), "--out", str(tmp_path / "o")], capsys)
     assert code == 3
     assert err == "runtime error: training set is empty\n"
+
+
+@pytest.mark.parametrize(
+    "command, rows, cols", [("train", 0, 3), ("train", 3, 0), ("sweep", 0, 3)], ids=["train-rows", "train-cols", "sweep"]
+)
+def test_idx_pair_of_images_without_pixels_exits_three(command, rows, cols, tmp_path, capsys):
+    images, labels = tmp_path / "img.idx", tmp_path / "lab.idx"
+    write_idx_images(images, np.zeros((10, rows, cols), dtype=np.uint8))
+    write_idx_labels(labels, np.arange(10) % 2)
+    cfg = tmp_path / "idx.cfg"
+    cfg.write_text(f"dataset = idx-file\nimages_path = {images}\nlabels_path = {labels}\n", encoding="utf-8")
+    code, _, err = run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "o")], capsys)
+    assert code == 3
+    assert err == "runtime error: training set has no features\n"
+
+
+@pytest.mark.parametrize(
+    "exc, message",
+    [(MemoryError("Unable to allocate 7.28 TiB for an array"), "Unable to allocate 7.28 TiB for an array"),
+     (MemoryError(), "MemoryError")],
+    ids=["numpy", "bare"],
+)
+def test_memory_error_exits_three(exc, message, monkeypatch, tmp_path, capsys):
+    # The experiment's binding raises at once: no test asks the host for the memory.
+    def refuse(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "equilibrium_experiment", refuse)
+    code, _, err = run_cli(["equilibrium", "--out", str(tmp_path / "o")], capsys)
+    assert code == 3
+    assert err == f"runtime error: {message}\n"

@@ -14,7 +14,7 @@ from onlinenorm.reference import (
 )
 from onlinenorm import reference
 from onlinenorm.selftest import central_differences, exact_backward_errors
-from onlinenorm.tensor import ShapeError, make_rng
+from onlinenorm.tensor import SIGMA_FLOOR, ShapeError, make_rng
 
 
 def linear_loss_fd(x, loss_w, h=1e-5):
@@ -346,3 +346,24 @@ def test_population_norm_evaluates_over_the_training_axes(shape):
     for bad in (np.zeros((6, 3)), np.zeros(6)):
         with pytest.raises(ShapeError):
             norm.forward(bad, training=False)
+
+
+@pytest.mark.parametrize(
+    "kind, shape", [("batch", (8, 2)), ("batch", (4, 2, 3)), ("layer", (2, 6))], ids=["batch-2d", "batch-3d", "layer"]
+)
+def test_gradient_where_sigma_is_floored_matches_central_differences(kind, shape):
+    # The first group's spread is far below SIGMA_FLOOR, so the forward
+    # divides it by the floor, a constant: its gradient is (I - P_1) g / floor
+    # with no y projection. The second group is ordinary. A step of h moves a
+    # group's sigma by at most h, so every perturbed input stays floored.
+    axis = 0 if kind == "layer" else 1
+    spread = np.array([1e-6, 2.0]).reshape([2 if a == axis else 1 for a in range(len(shape))])
+    rng = make_rng(50)
+    x = 0.5 + spread * rng.normal(size=shape)
+    g = rng.normal(size=shape)
+    h = 1e-7
+    sigma = _groups(kind, x).std(axis=1)
+    assert sigma[0] + h < SIGMA_FLOOR < sigma[1]
+    _, got = _run(kind, x, g)
+    fd = central_differences(lambda v: float((_run(kind, v, g)[0] * g).sum()), x, h)
+    assert np.abs(got - fd).max() <= 1e-7 * np.abs(fd).max()
