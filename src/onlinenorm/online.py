@@ -3,16 +3,15 @@
 Forward pass, per feature:
 
     y_t      = (x_t - mu_{t-1}) / max(sigma_{t-1}, floor)
-    mu_t     = a_f * mu_{t-1} + (1 - a_f) * mean(x_t)
-    var_t    = a_f * var_{t-1} + (1 - a_f) * var(x_t)
-               + a_f * (1 - a_f) * (mean(x_t) - mu_{t-1})^2
+    mu_t     = a_f * mu_{t-1} + (1 - a_f) * x_t
+    var_t    = a_f * var_{t-1} + a_f * (1 - a_f) * (x_t - mu_{t-1})^2
 
-where mean/var run over the sample's spatial extent and a_f is the forward
-decay factor. The output is computed with the pre-update statistics.
+where a_f is the forward decay factor. The output is computed with the
+pre-update statistics.
 
-Layer scaling then divides the whole sample by the RMS over every feature
-and spatial position, which pins the sample's mean square at one and blocks
-exponential growth or decay of activations through depth.
+Layer scaling then divides the whole sample by the RMS over its features,
+which pins the sample's mean square at one and blocks exponential growth
+or decay of activations through depth.
 
 The backward pass is a two-stage control process. Each stage subtracts a
 multiple of an accumulated error so the stream of produced gradients stays,
@@ -20,47 +19,39 @@ on average, orthogonal to the normalized output (first stage) and mean-free
 (second stage):
 
     xt_t     = y'_t - (1 - a_b) * eps_y_{t-1} * y_t
-    eps_y_t  = eps_y_{t-1} + mean(xt_t * y_t)
+    eps_y_t  = eps_y_{t-1} + xt_t * y_t
     x'_t     = xt_t / sigma_{t-1} - (1 - a_b) * eps_1_{t-1}
-    eps_1_t  = eps_1_{t-1} + mean(x'_t)
+    eps_1_t  = eps_1_{t-1} + x'_t
 
 Bounded gradients alone do not keep the accumulators bounded. Written as
-eps_y_t = a_t * eps_y_{t-1} + mean(y'_t * y_t), eps_y's coefficient
-a_t = 1 - (1 - a_b) * mean(y_t^2) leaves [-1, 1] once
-mean(y_t^2) > 2 / (1 - a_b), and y, divided by the running sigma of
-earlier samples, reaches that region on heavy-tailed inputs. On 1e5
-one-feature steps with gradients uniform on (-1, 1), max |eps| after step
-1000 over max |eps| before it reached 191 for Student-t(2) inputs at
-a_f = a_b = 0.99 and 410 at a_f = 0.999, a_b = 0.9; Cauchy inputs at
-0.999/0.9 drove max |eps| to 4.0e27, every value still finite. No
-sufficient condition for boundedness is established here. The state
+eps_y_t = a_t * eps_y_{t-1} + y'_t * y_t, eps_y's coefficient
+a_t = 1 - (1 - a_b) * y_t^2 leaves [-1, 1] once y_t^2 > 2 / (1 - a_b),
+and y, divided by the running sigma of earlier samples, reaches that
+region on heavy-tailed inputs. On 1e5 one-feature steps with gradients
+uniform on (-1, 1), max |eps| after step 1000 over max |eps| before it
+reached 191 for Student-t(2) inputs at a_f = a_b = 0.99 and 410 at
+a_f = 0.999, a_b = 0.9; Cauchy inputs at 0.999/0.9 drove max |eps| to
+4.0e27, every value still finite. No sufficient condition for
+boundedness is established here. The state
 holds its most recent forward's record, y_t and sigma_{t-1}, until one
 backward consumes it. That sigma is the divisor of the first stage's
 output; a caller may replace it in between, as the equilibrium experiment
 does with the running RMS of the produced gradient.
 
-Every function takes a float64 block of n consecutive samples, n = 1
-being the streaming step: (n, features) from a fully connected layer,
-whose spatial size S is 1, or (n, features, spatial). Rearranged, each
+Every function takes a float64 block of n consecutive samples of a fully
+connected layer, shaped (n, features), n = 1 being the streaming step, and
+raises ShapeError for a block of any other ndim. Rearranged, each
 recurrence is first-order linear, h_t = a_t h_{t-1} + b_t: mu and var with
-a = a_f (var once mu is known), eps_y with a_t = 1 - (1 - a_b) mean(y_t^2)
-and b_t = mean(y'_t y_t), and eps_1 with a = a_b and
-b_t = mean(xt_t) / sigma_{t-1}. A block of n >= 2 runs each one as a
-log-depth scan over the block (recursive doubling, as in Hillis & Steele
-1986 and Blelloch 1990), vectorized across features, and is equal to n
-single-sample calls to within rounding (<= 1e-10 relative). A block of
-n = 1 takes one step in the order written above. A (1, 1) block, one
-sample of one feature, takes that step in Python floats, which cost a
-fraction of numpy's per-call dispatch, and gives the array path's bits,
-NaN signs and divisions by a zero divisor included. An (n, features) block,
-at every n, uses two exact identities of S = 1: the mean of one value is
-that value (x / 1 == x), so x_t - mu_{t-1} is mean(x_t) - mu_{t-1}; and
-the in-sample variance is 0, so its term (1 - a_f) * 0 drops out of var.
-It takes no spatial reduction, no in-sample variance and no broadcast over
-a spatial axis, and gives the bits of the same block shaped
-(n, features, 1), which takes the general arithmetic. (Where a length-1
-reduction would turn -0.0 into +0.0, that mean is only squared or added
-to running sums that start at +0.0, so the bits agree.)
+a = a_f (var once mu is known), eps_y with a_t = 1 - (1 - a_b) y_t^2 and
+b_t = y'_t y_t, and eps_1 with a = a_b and b_t = xt_t / sigma_{t-1}. A
+block of n >= 2 runs each one as a log-depth scan over the block
+(recursive doubling, as in Hillis & Steele 1986 and Blelloch 1990),
+vectorized across features, and is equal to n single-sample calls to
+within rounding (<= 1e-10 relative). A block of n = 1 takes one step in
+the order written above. A (1, 1) block, one sample of one feature, takes
+that step in Python floats, which cost a fraction of numpy's per-call
+dispatch, and gives the array path's bits, NaN signs and divisions by a
+zero divisor included.
 Training may run a whole block forward before its backward because the
 forward statistics never read the backward accumulators, and the weights
 feeding the layer change only between blocks. Values are not checked for
@@ -74,7 +65,7 @@ import struct
 
 import numpy as np
 
-from .tensor import SIGMA_FLOOR, ShapeError, feature_axes, per_feature, spatial_mean
+from .tensor import SIGMA_FLOOR, ShapeError
 
 
 class InterleaveError(RuntimeError):
@@ -84,7 +75,7 @@ class InterleaveError(RuntimeError):
 class OnlineNormState:
     """Per-feature running statistics and backward error accumulators.
 
-    After reset: mu = 0, var = 1 (the fixed point of normalized inputs),
+    Initially: mu = 0, var = 1 (the fixed point of normalized inputs),
     eps_y = eps_1 = 0, pending = None. Decay factors must lie strictly
     inside (0, 1). pending is the last forward's (y, sigma) until a
     backward consumes it. Its sigma, the forward's divisor, is the divisor
@@ -105,25 +96,12 @@ class OnlineNormState:
         self.eps_1 = np.zeros(features)
         self.pending: tuple[np.ndarray, np.ndarray] | None = None
 
-    def reset(self) -> None:
-        """Restore the initial state; idempotent."""
-        self.mu.fill(0.0)
-        self.var.fill(1.0)
-        self.eps_y.fill(0.0)
-        self.eps_1.fill(0.0)
-        self.pending = None
-
 
 def _block(x, features: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (2, 3) or x.shape[1] != features:
-        raise ShapeError(f"expected an (n, {features}) or (n, {features}, spatial) block, got shape {x.shape}")
+    if x.ndim != 2 or x.shape[1] != features:
+        raise ShapeError(f"expected an (n, {features}) block, got shape {x.shape}")
     return x
-
-
-def _per_sample(v: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """An (n,) array shaped to broadcast over each sample of the block."""
-    return v[:, None] if block.ndim == 2 else v[:, None, None]
 
 
 def _scan(a, b: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -158,7 +136,6 @@ def forward_sample(state: OnlineNormState, x: np.ndarray) -> np.ndarray:
     """Normalize each sample of a block with the running statistics, then advance them."""
     x = _block(x, state.features)
     af, cf = state.alpha_f, 1.0 - state.alpha_f
-    flat = x.ndim == 2
     if x.shape == (1, 1):
         x0, mu, var = x.item(), state.mu.item(), state.var.item()
         delta = x0 - mu
@@ -170,27 +147,19 @@ def forward_sample(state: OnlineNormState, x: np.ndarray) -> np.ndarray:
         y = np.array(((delta / sigma,),))
         sigma_used = np.array(((sigma,),))
     elif len(x) == 1:
-        x0 = x[0]
-        mx = x0 if flat else spatial_mean(x0)
-        mu, var = state.mu, state.var
-        state.mu = af * mu + cf * mx
-        delta = mx - mu
-        decayed = af * var if flat else af * var + cf * spatial_mean(np.square(x0 - mx[:, None]))
-        state.var = decayed + af * cf * delta * delta
+        x0, mu, var = x[0], state.mu, state.var
+        state.mu = af * mu + cf * x0
+        delta = x0 - mu
+        state.var = af * var + af * cf * delta * delta
         sigma = np.maximum(np.sqrt(var), SIGMA_FLOOR)
-        y = (delta / sigma)[None] if flat else ((x0 - mu[:, None]) / sigma[:, None])[None]
+        y = (delta / sigma)[None]
         sigma_used = sigma[None]
     else:
-        mx = x if flat else spatial_mean(x)
-        mu, state.mu = _scan(af, cf * mx, state.mu)
-        delta = mx - mu
-        spread = af * cf * delta * delta
-        if not flat:
-            d = x - mx[:, :, None]
-            spread = cf * spatial_mean(d * d) + spread
-        var, state.var = _scan(af, spread, state.var)
+        mu, state.mu = _scan(af, cf * x, state.mu)
+        delta = x - mu
+        var, state.var = _scan(af, af * cf * delta * delta, state.var)
         sigma_used = np.maximum(np.sqrt(var), SIGMA_FLOOR)
-        y = delta / sigma_used if flat else (x - mu[:, :, None]) / sigma_used[:, :, None]
+        y = delta / sigma_used
     state.pending = (y, sigma_used)
     return y
 
@@ -198,20 +167,21 @@ def forward_sample(state: OnlineNormState, x: np.ndarray) -> np.ndarray:
 def forward_inference(state: OnlineNormState, x: np.ndarray) -> np.ndarray:
     """Normalize a block with the current statistics without advancing the state."""
     x = _block(x, state.features)
-    sigma = np.maximum(np.sqrt(state.var), SIGMA_FLOOR)
-    return (x - per_feature(state.mu, x)) / per_feature(sigma, x)
+    return (x - state.mu) / np.maximum(np.sqrt(state.var), SIGMA_FLOOR)
 
 
 def layer_scale_forward(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Divide each sample by its RMS over all features and spatial positions.
+    """Divide each sample of an (n, features) block by its RMS over the features.
 
     Returns the scaled block z and the (n,) per-sample RMS values zeta,
     which layer_scale_backward takes back. A one-sample block divides by
     its zeta as a scalar.
     """
-    n, m = len(y), math.prod(y.shape[1:])
-    zeta = np.sqrt(np.add.reduce((y * y).reshape(n, m), axis=1) / m)
-    z = y / (max(zeta[0], SIGMA_FLOOR) if n == 1 else _per_sample(np.maximum(zeta, SIGMA_FLOOR), y))
+    if y.ndim != 2:
+        raise ShapeError(f"expected an (n, features) block, got shape {y.shape}")
+    m = y.shape[1]
+    zeta = np.sqrt(np.add.reduce(y * y, axis=1) / m)
+    z = y / (max(zeta[0], SIGMA_FLOOR) if len(y) == 1 else np.maximum(zeta, SIGMA_FLOOR)[:, None])
     return z, zeta
 
 
@@ -219,20 +189,20 @@ def layer_scale_backward(z_grad: np.ndarray, z: np.ndarray, zeta: np.ndarray) ->
     """Exact gradient of the RMS scaling, per sample, given its forward's (z, zeta).
 
     (z' - z * mean(z z')) / zeta where the forward divided by zeta, and
-    z' / floor where it divided by the floor. A one-sample block takes its
-    zeta as a scalar.
+    z' / floor where it divided by the floor, the mean running over each
+    sample's features. A one-sample block takes its zeta as a scalar.
     """
-    if z_grad.shape != z.shape:
-        raise ShapeError(f"gradient shape {z_grad.shape} vs output {z.shape}")
-    n, m = len(z), math.prod(z.shape[1:])
-    coupling = np.add.reduce((z * z_grad).reshape(n, m), axis=1)
-    if n == 1:
+    if z_grad.shape != z.shape or z.ndim != 2:
+        raise ShapeError(f"expected an (n, features) gradient shaped like its output {z.shape}, got {z_grad.shape}")
+    m = z.shape[1]
+    coupling = np.add.reduce(z * z_grad, axis=1)
+    if len(z) == 1:
         zeta = zeta[0]
         return z_grad / SIGMA_FLOOR if zeta < SIGMA_FLOOR else (z_grad - z * (coupling[0] / m)) / zeta
     scaled = zeta >= SIGMA_FLOOR
     coupling = np.where(scaled, coupling / m, 0.0)
     divisor = np.where(scaled, zeta, SIGMA_FLOOR)
-    return (z_grad - z * _per_sample(coupling, z)) / _per_sample(divisor, z)
+    return (z_grad - z * coupling[:, None]) / divisor[:, None]
 
 
 def backward_sample(state: OnlineNormState, y_grad: np.ndarray) -> np.ndarray:
@@ -248,7 +218,6 @@ def backward_sample(state: OnlineNormState, y_grad: np.ndarray) -> np.ndarray:
         raise ShapeError(f"gradient shape {y_grad.shape} vs output {y.shape}")
 
     ab, cb = state.alpha_b, 1.0 - state.alpha_b
-    flat = y.ndim == 2
     if y.shape == (1, 1):
         y0, sigma = y.item(), sigma_used.item()
         eps_y, eps_1 = state.eps_y.item(), state.eps_1.item()
@@ -260,24 +229,17 @@ def backward_sample(state: OnlineNormState, y_grad: np.ndarray) -> np.ndarray:
         xg = np.array(((xg,),))
     elif len(y) == 1:
         y0 = y[0]
-        eps_y, eps_1 = (state.eps_y, state.eps_1) if flat else (state.eps_y[:, None], state.eps_1[:, None])
-        xt = y_grad[0] - cb * eps_y * y0
-        p = xt * y0
-        state.eps_y = state.eps_y + (p if flat else spatial_mean(p))
-        xg = xt / (sigma_used[0] if flat else sigma_used.T) - cb * eps_1
-        state.eps_1 = state.eps_1 + (xg if flat else spatial_mean(xg))
+        xt = y_grad[0] - cb * state.eps_y * y0
+        state.eps_y = state.eps_y + xt * y0
+        xg = xt / sigma_used[0] - cb * state.eps_1
+        state.eps_1 = state.eps_1 + xg
         xg = xg[None]
-    elif flat:
+    else:
         eps_y, state.eps_y = _scan(1.0 - cb * (y * y), y_grad * y, state.eps_y)
         xs = (y_grad - cb * eps_y * y) / sigma_used
         # _scan overwrites its b, and xs is still needed.
         eps_1, state.eps_1 = _scan(ab, xs.copy(), state.eps_1)
         xg = xs - cb * eps_1
-    else:
-        eps_y, state.eps_y = _scan(1.0 - cb * spatial_mean(y * y), spatial_mean(y_grad * y), state.eps_y)
-        xs = (y_grad - cb * eps_y[:, :, None] * y) / sigma_used[:, :, None]
-        eps_1, state.eps_1 = _scan(ab, spatial_mean(xs), state.eps_1)
-        xg = xs - cb * eps_1[:, :, None]
     state.pending = None
     return xg
 
@@ -325,10 +287,9 @@ class OnlineNorm:
     """Composed streaming normalizer: normalization, a per-feature gain and
     bias, then layer scaling.
 
-    Takes (n, features) or (n, features, spatial) blocks, like BatchNorm,
-    and returns blocks of the same shape. It holds its gain and bias with
-    their gradient buffers the way DenseLayer holds w and b; the model's
-    optimizer holds the momentum.
+    Takes (n, features) blocks and returns blocks of the same shape. It
+    holds its gain and bias with their gradient buffers the way DenseLayer
+    holds w and b; the model's optimizer holds the momentum.
     A training pass runs the n samples through the stream in order; provided
     the parameters change only between blocks, it equals n single-sample
     passes to within rounding (<= 1e-10 relative), exactly at n = 1. A single
@@ -350,7 +311,7 @@ class OnlineNorm:
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
         """Training advances the statistics; evaluation freezes them and keeps no record."""
         y = forward_sample(self.state, x) if training else forward_inference(self.state, x)
-        z, zeta = layer_scale_forward(per_feature(self.gain, y) * y + per_feature(self.bias, y))
+        z, zeta = layer_scale_forward(self.gain * y + self.bias)
         if training:
             self._scaled = (z, zeta)
         return z
@@ -360,13 +321,13 @@ class OnlineNorm:
             raise InterleaveError("backward before any forward")
         grad = layer_scale_backward(np.asarray(grad, dtype=np.float64), *self._scaled)
         pending = self.state.pending
-        out = backward_sample(self.state, per_feature(self.gain, grad) * grad)
+        out = backward_sample(self.state, self.gain * grad)
         # Accumulated only once backward_sample has consumed the pending
         # record, so a refused backward leaves the gradients as they were.
-        if grad.ndim == 2 and len(grad) == 1:  # one row, as in DenseLayer.backward
+        if len(grad) == 1:  # one row, as in DenseLayer.backward
             self.d_gain += grad[0] * pending[0][0]
             self.d_bias += grad[0]
         else:
-            self.d_gain += np.add.reduce(grad * pending[0], axis=feature_axes(grad))
-            self.d_bias += np.add.reduce(grad, axis=feature_axes(grad))
+            self.d_gain += np.add.reduce(grad * pending[0], axis=0)
+            self.d_bias += np.add.reduce(grad, axis=0)
         return out

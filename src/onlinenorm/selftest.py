@@ -40,12 +40,12 @@ def central_differences(loss, v: np.ndarray, h: float) -> np.ndarray:
 def stream(x, g, block: int, alpha_f: float, alpha_b: float):
     """Run the kernel forward, then backward, over consecutive blocks of `block` samples.
 
-    x and g are (n, features) or (n, features, spatial) inputs and output
-    gradients, or 1-D streams of n one-feature samples; g = None runs
-    forwards only. Returns copies of the per-sample y, x' (None without g)
-    and (n, features) sigma each sample was divided by, and the
-    (blocks, 4, features) rows of mu, var, eps_y and eps_1 after each
-    block. The last block may be short.
+    x and g are (n, features) inputs and output gradients, or 1-D streams
+    of n one-feature samples; g = None runs forwards only. Returns copies
+    of the per-sample y, x' (None without g) and sigma each sample was
+    divided by, all (n, features), and the (blocks, 4, features) rows of
+    mu, var, eps_y and eps_1 after each block. The last block may be
+    short.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
@@ -53,7 +53,7 @@ def stream(x, g, block: int, alpha_f: float, alpha_b: float):
         g = None if g is None else np.asarray(g, dtype=np.float64).reshape(-1, 1)
     state = online.OnlineNormState(x.shape[1], alpha_f, alpha_b)
     starts = range(0, len(x), block)
-    y, sigma = np.empty(x.shape), np.empty(x.shape[:2])
+    y, sigma = np.empty(x.shape), np.empty(x.shape)
     xg = None if g is None else np.empty(x.shape)
     states = np.empty((len(starts), 4, x.shape[1]))
     for i, start in enumerate(starts):
@@ -108,12 +108,11 @@ def accumulator_maxima(pairs) -> tuple[float, float]:
 def group_deviation(x, g, block: int, alpha_f: float, alpha_b: float) -> float:
     """Largest gap between the kernel run on blocks and run one sample at a time.
 
-    x and g are (n, features) or (n, features, spatial) inputs and output
-    gradients. The grouped run streams blocks of `block` samples, the
-    streamed run blocks of one. The gap covers y, x', the sigma each sample
-    was divided by and every final state array, each relative to max(1, the
-    largest |value| of the streamed run); it is exactly 0 when every value
-    agrees bit for bit.
+    x and g are (n, features) inputs and output gradients. The grouped run
+    streams blocks of `block` samples, the streamed run blocks of one. The
+    gap covers y, x', the sigma each sample was divided by and every final
+    state array, each relative to max(1, the largest |value| of the
+    streamed run); it is exactly 0 when every value agrees bit for bit.
     """
     runs = [stream(x, g, size, alpha_f, alpha_b) for size in (block, 1)]
     grouped, streamed = ([*run[:3], *run[3][-1]] for run in runs)
@@ -185,14 +184,14 @@ def layer_scale_fd_error(seed: int, trials: int) -> float:
 
 
 def _layer_scale_ms_error() -> float:
-    z, _ = online.layer_scale_forward(make_rng(3).normal(size=(50, 8, 4)))
-    return float(np.abs((z**2).mean(axis=(1, 2)) - 1.0).max())
+    z, _ = online.layer_scale_forward(make_rng(3).normal(size=(50, 32)))
+    return float(np.abs((z**2).mean(axis=1) - 1.0).max())
 
 
 def _roundtrip_mismatches() -> int:
     """Fields of a state that differ after save_state/load_state of it, once
     it holds the statistics a 50-sample block leaves."""
-    x, g = make_rng(23).normal(size=(2, 50, 5, 3))
+    x, g = make_rng(23).normal(size=(2, 50, 5))
     state = online.OnlineNormState(5, alpha_f=0.97, alpha_b=0.9)
     state.mu, state.var, state.eps_y, state.eps_1 = stream(x, g, 50, 0.97, 0.9)[3][-1]
     clone = online.load_state(online.save_state(state))
@@ -213,9 +212,9 @@ def _jacobian_gap() -> float:
 
 
 def _group_inputs(seed: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n samples of 4 features by 3 positions drawn from N(3, 2), and N(0, 1) gradients."""
+    """n samples of 12 features drawn from N(3, 2), and N(0, 1) gradients."""
     rng = make_rng(seed)
-    return rng.normal(3.0, 2.0, size=(n, 4, 3)), rng.normal(size=(n, 4, 3))
+    return rng.normal(3.0, 2.0, size=(n, 12)), rng.normal(size=(n, 12))
 
 
 def _uniform(seed: int, size) -> np.ndarray:

@@ -2,10 +2,10 @@
 
 Everything is float64: the verification tolerances sit near 1e-10, which
 float32 cannot hold. Activations travel as blocks of n samples: (n,
-features) for fully connected layers, whose spatial size is 1, and (n,
-features, spatial) for feature maps. A fully connected block stays 2-D
-through every normalizer; none adds a length-1 spatial axis. FeatureMap
-holds one validated sample.
+features) for fully connected layers, and (n, features, spatial) for
+feature maps, which only BatchNorm normalizes. A fully connected block
+stays 2-D through every normalizer; none adds a length-1 spatial axis.
+FeatureMap holds one validated sample.
 """
 
 from __future__ import annotations
@@ -57,12 +57,6 @@ class FeatureMap:
 
     def __repr__(self) -> str:
         return f"FeatureMap(features={self.features}, spatial={self.spatial})"
-
-
-def spatial_mean(v: np.ndarray) -> np.ndarray:
-    """Mean over each feature's spatial values, the last axis of an array: the
-    same sum and division as v.mean(axis=-1), without its per-call overhead."""
-    return np.add.reduce(v, axis=-1) / v.shape[-1]
 
 
 def feature_axes(block: np.ndarray):

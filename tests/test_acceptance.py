@@ -112,7 +112,7 @@ def test_criterion_06_batched_emulation_equivalence():
     for n in (1, 2, 3, 5, 8):
         for alpha in (0.5, 0.99, 0.999):
             # Inputs, then gradients, from one generator, run as blocks of n.
-            x, g = make_rng(1000 * n + int(alpha * 10_000)).uniform(-2.0, 2.0, size=(2, 10 * n, 1, 1))
+            x, g = make_rng(1000 * n + int(alpha * 10_000)).uniform(-2.0, 2.0, size=(2, 10 * n, 1))
             gaps.append(group_deviation(x, g, n, alpha, alpha))
     worst = np.max(gaps)
     elapsed = time.time() - t0

@@ -11,7 +11,7 @@ def streaming_trajectory(xs, alpha):
     """Oracle: the per-step streaming statistics."""
     state = OnlineNormState(1, alpha_f=alpha, alpha_b=0.99)
     mus, vars_ = [], []
-    for x in np.reshape(xs, (-1, 1, 1, 1)):
+    for x in np.reshape(xs, (-1, 1, 1)):
         forward_sample(state, x)
         mus.append(state.mu[0])
         vars_.append(state.var[0])
@@ -63,8 +63,8 @@ def test_variance_matches_streaming_on_random_stream():
 def test_emulation_deviation_reports_nan():
     # A NaN at the end of the stream poisons x' and eps_y; the grouped-run
     # gap must come back as NaN rather than the largest finite gap.
-    x = make_rng(54).normal(size=(12, 1, 1))
-    g = make_rng(55).normal(size=(12, 1, 1))
+    x = make_rng(54).normal(size=(12, 1))
+    g = make_rng(55).normal(size=(12, 1))
     g[-1] = np.nan
     assert np.isnan(group_deviation(x, g, 4, 0.9, 0.99))
 

@@ -298,7 +298,7 @@ def test_streaming_norm_scale_invariance_after_requilibration():
     worst = 0.0
     for t in range(steps + 50):
         u = rng.normal(size=6)
-        a = (w @ u)[None, :, None]
+        a = (w @ u)[None]
         ya = forward_inference(base, a)
         yb = forward_inference(scaled, c * a)
         forward_sample(base, a)

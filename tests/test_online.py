@@ -11,6 +11,7 @@ from onlinenorm.online import (
     OnlineNorm,
     OnlineNormState,
     backward_sample,
+    forward_inference,
     forward_sample,
     layer_scale_backward,
     layer_scale_forward,
@@ -25,14 +26,13 @@ from onlinenorm.tensor import ShapeError, make_rng
 
 
 def scalar(x):
-    """One sample with one feature: a (1, 1, 1) block."""
-    return np.full((1, 1, 1), float(x))
+    """One sample with one feature: a (1, 1) block."""
+    return np.full((1, 1), float(x))
 
 
 def sample(values):
-    """One sample as a (1, features, spatial) block; 1-D values mean spatial = 1."""
-    a = np.asarray(values, dtype=np.float64)
-    return a.reshape(1, a.shape[0], -1)
+    """One sample as a (1, features) block."""
+    return np.asarray(values, dtype=np.float64).reshape(1, -1)
 
 
 # ---------------------------------------------------------------- forward
@@ -117,26 +117,47 @@ def test_accumulated_centered_output_bounded():
         assert np.abs(totals).max() <= 1.0 / (1 - alpha) + 1e-9
 
 
-def test_forward_spatial_uses_feature_statistics():
-    state = OnlineNormState(2, alpha_f=0.9, alpha_b=0.9)
-    x = sample([[1.0, 3.0], [10.0, 10.0]])
-    y = forward_sample(state, x)
-    assert np.allclose(y, x)  # mu=0 sigma=1 at init
-    # mean over spatial enters the running mean
-    assert state.mu[0] == pytest.approx(0.1 * 2.0)
-    assert state.mu[1] == pytest.approx(0.1 * 10.0)
-    # per-sample variance enters the running variance
-    assert state.var[0] == pytest.approx(0.9 + 0.1 * 1.0 + 0.09 * 4.0)
-
-
 def test_forward_errors():
     state = OnlineNormState(2)
     with pytest.raises(ShapeError):
         forward_sample(state, sample([1.0, 2.0, 3.0]))
-    # A block is (n, features) or (n, features, spatial).
+    # A block is (n, features).
     for shape in ((2,), (1, 2, 1, 1)):
         with pytest.raises(ShapeError):
             forward_sample(state, np.zeros(shape))
+
+
+def test_spatial_blocks_are_refused_and_leave_the_state_alone():
+    # The kernel and layer scaling take (n, features) blocks only. A 3-D
+    # block, even of spatial size 1, raises before anything moves: layer
+    # scaling must not reduce it over the features axis alone.
+    rng = make_rng(28)
+    layer = OnlineNorm(3, alpha_f=0.9, alpha_b=0.9)
+    layer.forward(rng.normal(size=(2, 3)))
+    layer.backward(rng.normal(size=(2, 3)))
+    layer.forward(rng.normal(size=(2, 3)))  # leaves a forward pending
+    before = copy.deepcopy(layer)
+    pending, scaled = layer.state.pending, layer._scaled
+    for shape in ((1, 3, 1), (4, 3, 2)):
+        x = rng.normal(size=shape)
+        calls = (
+            lambda: forward_sample(layer.state, x),
+            lambda: forward_inference(layer.state, x),
+            lambda: layer_scale_forward(x),
+            lambda: layer_scale_backward(x, x, np.ones(len(x))),
+            lambda: layer.forward(x, training=True),
+            lambda: layer.forward(x, training=False),
+        )
+        for call in calls:
+            with pytest.raises(ShapeError):
+                call()
+    assert layer.state.pending is pending and layer._scaled is scaled
+    for name in ("mu", "var", "eps_y", "eps_1"):
+        assert np.array_equal(getattr(layer.state, name), getattr(before.state, name))
+    for name in ("gain", "bias", "d_gain", "d_bias"):
+        assert np.array_equal(getattr(layer, name), getattr(before, name))
+    g = rng.normal(size=(2, 3))
+    assert np.array_equal(layer.backward(g), before.backward(g))
 
 
 # ---------------------------------------------------------- layer scaling
@@ -157,14 +178,14 @@ def test_layer_scale_identity_when_rms_one():
 
 def test_layer_scale_unit_mean_square():
     rng = make_rng(14)
-    y = sample(rng.normal(size=(8, 4)))
+    y = sample(rng.normal(size=32))
     z, _ = layer_scale_forward(y)
     assert abs((z**2).mean() - 1.0) < 1e-12
 
 
 def test_layer_scale_backward_parallel_gradient_annihilates():
     rng = make_rng(15)
-    y = sample(rng.normal(size=(4, 2)))
+    y = sample(rng.normal(size=8))
     z, zeta = layer_scale_forward(y)
     g = 2.5 * z
     back = layer_scale_backward(g, z, zeta)
@@ -233,27 +254,12 @@ def test_first_backward_divides_by_initial_sigma():
         assert np.array_equal(backward_sample(state, g), g)  # sigma_0 = 1, accumulators zero
 
 
-def test_backward_spatial_means_enter_accumulators():
-    state = OnlineNormState(1, alpha_f=0.9, alpha_b=0.9)
-    x = sample([[1.0, -1.0, 2.0]])
-    y = forward_sample(state, x)
-    g = sample([[0.3, 0.6, -0.3]])
-    xg = backward_sample(state, g)
-    # accumulators advance by within-sample means
-    assert state.eps_y[0] == pytest.approx((g * y).mean(), abs=1e-15)
-    assert state.eps_1[0] == pytest.approx(xg.mean(), abs=1e-15)
-
-
 def test_interleave_handshake_errors():
     state = OnlineNormState(1)
     forward_sample(state, scalar(1.0))
     backward_sample(state, scalar(1.0))
     with pytest.raises(InterleaveError):
         backward_sample(state, scalar(1.0))  # already consumed
-    forward_sample(state, scalar(1.0))
-    state.reset()
-    with pytest.raises(InterleaveError):
-        backward_sample(state, scalar(1.0))  # reset dropped the pending forward
     with pytest.raises(InterleaveError):
         backward_sample(OnlineNormState(1), scalar(1.0))  # no forward yet
 
@@ -284,7 +290,7 @@ def test_affine_direct_example():
     layer.gain[:] = 2.0
     layer.bias[:] = -1.0
     out = layer.forward(scalar(0.5))  # 2 * 0.5 - 1 = 0, which layer scaling keeps at 0
-    assert out[0, 0, 0] == 0.0
+    assert out[0, 0] == 0.0
 
 
 def test_affine_gradients_match_finite_differences():
@@ -296,8 +302,8 @@ def test_affine_gradients_match_finite_differences():
     layer = OnlineNorm(4, alpha_f=0.5, alpha_b=0.9)
     layer.gain[:] = rng.normal(size=4)
     layer.bias[:] = rng.normal(size=4)
-    x = rng.normal(size=(3, 4, 3))
-    loss_w = rng.normal(size=(3, 4, 3))
+    x = rng.normal(size=(3, 4))
+    loss_w = rng.normal(size=(3, 4))
     before = copy.deepcopy(layer)
 
     def loss(gain, bias):
@@ -314,29 +320,12 @@ def test_affine_gradients_match_finite_differences():
     # The normalization stage receives the layer-scaling gradient times the gain.
     state = copy.deepcopy(before.state)
     y = forward_sample(state, x)
-    z, zeta = layer_scale_forward(before.gain[:, None] * y + before.bias[:, None])
-    zg = before.gain[:, None] * layer_scale_backward(loss_w, z, zeta)
+    z, zeta = layer_scale_forward(before.gain * y + before.bias)
+    zg = before.gain * layer_scale_backward(loss_w, z, zeta)
     assert np.array_equal(xg, backward_sample(state, zg))
 
 
-# ----------------------------------------------------------- reset & state
-
-
-def test_reset_restores_initial_state():
-    state = OnlineNormState(2, alpha_f=0.9, alpha_b=0.9)
-    rng = make_rng(22)
-    for _ in range(5):
-        forward_sample(state, sample(rng.normal(size=2)))
-        backward_sample(state, sample(rng.normal(size=2)))
-    state.reset()
-    assert np.array_equal(state.mu, np.zeros(2))
-    assert np.array_equal(state.var, np.ones(2))
-    assert np.array_equal(state.eps_y, np.zeros(2))
-    assert np.array_equal(state.eps_1, np.zeros(2))
-    state.reset()  # idempotent
-    assert np.array_equal(state.var, np.ones(2))
-    y = forward_sample(state, sample([3.0, -1.5]))
-    assert np.array_equal(y.ravel(), np.array([3.0, -1.5]))
+# ------------------------------------------------------------------- state
 
 
 def test_invalid_construction():
@@ -349,14 +338,14 @@ def test_invalid_construction():
 
 
 def test_var_stays_nonnegative():
-    states = stream(make_rng(23).normal(size=(500, 3, 2)), None, 1, 0.5, 0.5)[3]
+    states = stream(make_rng(23).normal(size=(500, 6)), None, 1, 0.5, 0.5)[3]
     assert (states[:, 1] >= 0.0).all()
 
 
 def test_layer_scaling_of_an_empty_block():
-    z, zeta = layer_scale_forward(np.empty((0, 4, 2)))
-    assert z.shape == (0, 4, 2) and zeta.shape == (0,)
-    assert layer_scale_backward(np.empty((0, 4, 2)), z, zeta).shape == (0, 4, 2)
+    z, zeta = layer_scale_forward(np.empty((0, 4)))
+    assert z.shape == (0, 4) and zeta.shape == (0,)
+    assert layer_scale_backward(np.empty((0, 4)), z, zeta).shape == (0, 4)
     assert OnlineNorm(4).forward(np.empty((0, 4)), training=False).shape == (0, 4)
 
 
@@ -365,8 +354,8 @@ def test_empty_training_block_leaves_the_state_alone():
     forward_sample(state, sample([1.0, 2.0, 3.0]))
     backward_sample(state, sample([0.5, -1.0, 2.0]))
     before = copy.deepcopy(state)
-    assert forward_sample(state, np.empty((0, 3, 2))).shape == (0, 3, 2)
-    assert backward_sample(state, np.empty((0, 3, 2))).shape == (0, 3, 2)
+    assert forward_sample(state, np.empty((0, 3))).shape == (0, 3)
+    assert backward_sample(state, np.empty((0, 3))).shape == (0, 3)
     for name in ("mu", "var", "eps_y", "eps_1"):
         assert np.array_equal(getattr(state, name), getattr(before, name))
 
@@ -384,8 +373,8 @@ def test_serialization_roundtrip_and_continuation(features, alpha_f, alpha_b, bl
     rng = make_rng(seed)
     state = OnlineNormState(features, alpha_f=alpha_f, alpha_b=alpha_b)
     for n in blocks:
-        forward_sample(state, rng.normal(3.0, 2.0, size=(n, features, 2)))
-        backward_sample(state, rng.normal(size=(n, features, 2)))
+        forward_sample(state, rng.normal(3.0, 2.0, size=(n, features)))
+        backward_sample(state, rng.normal(size=(n, features)))
     clone = load_state(save_state(state))
     for name in ("mu", "var", "eps_y", "eps_1"):
         assert np.array_equal(getattr(clone, name), getattr(state, name))
@@ -394,7 +383,7 @@ def test_serialization_roundtrip_and_continuation(features, alpha_f, alpha_b, bl
     assert clone.pending is None
     # both continue identically, forward and backward, on a further block
     n = int(rng.integers(1, 65))
-    x, g = rng.normal(3.0, 2.0, size=(n, features, 2)), rng.normal(size=(n, features, 2))
+    x, g = rng.normal(3.0, 2.0, size=(n, features)), rng.normal(size=(n, features))
     assert np.array_equal(forward_sample(state, x), forward_sample(clone, x))
     assert np.array_equal(backward_sample(state, g), backward_sample(clone, g))
     for name in ("mu", "var", "eps_y", "eps_1"):

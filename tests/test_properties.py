@@ -3,20 +3,21 @@ to within rounding, the scan behind it matches a plain loop, the streaming
 state keeps its invariants over random shapes and decays, the conv layer
 matches its einsum formulas, the gradient-bias network's grouped pass
 matches one call per batch, the parameter store steps like one update
-per array, a one-sample OnlineNorm step gives the bits of the general
-per-sample arithmetic, a one-value (1, 1) streaming step, taken in Python
-floats, gives the array path's bits on signed zeros, NaNs, infinities and
-zero divisors, a fully connected (n, F) block gives the bits of the
-same block as (n, F, 1) in OnlineNorm, BatchNorm and LayerNorm and takes no
-spatial path, softmax cross-entropy and OnlineNorm's parameter gradients
-at one sample and the dense layer at groups of 1 to 4 give the general
-arithmetic's bits on signed zeros, huge values and NaN, the in-place
-exact-normalization kernel gives the bits of its out-of-place form and
-never writes to its caller's arrays, and train() records at the steps its
-schedule names, each with the mean loss of its interval and, without a
-validation set, its training accuracy, and evaluation in blocks of 128
-samples gives the whole set's accuracy (exact-population, whose inference
-reads the whole set, runs it as one block)."""
+per array, a one-sample OnlineNorm step gives the bits of its written-out
+arithmetic, a one-value (1, 1) streaming step, taken in Python floats,
+gives the array path's bits on signed zeros, NaNs, infinities and zero
+divisors, a fully connected (n, F) block gives the bits of the same block
+as (n, F, 1) in BatchNorm and LayerNorm and no normalizer keeps a record
+of it with a spatial axis, softmax cross-entropy and OnlineNorm's
+parameter gradients at one sample and the dense layer at groups of 1 to 4
+give the general arithmetic's bits on signed zeros, huge values and NaN,
+the in-place exact-normalization kernel gives the bits of its
+out-of-place form and never writes to its caller's arrays, and train()
+records at the steps its schedule names, each with the mean loss of its
+interval and, without a validation set, its training accuracy, and
+evaluation in blocks of 128 samples gives the whole set's accuracy
+(exact-population, whose inference reads the whole set, runs it as one
+block)."""
 
 import copy
 import functools
@@ -28,7 +29,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from onlinenorm import net as net_module
-from onlinenorm import online, tensor
+from onlinenorm import tensor
 from onlinenorm.datasets import DatasetSpec, generate_dataset
 from onlinenorm.experiments import _CLASSES, _SIDE, _BiasNet, _interleave
 from onlinenorm.net import (
@@ -63,7 +64,7 @@ from onlinenorm.reference import (
     exact_normalize,
 )
 from onlinenorm.selftest import group_deviation
-from onlinenorm.tensor import SIGMA_FLOOR, make_rng, spatial_mean
+from onlinenorm.tensor import SIGMA_FLOOR, make_rng
 
 decays = st.floats(0.5, 0.9999)
 seeds = st.integers(0, 2**32 - 1)
@@ -74,16 +75,15 @@ STATE_ARRAYS = ("mu", "var", "eps_y", "eps_1")
 @given(
     n=st.integers(1, 64),
     features=st.integers(1, 16),
-    spatial=st.integers(1, 4),
     alpha_f=decays,
     alpha_b=decays,
     block=st.integers(1, 64),
     seed=seeds,
 )
-def test_block_matches_single_sample_calls(n, features, spatial, alpha_f, alpha_b, block, seed):
+def test_block_matches_single_sample_calls(n, features, alpha_f, alpha_b, block, seed):
     rng = make_rng(seed)
-    x = rng.normal(3.0, 2.0, size=(n, features, spatial))
-    g = rng.normal(size=(n, features, spatial))
+    x = rng.normal(3.0, 2.0, size=(n, features))
+    g = rng.normal(size=(n, features))
     gap = group_deviation(x, g, block, alpha_f, alpha_b)
     # One-sample blocks keep the single-sample arithmetic; a scan over a
     # longer block sums in another order.
@@ -97,14 +97,13 @@ def test_block_matches_single_sample_calls(n, features, spatial, alpha_f, alpha_
 @given(
     blocks=st.lists(st.integers(1, 64), min_size=1, max_size=3),
     features=st.integers(1, 16),
-    spatial=st.integers(1, 4),
     alpha_f=decays,
     alpha_b=decays,
     seed=seeds,
 )
-def test_block_sequence_repeats_bit_identically(blocks, features, spatial, alpha_f, alpha_b, seed):
+def test_block_sequence_repeats_bit_identically(blocks, features, alpha_f, alpha_b, seed):
     rng = make_rng(seed)
-    data = [(rng.normal(3.0, 2.0, size=(n, features, spatial)), rng.normal(size=(n, features, spatial))) for n in blocks]
+    data = [(rng.normal(3.0, 2.0, size=(n, features)), rng.normal(size=(n, features))) for n in blocks]
 
     def run():
         state = OnlineNormState(features, alpha_f=alpha_f, alpha_b=alpha_b)
@@ -151,37 +150,32 @@ def test_scan_matches_a_sequential_loop(n, features, scalar, alpha, seed):
 @given(
     blocks=st.lists(st.integers(1, 64), min_size=1, max_size=3),
     features=st.integers(1, 16),
-    spatial=st.integers(1, 4),
     alpha_f=decays,
     alpha_b=decays,
     seed=seeds,
 )
-def test_state_invariants_and_handshake(blocks, features, spatial, alpha_f, alpha_b, seed):
+def test_state_invariants_and_handshake(blocks, features, alpha_f, alpha_b, seed):
     rng = make_rng(seed)
     state = OnlineNormState(features, alpha_f=alpha_f, alpha_b=alpha_b)
     with pytest.raises(InterleaveError):
-        backward_sample(state, rng.normal(size=(1, features, spatial)))  # nothing pending
+        backward_sample(state, rng.normal(size=(1, features)))  # nothing pending
     for n in blocks:
-        x = rng.normal(3.0, 2.0, size=(n, features, spatial))
-        g = rng.normal(size=(n, features, spatial))
+        x = rng.normal(3.0, 2.0, size=(n, features))
+        g = rng.normal(size=(n, features))
         forward_sample(state, x)
         untouched = copy.deepcopy(state)
         # Inference between a forward and its backward changes nothing the backward reads.
-        forward_inference(state, rng.normal(size=(n, features, spatial)))
+        forward_inference(state, rng.normal(size=(n, features)))
         assert np.array_equal(backward_sample(state, g), backward_sample(untouched, g))
         with pytest.raises(InterleaveError):
             backward_sample(state, g)  # already consumed
         assert (state.var >= 0.0).all()
         for name in STATE_ARRAYS:
             assert np.isfinite(getattr(state, name)).all(), name
-    forward_sample(state, rng.normal(size=(1, features, spatial)))
-    state.reset()
-    with pytest.raises(InterleaveError):
-        backward_sample(state, rng.normal(size=(1, features, spatial)))  # reset dropped it
 
     layer = OnlineNorm(features, alpha_f=alpha_f, alpha_b=alpha_b)
-    x = rng.normal(size=(blocks[0], features, spatial))
-    g = rng.normal(size=(blocks[0], features, spatial))
+    x = rng.normal(size=(blocks[0], features))
+    g = rng.normal(size=(blocks[0], features))
     layer.forward(x)
     untouched = copy.deepcopy(layer)
     layer.forward(rng.normal(size=x.shape), training=False)
@@ -192,14 +186,13 @@ def test_state_invariants_and_handshake(blocks, features, spatial, alpha_f, alph
 @given(
     n=st.integers(1, 16),
     features=st.integers(1, 16),
-    spatial=st.integers(1, 4),
     scale=st.sampled_from([0.0, 1e-7, 1.0, 1e3]),
     seed=seeds,
 )
-def test_layer_scaling_block_is_bit_identical_to_single_samples(n, features, spatial, scale, seed):
+def test_layer_scaling_block_is_bit_identical_to_single_samples(n, features, scale, seed):
     rng = make_rng(seed)
-    y = scale * rng.normal(size=(n, features, spatial))
-    g = rng.normal(size=(n, features, spatial))
+    y = scale * rng.normal(size=(n, features))
+    g = rng.normal(size=(n, features))
     z, zeta = layer_scale_forward(y)
     back = layer_scale_backward(g, z, zeta)
     for t in range(n):
@@ -210,48 +203,44 @@ def test_layer_scaling_block_is_bit_identical_to_single_samples(n, features, spa
 
 
 def _general_sample_step(ref, x, g, gain, bias, alpha_f, alpha_b):
-    """One OnlineNorm training step on a (1, F, S) sample with the general
-    per-sample arithmetic: reductions over the spatial axis, the in-sample
-    variance term, and the np.where form of the layer-scaling backward.
-    ref holds mu, var, eps_y, eps_1, d_gain and d_bias; returns (z, x', zeta)."""
+    """One OnlineNorm training step on a (1, F) sample, written out: the
+    recurrences in their written order and the np.where form of the
+    layer-scaling backward. ref holds mu, var, eps_y, eps_1, d_gain and
+    d_bias; returns (z, x', zeta)."""
     af, cf = alpha_f, 1.0 - alpha_f
-    ab, cb = alpha_b, 1.0 - alpha_b
-    mx = spatial_mean(x)
-    d = x - mx[:, :, None]
-    vx = spatial_mean(d * d)
-    mu, ref["mu"] = ref["mu"][None], af * ref["mu"] + cf * mx[0]
-    delta = mx - mu
-    var, ref["var"] = ref["var"][None], af * ref["var"] + cf * vx[0] + af * cf * delta[0] * delta[0]
+    cb = 1.0 - alpha_b
+    mu, ref["mu"] = ref["mu"][None], af * ref["mu"] + cf * x[0]
+    delta = x - mu
+    var, ref["var"] = ref["var"][None], af * ref["var"] + af * cf * delta[0] * delta[0]
     sigma = np.maximum(np.sqrt(var), SIGMA_FLOOR)
-    y = (x - mu[:, :, None]) / sigma[:, :, None]
+    y = delta / sigma
 
-    h = gain[:, None] * y + bias[:, None]
-    n, f, s = h.shape
-    zeta = np.sqrt(np.add.reduce((h * h).reshape(n, f * s), axis=1) / (f * s))
-    z = h / np.maximum(zeta, SIGMA_FLOOR)[:, None, None]
+    h = gain * y + bias
+    f = h.shape[1]
+    zeta = np.sqrt(np.add.reduce(h * h, axis=1) / f)
+    z = h / np.maximum(zeta, SIGMA_FLOOR)[:, None]
     scaled = zeta >= SIGMA_FLOOR
-    coupling = np.where(scaled, np.add.reduce((z * g).reshape(n, f * s), axis=1) / (f * s), 0.0)
-    gz = (g - z * coupling[:, None, None]) / np.where(scaled, zeta, SIGMA_FLOOR)[:, None, None]
+    coupling = np.where(scaled, np.add.reduce(z * g, axis=1) / f, 0.0)
+    gz = (g - z * coupling[:, None]) / np.where(scaled, zeta, SIGMA_FLOOR)[:, None]
 
-    xt = gain[:, None] * gz - cb * ref["eps_y"][:, None] * y
-    ref["eps_y"] = ref["eps_y"] + spatial_mean(xt * y)[0]
-    xg = xt / sigma[:, :, None] - cb * ref["eps_1"][:, None]
-    ref["eps_1"] = ref["eps_1"] + spatial_mean(xg)[0]
-    ref["d_gain"] = ref["d_gain"] + (gz * y).sum(axis=(0, 2))
-    ref["d_bias"] = ref["d_bias"] + gz.sum(axis=(0, 2))
+    xt = gain * gz - cb * ref["eps_y"] * y
+    ref["eps_y"] = ref["eps_y"] + (xt * y)[0]
+    xg = xt / sigma - cb * ref["eps_1"]
+    ref["eps_1"] = ref["eps_1"] + xg[0]
+    ref["d_gain"] = ref["d_gain"] + (gz * y).sum(axis=0)
+    ref["d_bias"] = ref["d_bias"] + gz.sum(axis=0)
     return z, xg, zeta
 
 
 @settings(max_examples=60)
 @given(
     features=st.integers(1, 64),
-    spatial=st.integers(1, 3),
     alpha_f=decays,
     alpha_b=decays,
     steps=st.integers(2, 6),
     seed=seeds,
 )
-def test_one_sample_step_matches_the_general_arithmetic(features, spatial, alpha_f, alpha_b, steps, seed):
+def test_one_sample_step_matches_the_general_arithmetic(features, alpha_f, alpha_b, steps, seed):
     # The first sample is all zeros, so the fresh state maps it to y = 0 and
     # its RMS zeta falls under the floor; the rest are random.
     rng = make_rng(seed)
@@ -262,14 +251,12 @@ def test_one_sample_step_matches_the_general_arithmetic(features, spatial, alpha
         "eps_1": np.zeros(features), "d_gain": np.zeros(features), "d_bias": np.zeros(features),
     }
     for t in range(steps):
-        x = rng.normal(3.0, 2.0, size=(1, features, spatial)) if t else np.zeros((1, features, spatial))
-        g = rng.normal(size=(1, features, spatial))
+        x = rng.normal(3.0, 2.0, size=(1, features)) if t else np.zeros((1, features))
+        g = rng.normal(size=(1, features))
         want_z, want_xg, zeta = _general_sample_step(ref, x, g, layer.gain, layer.bias, alpha_f, alpha_b)
         assert (zeta[0] < SIGMA_FLOOR) == (t == 0)
-        # A spatial size of 1 goes in as (1, F) samples, the trainer's shape.
-        squeeze = (lambda a: a[:, :, 0]) if spatial == 1 else (lambda a: a)
-        assert np.array_equal(layer.forward(squeeze(x)), squeeze(want_z))
-        assert np.array_equal(layer.backward(squeeze(g)), squeeze(want_xg))
+        assert np.array_equal(layer.forward(x), want_z)
+        assert np.array_equal(layer.backward(g), want_xg)
         for name in STATE_ARRAYS:
             assert np.array_equal(getattr(layer.state, name), ref[name]), name
         assert np.array_equal(layer.d_gain, ref["d_gain"])
@@ -279,37 +266,6 @@ def test_one_sample_step_matches_the_general_arithmetic(features, spatial, alpha
 def spatial(a):
     """An (n, F) block as the (n, F, 1) block of a feature map of one position."""
     return a[:, :, None]
-
-
-@settings(max_examples=60)
-@given(
-    blocks=st.lists(st.integers(2, 64), min_size=1, max_size=3),
-    features=st.integers(1, 32),
-    alpha_f=decays,
-    alpha_b=decays,
-    seed=seeds,
-)
-def test_fully_connected_block_matches_the_general_arithmetic(blocks, features, alpha_f, alpha_b, seed):
-    # An (n, F) block takes the S = 1 identities (mean(x) = x, in-sample
-    # variance 0); the same block as (n, F, 1) takes the spatial means, the
-    # in-sample variance and the broadcasts over the spatial axis.
-    rng = make_rng(seed)
-    flat, general = (OnlineNormState(features, alpha_f=alpha_f, alpha_b=alpha_b) for _ in range(2))
-    layer, layer3 = (OnlineNorm(features, alpha_f=alpha_f, alpha_b=alpha_b) for _ in range(2))
-    gain, bias = rng.normal(size=(2, features))
-    for each in (layer, layer3):
-        each.gain[:], each.bias[:] = gain, bias
-    for n in blocks:
-        x, g = rng.normal(3.0, 2.0, size=(n, features)), rng.normal(size=(n, features))
-        assert np.array_equal(forward_sample(flat, x), forward_sample(general, spatial(x))[:, :, 0])
-        assert np.array_equal(flat.pending[1], general.pending[1])  # sigma
-        assert np.array_equal(backward_sample(flat, g), backward_sample(general, spatial(g))[:, :, 0])
-        for name in STATE_ARRAYS:
-            assert np.array_equal(getattr(flat, name), getattr(general, name)), name
-        assert np.array_equal(layer.forward(x), layer3.forward(spatial(x))[:, :, 0])
-        assert np.array_equal(layer.backward(g), layer3.backward(spatial(g))[:, :, 0])
-        assert np.array_equal(layer.d_gain, layer3.d_gain)
-        assert np.array_equal(layer.d_bias, layer3.d_bias)
 
 
 @settings(max_examples=40)
@@ -556,14 +512,9 @@ def test_exact_kernel_writes_only_its_own_arrays(n, features, spatial, seed):
     assert all(np.array_equal(a, b) for a, b in zip((x, g), before))
 
 
-def test_fully_connected_blocks_take_no_spatial_path(monkeypatch):
-    # A fully connected block stays 2-D through every normalizer: no
-    # spatial mean is taken, and no record kept for the backward has a third axis.
-    def refuse(v):
-        raise AssertionError("a fully connected block took a spatial mean")
-
-    for module in (tensor, online):
-        monkeypatch.setattr(module, "spatial_mean", refuse)
+def test_fully_connected_blocks_take_no_spatial_path():
+    # A fully connected block stays 2-D through every normalizer: no record
+    # kept for the backward has a third axis.
     rng = make_rng(31)
     for n in (1, 2, 32):
         x, g = rng.normal(size=(2, n, 6))
