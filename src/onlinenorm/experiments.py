@@ -41,10 +41,11 @@ from .tensor import SIGMA_FLOOR, make_rng, relu, relu_backward
 # Fixed sizes. The gradient-bias network reads _SIDE x _SIDE single-channel
 # images of _CLASSES classes through _CHANNELS 3x3 filters; the growth
 # experiment runs _GROWTH_SAMPLES inputs; the equilibrium unit has _EQ_DIM
-# inputs and records every _EQ_RECORD_EVERY-th step.
+# inputs, records every _EQ_RECORD_EVERY-th step and draws its randomness
+# _EQ_BLOCK steps at a time.
 _SIDE, _CHANNELS, _CLASSES = 8, 8, 10
 _GROWTH_SAMPLES = 256
-_EQ_DIM, _EQ_RECORD_EVERY = 16, 10
+_EQ_DIM, _EQ_RECORD_EVERY, _EQ_BLOCK = 16, 10, 1024
 
 
 @dataclass
@@ -286,6 +287,12 @@ def equilibrium_experiment(eta: float, l2: float, steps: int, seed: int) -> Equi
     equilibrium law directly. Plain SGD with L2 decay; |w'| records the
     loss gradient only. A gradient norm, or a recorded weight norm, that is
     not finite raises DivergenceError.
+
+    The seed's stream is drawn in this order: first w, then for each block
+    of _EQ_BLOCK steps its _EQ_BLOCK x _EQ_DIM standard normal inputs, then
+    its _EQ_BLOCK signs. Every block is drawn whole, the last one too, so a
+    run is a prefix of any longer run with the same arguments, and memory
+    does not grow with the step count.
     """
     if not 0.0 < eta < math.inf:
         raise ValueError(f"eta (--eta) must be finite and > 0, got {eta}")
@@ -299,15 +306,19 @@ def equilibrium_experiment(eta: float, l2: float, steps: int, seed: int) -> Equi
     ab, cb, ms = state.alpha_b, 1.0 - state.alpha_b, 1.0
     rec_steps, rec_wnorm, rec_gnorm = [], [], []
     # One-sample blocks rewritten every step; the layer keeps neither of them.
-    # y' = -s for the supervision sign s drawn as an index into (-1, 1).
-    a, y_grad, signs = np.empty((1, 1)), np.empty((1, 1)), (1.0, -1.0)
+    a, y_grad = np.empty((1, 1)), np.empty((1, 1))
     for t in range(steps):
-        u = rng.normal(size=_EQ_DIM)
-        a[0, 0] = np.dot(w, u)
+        i = t % _EQ_BLOCK
+        if i == 0:
+            inputs = rng.standard_normal((_EQ_BLOCK, _EQ_DIM))
+            # y' = -s for the supervision sign s drawn as an index into (-1, 1).
+            y_grads = (1.0 - 2.0 * rng.integers(0, 2, size=_EQ_BLOCK)).tolist()
+        u = inputs[i]
+        a[0, 0] = w.dot(u)
         forward_sample(state, a)
         state.pending[1][0, 0] = max(math.sqrt(ms), SIGMA_FLOOR)
-        y_grad[0, 0] = signs[rng.integers(0, 2)]
-        x_grad = float(backward_sample(state, y_grad)[0, 0])
+        y_grad[0, 0] = y_grads[i]
+        x_grad = backward_sample(state, y_grad).item()
         ms = ab * ms + cb * (x_grad * x_grad)
         g = x_grad * u
         gnorm = math.sqrt(g.dot(g))

@@ -51,7 +51,15 @@ within rounding (<= 1e-10 relative). A block of n = 1 takes one step in
 the order written above. A (1, 1) block, one sample of one feature, takes
 that step in Python floats, which cost a fraction of numpy's per-call
 dispatch, and gives the array path's bits, NaN signs and divisions by a
-zero divisor included.
+zero divisor included. It returns, and rebinds the state to, fresh
+arrays, each allocated empty and filled by one store, so no array held
+from before the step is written. A step that a NaN enters, from the
+block, the state or the pending record, takes the array step instead:
+where two NaNs meet, which one a CPython float operation keeps changes
+once the interpreter specializes the operation after a few runs, so the
+NaN signs of Python floats would depend on how often the step had run.
+The NaNs a step makes from finite values and infinities all have the
+same bits.
 Training may run a whole block forward before its backward because the
 forward statistics never read the backward accumulators, and the weights
 feeding the layer change only between blocks. Values are not checked for
@@ -136,16 +144,22 @@ def forward_sample(state: OnlineNormState, x: np.ndarray) -> np.ndarray:
     """Normalize each sample of a block with the running statistics, then advance them."""
     x = _block(x, state.features)
     af, cf = state.alpha_f, 1.0 - state.alpha_f
-    if x.shape == (1, 1):
+    one_value = x.shape == (1, 1)
+    if one_value:
         x0, mu, var = x.item(), state.mu.item(), state.var.item()
+        one_value = not math.isnan(x0 + mu + var)
+    if one_value:
         delta = x0 - mu
-        state.mu = np.array((af * mu + cf * x0,))
-        state.var = np.array((af * var + af * cf * delta * delta,))
+        mu_t, var_t = np.empty(1), np.empty(1)
+        mu_t[0] = af * mu + cf * x0
+        var_t[0] = af * var + af * cf * delta * delta
+        state.mu, state.var = mu_t, var_t
         # math.sqrt raises on a negative var; np.sqrt gives the array path's NaN.
         # max keeps a NaN only as its first argument, as np.maximum does.
         sigma = max(math.sqrt(var) if var >= 0.0 else np.sqrt(var).item(), SIGMA_FLOOR)
-        y = np.array(((delta / sigma,),))
-        sigma_used = np.array(((sigma,),))
+        y, sigma_used = np.empty((1, 1)), np.empty((1, 1))
+        y[0, 0] = delta / sigma
+        sigma_used[0, 0] = sigma
     elif len(x) == 1:
         x0, mu, var = x[0], state.mu, state.var
         state.mu = af * mu + cf * x0
@@ -218,15 +232,20 @@ def backward_sample(state: OnlineNormState, y_grad: np.ndarray) -> np.ndarray:
         raise ShapeError(f"gradient shape {y_grad.shape} vs output {y.shape}")
 
     ab, cb = state.alpha_b, 1.0 - state.alpha_b
-    if y.shape == (1, 1):
-        y0, sigma = y.item(), sigma_used.item()
+    one_value = y.shape == (1, 1)
+    if one_value:
+        y0, sigma, g0 = y.item(), sigma_used.item(), y_grad.item()
         eps_y, eps_1 = state.eps_y.item(), state.eps_1.item()
-        xt = y_grad.item() - cb * eps_y * y0
-        state.eps_y = np.array((eps_y + xt * y0,))
+        one_value = not math.isnan(y0 + sigma + g0 + eps_y + eps_1)
+    if one_value:
+        xt = g0 - cb * eps_y * y0
         # A caller may have written 0 into sigma; / would raise where numpy gives inf or NaN.
-        xg = (xt / sigma if sigma else np.divide(xt, sigma).item()) - cb * eps_1
-        state.eps_1 = np.array((eps_1 + xg,))
-        xg = np.array(((xg,),))
+        x_grad = (xt / sigma if sigma else np.divide(xt, sigma).item()) - cb * eps_1
+        eps_y_t, eps_1_t, xg = np.empty(1), np.empty(1), np.empty((1, 1))
+        eps_y_t[0] = eps_y + xt * y0
+        eps_1_t[0] = eps_1 + x_grad
+        xg[0, 0] = x_grad
+        state.eps_y, state.eps_1 = eps_y_t, eps_1_t
     elif len(y) == 1:
         y0 = y[0]
         xt = y_grad[0] - cb * state.eps_y * y0

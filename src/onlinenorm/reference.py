@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import SIGMA_FLOOR, ShapeError, feature_axes, per_feature
+from .tensor import SIGMA_FLOOR, ShapeError
 
 # Decay of BatchNorm's running inference statistics.
 _STATS_DECAY = 0.99
@@ -31,6 +31,17 @@ _STATS_DECAY = 0.99
 
 class DegenerateBatchError(ValueError):
     """Population standard deviation fell below the divisor floor."""
+
+
+def _feature_axes(block: np.ndarray):
+    """Axes that hold each feature's values in an (n, features) or
+    (n, features, spatial) block: 0, or (0, 2)."""
+    return 0 if block.ndim == 2 else (0, 2)
+
+
+def _per_feature(v: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """A (features,) array shaped to broadcast over the block's samples."""
+    return v if block.ndim == 2 else v[:, None]
 
 
 def _mean(v: np.ndarray, axes) -> np.ndarray:
@@ -123,7 +134,7 @@ class BatchNorm:
             return self._inference(x)
         if x.shape[0] < 2:
             raise ShapeError("batch normalization needs batch size >= 2")
-        y, mu, var, sigma = _normalize(x, feature_axes(x))
+        y, mu, var, sigma = _normalize(x, _feature_axes(x))
         a = _STATS_DECAY
         self.running_mu = a * self.running_mu + (1.0 - a) * mu.reshape(-1)
         self.running_var = a * self.running_var + (1.0 - a) * var.reshape(-1)
@@ -132,13 +143,13 @@ class BatchNorm:
 
     def _inference(self, x: np.ndarray) -> np.ndarray:
         sigma = np.maximum(np.sqrt(self.running_var), SIGMA_FLOOR)
-        return (x - per_feature(self.running_mu, x)) / per_feature(sigma, x)
+        return (x - _per_feature(self.running_mu, x)) / _per_feature(sigma, x)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward before training-mode forward")
         y, sigma = self._cache
-        return _normalize_backward(np.asarray(grad, dtype=np.float64), y, sigma, feature_axes(y))
+        return _normalize_backward(np.asarray(grad, dtype=np.float64), y, sigma, _feature_axes(y))
 
 
 class PopulationNorm(BatchNorm):
@@ -150,7 +161,7 @@ class PopulationNorm(BatchNorm):
     WHOLE_SET_INFERENCE = True
 
     def _inference(self, x: np.ndarray) -> np.ndarray:
-        return _normalize(x, feature_axes(x))[0]
+        return _normalize(x, _feature_axes(x))[0]
 
 
 class LayerNorm:

@@ -1,11 +1,13 @@
-"""Dense-array substrate shared by every other module.
+"""Float64 primitives of the numeric modules: the divisor floor, the shape
+error, ReLU and the seeded generator.
 
 Everything is float64: the verification tolerances sit near 1e-10, which
 float32 cannot hold. Activations travel as blocks of n samples: (n,
 features) for fully connected layers, and (n, features, spatial) for
-feature maps, which only BatchNorm normalizes. A fully connected block
-stays 2-D through every normalizer; none adds a length-1 spatial axis.
-FeatureMap holds one validated sample.
+feature maps, which only BatchNorm normalizes (reference.py holds the
+axis helpers of that layout). A fully connected block stays 2-D through
+every normalizer; none adds a length-1 spatial axis. FeatureMap holds one
+validated sample.
 """
 
 from __future__ import annotations
@@ -57,17 +59,6 @@ class FeatureMap:
 
     def __repr__(self) -> str:
         return f"FeatureMap(features={self.features}, spatial={self.spatial})"
-
-
-def feature_axes(block: np.ndarray):
-    """Axes that hold each feature's values in an (n, features) or
-    (n, features, spatial) block: 0, or (0, 2)."""
-    return 0 if block.ndim == 2 else (0, 2)
-
-
-def per_feature(v: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """A (features,) array shaped to broadcast over the block's samples."""
-    return v if block.ndim == 2 else v[:, None]
 
 
 def relu(x: np.ndarray) -> np.ndarray:

@@ -127,11 +127,12 @@ def test_pure_decay_without_gradient_is_geometric():
         assert np.allclose(w, w0 * (1 - eta * l2) ** k, rtol=1e-13)
 
 
-def reference_equilibrium(eta, l2, steps, seed):
-    """The experiment written out in plain floats, without the kernel:
-    rng.choice for the sign, and the one-feature normalizer's forward mean
-    and variance, eps_y stage, output-RMS divisor, eps_1 stage and mean
-    square update, each in the kernel's order of operations."""
+def reference_equilibrium(eta, l2, steps, seed, block):
+    """The experiment written out in plain floats, without the kernel: per
+    whole block of `block` steps, its inputs by rng.normal and then its
+    signs by rng.choice; the one-feature normalizer's forward mean and
+    variance, eps_y stage, output-RMS divisor, eps_1 stage and mean square
+    update, each in the kernel's order of operations."""
     rng = make_rng(seed)
     w = rng.normal(0.0, 1.0 / np.sqrt(16), size=16)
     a_f = a_b = 0.99
@@ -139,14 +140,17 @@ def reference_equilibrium(eta, l2, steps, seed):
     mu, var, eps_y, eps_1, ms = 0.0, 1.0, 0.0, 0.0, 1.0
     rec = []
     for t in range(steps):
-        u = rng.normal(size=16)
+        if t % block == 0:
+            inputs = rng.normal(size=(block, 16))
+            signs = rng.choice([-1.0, 1.0], size=block)
+        u = inputs[t % block]
         a = float(np.dot(w, u))
         # One position per sample, so the sample's own variance is 0.
         y = (a - mu) / max(math.sqrt(var), SIGMA_FLOOR)
         delta = a - mu
         mu = a_f * mu + c_f * a
         var = a_f * var + a_f * c_f * delta * delta
-        y_grad = -float(rng.choice([-1.0, 1.0]))
+        y_grad = -float(signs[t % block])
         xt = y_grad - c_b * eps_y * y
         eps_y = eps_y + xt * y
         x_grad = xt / max(math.sqrt(ms), SIGMA_FLOOR) - c_b * eps_1
@@ -161,11 +165,29 @@ def reference_equilibrium(eta, l2, steps, seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_equilibrium_draws_the_reference_stream(seed):
-    steps, wnorm, gnorm = reference_equilibrium(0.1, 1e-3, 300, seed)
-    result = equilibrium_experiment(0.1, 1e-3, 300, seed)
-    assert np.array_equal(result.steps, steps)
-    assert np.array_equal(result.weight_norm, wnorm)
-    assert np.array_equal(result.grad_norm, gnorm)
+    block = experiments._EQ_BLOCK
+    # Within the first block, and across two whole blocks into a third.
+    for n in (300, 2 * block + 300):
+        steps, wnorm, gnorm = reference_equilibrium(0.1, 1e-3, n, seed, block)
+        result = equilibrium_experiment(0.1, 1e-3, n, seed)
+        assert np.array_equal(result.steps, steps)
+        assert np.array_equal(result.weight_norm, wnorm)
+        assert np.array_equal(result.grad_norm, gnorm)
+
+
+def test_equilibrium_runs_are_prefixes_and_memory_stays_per_block():
+    # The experiment draws 1024 steps at a time. A run that ends inside the
+    # first block records the first rows of a run of 20 blocks, so the last
+    # block is drawn whole; and the 20-block run holds less than its whole
+    # stream of inputs at any time.
+    short = equilibrium_experiment(0.1, 1e-3, 1001, seed=3)
+    steps, runs = 20 * 1024, []
+    peak = traced_peak(lambda: runs.append(equilibrium_experiment(0.1, 1e-3, steps, seed=3)))
+    assert peak < steps * 16 * 8
+    long, rows = runs[0], short.steps.size
+    assert np.array_equal(long.steps[:rows], short.steps)
+    assert np.array_equal(long.weight_norm[:rows], short.weight_norm)
+    assert np.array_equal(long.grad_norm[:rows], short.grad_norm)
 
 
 def test_output_rms_rescaling_mode(monkeypatch):
