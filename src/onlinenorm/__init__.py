@@ -16,7 +16,9 @@ from .online import (
     InterleaveError,
     OnlineNorm,
     OnlineNormState,
+    backward_float,
     backward_sample,
+    forward_float,
     forward_inference,
     forward_sample,
     layer_scale_backward,

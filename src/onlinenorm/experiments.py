@@ -34,7 +34,8 @@ from .net import (
     softmax_xent_forward,
     train,
 )
-from .online import OnlineNormState, backward_sample, forward_sample, layer_scale_forward
+# forward_sample is not called here; the benchmark tracer's tests read this binding.
+from .online import backward_float, forward_float, forward_sample, layer_scale_forward
 from .reference import BatchNorm
 from .tensor import SIGMA_FLOOR, make_rng, relu, relu_backward
 
@@ -286,7 +287,15 @@ def equilibrium_experiment(eta: float, l2: float, steps: int, seed: int) -> Equi
     invariant to weight scale and so reproduces the first-moment
     equilibrium law directly. Plain SGD with L2 decay; |w'| records the
     loss gradient only. A gradient norm, or a recorded weight norm, that is
-    not finite raises DivergenceError.
+    not finite raises DivergenceError. An eta and l2 whose law scale
+    sqrt(eta / (2 * l2)) is not finite and > 0 raise ValueError before any
+    step.
+
+    The normalizer is the kernel's one-value step run on Python floats:
+    forward_float, then backward_float with the ms divisor, the unit
+    holding mu, var, eps_y, eps_1 and ms itself. A run gives the bits of a
+    one-feature OnlineNormState stepped by forward_sample and
+    backward_sample with its pending sigma replaced by that divisor.
 
     The seed's stream is drawn in this order: first w, then for each block
     of _EQ_BLOCK steps its _EQ_BLOCK x _EQ_DIM standard normal inputs, then
@@ -298,15 +307,20 @@ def equilibrium_experiment(eta: float, l2: float, steps: int, seed: int) -> Equi
         raise ValueError(f"eta (--eta) must be finite and > 0, got {eta}")
     if not 0.0 < l2 < math.inf:
         raise ValueError(f"l2 (--l2) must be finite and > 0, got {l2}")
+    # Else the ratio column reads 0 or inf whatever the run does.
+    if not 0.0 < eta / (2.0 * l2) < math.inf:
+        raise ValueError(
+            f"l2 (--l2) {l2} with eta (--eta) {eta}: the law scale sqrt(eta / (2 * l2)) "
+            "must be finite and > 0"
+        )
     if steps < 1:
         raise ValueError(f"steps (--steps) must be >= 1, got {steps}")
     rng = make_rng(seed)
     w = rng.normal(0.0, 1.0 / np.sqrt(_EQ_DIM), size=_EQ_DIM)
-    state = OnlineNormState(1, alpha_f=0.99, alpha_b=0.99)
-    ab, cb, ms = state.alpha_b, 1.0 - state.alpha_b, 1.0
+    af = ab = 0.99
+    cb = 1.0 - ab
+    mu, var, eps_y, eps_1, ms = 0.0, 1.0, 0.0, 0.0, 1.0
     rec_steps, rec_wnorm, rec_gnorm = [], [], []
-    # One-sample blocks rewritten every step; the layer keeps neither of them.
-    a, y_grad = np.empty((1, 1)), np.empty((1, 1))
     for t in range(steps):
         i = t % _EQ_BLOCK
         if i == 0:
@@ -314,11 +328,12 @@ def equilibrium_experiment(eta: float, l2: float, steps: int, seed: int) -> Equi
             # y' = -s for the supervision sign s drawn as an index into (-1, 1).
             y_grads = (1.0 - 2.0 * rng.integers(0, 2, size=_EQ_BLOCK)).tolist()
         u = inputs[i]
-        a[0, 0] = w.dot(u)
-        forward_sample(state, a)
-        state.pending[1][0, 0] = max(math.sqrt(ms), SIGMA_FLOOR)
-        y_grad[0, 0] = y_grads[i]
-        x_grad = backward_sample(state, y_grad).item()
+        # The kernel's one-value step without forward_sample's NaN guard: a
+        # NaN entering a step makes its x' NaN, so the gnorm check below
+        # raises at that step and no NaN's bits reach the records.
+        mu, var, y, _ = forward_float(mu, var, w.dot(u).item(), af)
+        divisor = max(math.sqrt(ms), SIGMA_FLOOR)
+        eps_y, eps_1, x_grad = backward_float(eps_y, eps_1, y, divisor, y_grads[i], ab)
         ms = ab * ms + cb * (x_grad * x_grad)
         g = x_grad * u
         gnorm = math.sqrt(g.dot(g))

@@ -35,23 +35,26 @@ a_f = 0.999, a_b = 0.9; Cauchy inputs at 0.999/0.9 drove max |eps| to
 boundedness is established here. The state
 holds its most recent forward's record, y_t and sigma_{t-1}, until one
 backward consumes it. That sigma is the divisor of the first stage's
-output; a caller may replace it in between, as the equilibrium experiment
-does with the running RMS of the produced gradient.
+output; a caller may replace it in between. The equilibrium experiment
+instead passes its own divisor, the running RMS of the produced gradient,
+straight to backward_float.
 
-Every function takes a float64 block of n consecutive samples of a fully
-connected layer, shaped (n, features), n = 1 being the streaming step, and
-raises ShapeError for a block of any other ndim. Rearranged, each
-recurrence is first-order linear, h_t = a_t h_{t-1} + b_t: mu and var with
-a = a_f (var once mu is known), eps_y with a_t = 1 - (1 - a_b) y_t^2 and
-b_t = y'_t y_t, and eps_1 with a = a_b and b_t = xt_t / sigma_{t-1}. A
-block of n >= 2 runs each one as a log-depth scan over the block
-(recursive doubling, as in Hillis & Steele 1986 and Blelloch 1990),
-vectorized across features, and is equal to n single-sample calls to
-within rounding (<= 1e-10 relative). A block of n = 1 takes one step in
-the order written above. A (1, 1) block, one sample of one feature, takes
-that step in Python floats, which cost a fraction of numpy's per-call
-dispatch, and gives the array path's bits, NaN signs and divisions by a
-zero divisor included. It returns, and rebinds the state to, fresh
+Every function but the two float steps below takes a float64 block of n
+consecutive samples of a fully connected layer, shaped (n, features),
+n = 1 being the streaming step, and raises ShapeError for a block of any
+other ndim. Rearranged, each recurrence is first-order linear,
+h_t = a_t h_{t-1} + b_t: mu and var with a = a_f (var once mu is known),
+eps_y with a_t = 1 - (1 - a_b) y_t^2 and b_t = y'_t y_t, and eps_1 with
+a = a_b and b_t = xt_t / sigma_{t-1}. A block of n >= 2 runs each one as a
+log-depth scan over the block (recursive doubling, as in Hillis & Steele
+1986 and Blelloch 1990), vectorized across features, and is equal to n
+single-sample calls to within rounding (<= 1e-10 relative). A block of
+n = 1 takes one step in the order written above. A (1, 1) block, one
+sample of one feature, takes that step in Python floats, which cost a
+fraction of numpy's per-call dispatch. Its arithmetic is forward_float
+and backward_float, which take and return Python floats and give the
+array path's bits, NaN signs aside and divisions by a zero divisor
+included. The (1, 1) path returns, and rebinds the state to, fresh
 arrays, each allocated empty and filled by one store, so no array held
 from before the step is written. A step that a NaN enters, from the
 block, the state or the pending record, takes the array step instead:
@@ -140,6 +143,37 @@ def _scan(a, b: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate((h[None], b[:-1])), b[-1].copy()
 
 
+def forward_float(mu: float, var: float, x: float, alpha_f: float) -> tuple[float, float, float, float]:
+    """One forward step of one feature in Python floats: (mu, var, y, sigma).
+
+    Returns the advanced mu and var, the output y and the divisor sigma it
+    was computed with, each with the bits of the array step's, NaN signs
+    aside. A negative var gives a NaN sigma, as np.sqrt does.
+    """
+    cf = 1.0 - alpha_f
+    delta = x - mu
+    # math.sqrt raises on a negative var; np.sqrt gives the array path's NaN.
+    # max keeps a NaN only as its first argument, as np.maximum does.
+    sigma = max(math.sqrt(var) if var >= 0.0 else np.sqrt(var).item(), SIGMA_FLOOR)
+    return alpha_f * mu + cf * x, alpha_f * var + alpha_f * cf * delta * delta, delta / sigma, sigma
+
+
+def backward_float(
+    eps_y: float, eps_1: float, y: float, divisor: float, y_grad: float, alpha_b: float
+) -> tuple[float, float, float]:
+    """One two-stage backward step of one feature in Python floats: (eps_y, eps_1, x').
+
+    divisor divides the first stage's output; it is the forward's sigma
+    unless the caller passes another. Each value has the bits of the array
+    step's, NaN signs aside, a zero divisor included.
+    """
+    cb = 1.0 - alpha_b
+    xt = y_grad - cb * eps_y * y
+    # / raises on a zero divisor where numpy gives inf or NaN.
+    x_grad = (xt / divisor if divisor else np.divide(xt, divisor).item()) - cb * eps_1
+    return eps_y + xt * y, eps_1 + x_grad, x_grad
+
+
 def forward_sample(state: OnlineNormState, x: np.ndarray) -> np.ndarray:
     """Normalize each sample of a block with the running statistics, then advance them."""
     x = _block(x, state.features)
@@ -149,17 +183,11 @@ def forward_sample(state: OnlineNormState, x: np.ndarray) -> np.ndarray:
         x0, mu, var = x.item(), state.mu.item(), state.var.item()
         one_value = not math.isnan(x0 + mu + var)
     if one_value:
-        delta = x0 - mu
-        mu_t, var_t = np.empty(1), np.empty(1)
-        mu_t[0] = af * mu + cf * x0
-        var_t[0] = af * var + af * cf * delta * delta
-        state.mu, state.var = mu_t, var_t
-        # math.sqrt raises on a negative var; np.sqrt gives the array path's NaN.
-        # max keeps a NaN only as its first argument, as np.maximum does.
-        sigma = max(math.sqrt(var) if var >= 0.0 else np.sqrt(var).item(), SIGMA_FLOOR)
+        mu, var, y0, sigma = forward_float(mu, var, x0, af)
+        state.mu, state.var = np.empty(1), np.empty(1)
+        state.mu[0], state.var[0] = mu, var
         y, sigma_used = np.empty((1, 1)), np.empty((1, 1))
-        y[0, 0] = delta / sigma
-        sigma_used[0, 0] = sigma
+        y[0, 0], sigma_used[0, 0] = y0, sigma
     elif len(x) == 1:
         x0, mu, var = x[0], state.mu, state.var
         state.mu = af * mu + cf * x0
@@ -238,14 +266,10 @@ def backward_sample(state: OnlineNormState, y_grad: np.ndarray) -> np.ndarray:
         eps_y, eps_1 = state.eps_y.item(), state.eps_1.item()
         one_value = not math.isnan(y0 + sigma + g0 + eps_y + eps_1)
     if one_value:
-        xt = g0 - cb * eps_y * y0
-        # A caller may have written 0 into sigma; / would raise where numpy gives inf or NaN.
-        x_grad = (xt / sigma if sigma else np.divide(xt, sigma).item()) - cb * eps_1
-        eps_y_t, eps_1_t, xg = np.empty(1), np.empty(1), np.empty((1, 1))
-        eps_y_t[0] = eps_y + xt * y0
-        eps_1_t[0] = eps_1 + x_grad
+        eps_y, eps_1, x_grad = backward_float(eps_y, eps_1, y0, sigma, g0, ab)
+        state.eps_y, state.eps_1, xg = np.empty(1), np.empty(1), np.empty((1, 1))
+        state.eps_y[0], state.eps_1[0] = eps_y, eps_1
         xg[0, 0] = x_grad
-        state.eps_y, state.eps_1 = eps_y_t, eps_1_t
     elif len(y) == 1:
         y0 = y[0]
         xt = y_grad[0] - cb * state.eps_y * y0

@@ -126,6 +126,7 @@ def test_emulate_check_runs_steps_that_are_not_a_multiple_of_n(n, steps, capsys)
         (["equilibrium", "--eta", "inf"], "--eta"),
         (["equilibrium", "--l2", "inf"], "--l2"),
         (["grad-bias", "--batch-sizes", ","], "--batch-sizes"),
+        (["equilibrium", "--l2", "1e-320"], "--l2"),
     ],
 )
 def test_out_of_range_flag_values_exit_three_naming_the_flag(argv, flag, tmp_path, capsys):

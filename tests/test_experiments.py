@@ -12,8 +12,8 @@ from onlinenorm.experiments import (
     equilibrium_experiment,
     gradient_bias_experiment,
 )
-from onlinenorm.net import TrainConfig, train
-from onlinenorm.online import backward_sample
+from onlinenorm.net import DivergenceError, TrainConfig, train
+from onlinenorm.online import backward_float, forward_float
 from onlinenorm.tensor import SIGMA_FLOOR, make_rng
 
 from helpers import traced_peak
@@ -194,12 +194,12 @@ def test_output_rms_rescaling_mode(monkeypatch):
     # The experiment's produced gradients, recorded as its backward returns them.
     mags = []
 
-    def recording_backward(state, y_grad):
-        x_grad = backward_sample(state, y_grad)
-        mags.append(x_grad[0, 0] ** 2)
-        return x_grad
+    def recording_backward(*args):
+        eps_y, eps_1, x_grad = backward_float(*args)
+        mags.append(x_grad**2)
+        return eps_y, eps_1, x_grad
 
-    monkeypatch.setattr(experiments, "backward_sample", recording_backward)
+    monkeypatch.setattr(experiments, "backward_float", recording_backward)
     equilibrium_experiment(0.1, 1e-3, 3000, seed=19)
     assert len(mags) == 3000
     # the produced gradient is forced toward unit mean square
@@ -211,6 +211,44 @@ def test_equilibrium_preconditions():
         equilibrium_experiment(0.0, 1e-3, 10, 0)
     with pytest.raises(ValueError):
         equilibrium_experiment(0.1, 0.0, 10, 0)
+    # sqrt(eta / (2 * l2)) overflows to inf or underflows to 0, so the ratio
+    # column would read 0 or inf; each is refused before any step.
+    for eta, l2 in ((0.1, 1e-320), (1.7e308, 1e-3), (5e-324, 1e300)):
+        with pytest.raises(ValueError, match="--l2"):
+            equilibrium_experiment(eta, l2, 10, 0)
+
+
+@pytest.mark.parametrize(
+    "eta, l2, steps, seed, message",
+    [
+        (1e5, 1e-3, 200, 0, "gradient diverged at step 38"),
+        (1e3, 50.0, 200, 2, "gradient diverged at step 34"),
+        (0.1, 1e10, 50, 0, "gradient diverged at step 18"),
+        (1.7e308, 1.0, 5, 0, "weight norm diverged at step 0"),
+    ],
+)
+def test_equilibrium_diverges_at_the_pinned_step(eta, l2, steps, seed, message):
+    # The unit steps in Python floats without the kernel's NaN guard; a run
+    # must still stop at the step and with the message it always did.
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError, match=f"^{message}$"):
+        equilibrium_experiment(eta, l2, steps, seed)
+
+
+@pytest.mark.parametrize("slot", ["mu", "var", "x", "eps_y", "eps_1", "ms"])
+def test_a_nan_entering_an_equilibrium_step_makes_its_gradient_nan(slot):
+    # Why the unit may skip the NaN guard: its gnorm check then raises at
+    # the step a NaN enters, so no NaN's bits reach the records.
+    rng = make_rng(4)
+    names = ("mu", "var", "x", "eps_y", "eps_1", "ms")
+    for _ in range(20):
+        v = dict(zip(names, (rng.normal(size=6) * 10.0 ** rng.uniform(-3, 3, size=6)).tolist()))
+        v["var"], v["ms"] = abs(v["var"]), abs(v["ms"])
+        for nan in (math.nan, -math.nan):
+            v[slot] = nan
+            _, _, y, _ = forward_float(v["mu"], v["var"], v["x"], 0.99)
+            divisor = max(math.sqrt(v["ms"]), SIGMA_FLOOR)
+            for y_grad in (-1.0, 1.0):
+                assert math.isnan(backward_float(v["eps_y"], v["eps_1"], y, divisor, y_grad, 0.99)[2])
 
 
 # ------------------------------------------------------------------- sweep
