@@ -291,11 +291,13 @@ def equilibrium_experiment(eta: float, l2: float, steps: int, seed: int) -> Equi
     sqrt(eta / (2 * l2)) is not finite and > 0 raise ValueError before any
     step.
 
-    The normalizer is the kernel's one-value step run on Python floats:
-    forward_float, then backward_float with the ms divisor, the unit
-    holding mu, var, eps_y, eps_1 and ms itself. A run gives the bits of a
-    one-feature OnlineNormState stepped by forward_sample and
-    backward_sample with its pending sigma replaced by that divisor.
+    The normalizer is the kernel's one-value float steps: forward_float,
+    then backward_float with the ms divisor, the unit holding mu, var,
+    eps_y, eps_1 and ms itself. A run gives the bits of a one-feature
+    OnlineNormState stepped by forward_sample and backward_sample with its
+    pending sigma replaced by that divisor. The float steps differ from
+    the array step only in NaN signs, and no NaN reaches the records: a
+    NaN entering a step makes its x' NaN, and the gradient-norm check raises.
 
     The seed's stream is drawn in this order: first w, then for each block
     of _EQ_BLOCK steps its _EQ_BLOCK x _EQ_DIM standard normal inputs, then
@@ -328,9 +330,9 @@ def equilibrium_experiment(eta: float, l2: float, steps: int, seed: int) -> Equi
             # y' = -s for the supervision sign s drawn as an index into (-1, 1).
             y_grads = (1.0 - 2.0 * rng.integers(0, 2, size=_EQ_BLOCK)).tolist()
         u = inputs[i]
-        # The kernel's one-value step without forward_sample's NaN guard: a
-        # NaN entering a step makes its x' NaN, so the gnorm check below
-        # raises at that step and no NaN's bits reach the records.
+        # The float steps' NaN signs may differ from the array step's; a NaN
+        # entering a step makes its x' NaN, so the gnorm check below raises
+        # at that step and no NaN's bits reach the records.
         mu, var, y, _ = forward_float(mu, var, w.dot(u).item(), af)
         divisor = max(math.sqrt(ms), SIGMA_FLOOR)
         eps_y, eps_1, x_grad = backward_float(eps_y, eps_1, y, divisor, y_grads[i], ab)

@@ -39,30 +39,19 @@ output; a caller may replace it in between. The equilibrium experiment
 instead passes its own divisor, the running RMS of the produced gradient,
 straight to backward_float.
 
-Every function but the two float steps below takes a float64 block of n
-consecutive samples of a fully connected layer, shaped (n, features),
-n = 1 being the streaming step, and raises ShapeError for a block of any
-other ndim. Rearranged, each recurrence is first-order linear,
+Every function but the two float steps below takes a block of n
+consecutive samples of a fully connected layer, shaped (n, features) and
+read as float64, n = 1 being the streaming step, and raises ShapeError
+for any other ndim. Rearranged, each recurrence is first-order linear,
 h_t = a_t h_{t-1} + b_t: mu and var with a = a_f (var once mu is known),
 eps_y with a_t = 1 - (1 - a_b) y_t^2 and b_t = y'_t y_t, and eps_1 with
 a = a_b and b_t = xt_t / sigma_{t-1}. A block of n >= 2 runs each one as a
 log-depth scan over the block (recursive doubling, as in Hillis & Steele
 1986 and Blelloch 1990), vectorized across features, and is equal to n
 single-sample calls to within rounding (<= 1e-10 relative). A block of
-n = 1 takes one step in the order written above. A (1, 1) block, one
-sample of one feature, takes that step in Python floats, which cost a
-fraction of numpy's per-call dispatch. Its arithmetic is forward_float
-and backward_float, which take and return Python floats and give the
-array path's bits, NaN signs aside and divisions by a zero divisor
-included. The (1, 1) path returns, and rebinds the state to, fresh
-arrays, each allocated empty and filled by one store, so no array held
-from before the step is written. A step that a NaN enters, from the
-block, the state or the pending record, takes the array step instead:
-where two NaNs meet, which one a CPython float operation keeps changes
-once the interpreter specializes the operation after a few runs, so the
-NaN signs of Python floats would depend on how often the step had run.
-The NaNs a step makes from finite values and infinities all have the
-same bits.
+n = 1 takes one step in the order written above; forward_float and
+backward_float take that step for one feature in Python floats, with its
+bits NaN signs aside, for their one caller, the equilibrium experiment.
 Training may run a whole block forward before its backward because the
 forward statistics never read the backward accumulators, and the weights
 feeding the layer change only between blocks. Values are not checked for
@@ -178,17 +167,7 @@ def forward_sample(state: OnlineNormState, x: np.ndarray) -> np.ndarray:
     """Normalize each sample of a block with the running statistics, then advance them."""
     x = _block(x, state.features)
     af, cf = state.alpha_f, 1.0 - state.alpha_f
-    one_value = x.shape == (1, 1)
-    if one_value:
-        x0, mu, var = x.item(), state.mu.item(), state.var.item()
-        one_value = not math.isnan(x0 + mu + var)
-    if one_value:
-        mu, var, y0, sigma = forward_float(mu, var, x0, af)
-        state.mu, state.var = np.empty(1), np.empty(1)
-        state.mu[0], state.var[0] = mu, var
-        y, sigma_used = np.empty((1, 1)), np.empty((1, 1))
-        y[0, 0], sigma_used[0, 0] = y0, sigma
-    elif len(x) == 1:
+    if len(x) == 1:
         x0, mu, var = x[0], state.mu, state.var
         state.mu = af * mu + cf * x0
         delta = x0 - mu
@@ -219,6 +198,7 @@ def layer_scale_forward(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     which layer_scale_backward takes back. A one-sample block divides by
     its zeta as a scalar.
     """
+    y = np.asarray(y, dtype=np.float64)
     if y.ndim != 2:
         raise ShapeError(f"expected an (n, features) block, got shape {y.shape}")
     m = y.shape[1]
@@ -234,6 +214,7 @@ def layer_scale_backward(z_grad: np.ndarray, z: np.ndarray, zeta: np.ndarray) ->
     z' / floor where it divided by the floor, the mean running over each
     sample's features. A one-sample block takes its zeta as a scalar.
     """
+    z_grad, z, zeta = (np.asarray(a, dtype=np.float64) for a in (z_grad, z, zeta))
     if z_grad.shape != z.shape or z.ndim != 2:
         raise ShapeError(f"expected an (n, features) gradient shaped like its output {z.shape}, got {z_grad.shape}")
     m = z.shape[1]
@@ -256,21 +237,12 @@ def backward_sample(state: OnlineNormState, y_grad: np.ndarray) -> np.ndarray:
     if state.pending is None:
         raise InterleaveError("no forward pass is pending a backward")
     y, sigma_used = state.pending
+    y_grad = np.asarray(y_grad, dtype=np.float64)
     if y_grad.shape != y.shape:
         raise ShapeError(f"gradient shape {y_grad.shape} vs output {y.shape}")
 
     ab, cb = state.alpha_b, 1.0 - state.alpha_b
-    one_value = y.shape == (1, 1)
-    if one_value:
-        y0, sigma, g0 = y.item(), sigma_used.item(), y_grad.item()
-        eps_y, eps_1 = state.eps_y.item(), state.eps_1.item()
-        one_value = not math.isnan(y0 + sigma + g0 + eps_y + eps_1)
-    if one_value:
-        eps_y, eps_1, x_grad = backward_float(eps_y, eps_1, y0, sigma, g0, ab)
-        state.eps_y, state.eps_1, xg = np.empty(1), np.empty(1), np.empty((1, 1))
-        state.eps_y[0], state.eps_1[0] = eps_y, eps_1
-        xg[0, 0] = x_grad
-    elif len(y) == 1:
+    if len(y) == 1:
         y0 = y[0]
         xt = y_grad[0] - cb * state.eps_y * y0
         state.eps_y = state.eps_y + xt * y0

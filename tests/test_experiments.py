@@ -228,16 +228,17 @@ def test_equilibrium_preconditions():
     ],
 )
 def test_equilibrium_diverges_at_the_pinned_step(eta, l2, steps, seed, message):
-    # The unit steps in Python floats without the kernel's NaN guard; a run
-    # must still stop at the step and with the message it always did.
+    # The unit takes the one-value float steps, whose NaN signs may differ
+    # from the array step's; a run must still stop at the step and with the
+    # message it always did.
     with np.errstate(all="ignore"), pytest.raises(DivergenceError, match=f"^{message}$"):
         equilibrium_experiment(eta, l2, steps, seed)
 
 
 @pytest.mark.parametrize("slot", ["mu", "var", "x", "eps_y", "eps_1", "ms"])
 def test_a_nan_entering_an_equilibrium_step_makes_its_gradient_nan(slot):
-    # Why the unit may skip the NaN guard: its gnorm check then raises at
-    # the step a NaN enters, so no NaN's bits reach the records.
+    # Why the unit needs no NaN guard: its gnorm check raises at the step a
+    # NaN enters, so no NaN's bits reach the records.
     rng = make_rng(4)
     names = ("mu", "var", "x", "eps_y", "eps_1", "ms")
     for _ in range(20):

@@ -127,6 +127,36 @@ def test_forward_errors():
             forward_sample(state, np.zeros(shape))
 
 
+@pytest.mark.parametrize(
+    "name, takes_state, gradient",
+    [
+        ("forward_sample", True, False),
+        ("forward_inference", True, False),
+        ("backward_sample", True, True),
+        ("layer_scale_forward", False, False),
+        ("layer_scale_backward", False, True),
+    ],
+)
+def test_list_blocks_give_the_array_bits(name, takes_state, gradient):
+    # Each block function reads an array-like block as float64; a 1-D list
+    # is no (n, features) block.
+    rng = make_rng(29)
+    x, g = rng.normal(size=(2, 3, 2))
+    block = g if gradient else x
+
+    def call(b):
+        state = OnlineNormState(2, alpha_f=0.9, alpha_b=0.9)
+        forward_sample(state, x)  # the record backward_sample consumes
+        args = (state, b) if takes_state else (b, *layer_scale_forward(x)) if gradient else (b,)
+        out = getattr(online, name)(*args)
+        return [*(out if isinstance(out, tuple) else (out,)), state.mu, state.var, state.eps_y, state.eps_1]
+
+    for got, want in zip(call(block.tolist()), call(block), strict=True):
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    with pytest.raises(ShapeError):
+        call(block[0].tolist())
+
+
 def test_spatial_blocks_are_refused_and_leave_the_state_alone():
     # The kernel and layer scaling take (n, features) blocks only. A 3-D
     # block, even of spatial size 1, raises before anything moves: layer
