@@ -48,7 +48,8 @@ def _convert(raw: str, kind, key: str, line: int):
             return float(raw)
         return raw
     except ValueError:
-        raise ConfigError(f"value {raw!r} for {key} is not a {kind.__name__}", line) from None
+        article = "an" if kind is int else "a"
+        raise ConfigError(f"value {raw!r} for {key} is not {article} {kind.__name__}", line) from None
 
 
 def parse_config(text: str) -> tuple[TrainConfig, DatasetSpec]:

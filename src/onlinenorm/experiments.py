@@ -291,6 +291,12 @@ def equilibrium_experiment(eta: float, l2: float, steps: int, seed: int) -> Equi
     sqrt(eta / (2 * l2)) is not finite and > 0 raise ValueError before any
     step.
 
+    The unit holds w as a float scale times a vector v: L2 decay is one
+    float multiply, and the rest of the update one axpy on v. The scale is
+    folded into v before the update on every record step, whose weight norm
+    is then |v|, and whenever |scale| leaves [2**-64, 2**64] (at once if
+    eta * l2 = 1). |w'| is |x'| * |u|, each |u| taken once per draw block.
+
     The normalizer is the kernel's one-value float steps: forward_float,
     then backward_float with the ms divisor, the unit holding mu, var,
     eps_y, eps_1 and ms itself. A run gives the bits of a one-feature
@@ -318,7 +324,8 @@ def equilibrium_experiment(eta: float, l2: float, steps: int, seed: int) -> Equi
     if steps < 1:
         raise ValueError(f"steps (--steps) must be >= 1, got {steps}")
     rng = make_rng(seed)
-    w = rng.normal(0.0, 1.0 / np.sqrt(_EQ_DIM), size=_EQ_DIM)
+    v = rng.normal(0.0, 1.0 / np.sqrt(_EQ_DIM), size=_EQ_DIM)
+    scale, decay = 1.0, 1.0 - eta * l2
     af = ab = 0.99
     cb = 1.0 - ab
     mu, var, eps_y, eps_1, ms = 0.0, 1.0, 0.0, 0.0, 1.0
@@ -327,26 +334,28 @@ def equilibrium_experiment(eta: float, l2: float, steps: int, seed: int) -> Equi
         i = t % _EQ_BLOCK
         if i == 0:
             inputs = rng.standard_normal((_EQ_BLOCK, _EQ_DIM))
+            u_norms = np.linalg.norm(inputs, axis=1).tolist()
             # y' = -s for the supervision sign s drawn as an index into (-1, 1).
             y_grads = (1.0 - 2.0 * rng.integers(0, 2, size=_EQ_BLOCK)).tolist()
         u = inputs[i]
         # The float steps' NaN signs may differ from the array step's; a NaN
         # entering a step makes its x' NaN, so the gnorm check below raises
         # at that step and no NaN's bits reach the records.
-        mu, var, y, _ = forward_float(mu, var, w.dot(u).item(), af)
+        mu, var, y, _ = forward_float(mu, var, scale * v.dot(u).item(), af)
         divisor = max(math.sqrt(ms), SIGMA_FLOOR)
         eps_y, eps_1, x_grad = backward_float(eps_y, eps_1, y, divisor, y_grads[i], ab)
         ms = ab * ms + cb * (x_grad * x_grad)
-        g = x_grad * u
-        gnorm = math.sqrt(g.dot(g))
+        gnorm = abs(x_grad) * u_norms[i]
         if not math.isfinite(gnorm):
             raise DivergenceError(f"gradient diverged at step {t}")
-        step = l2 * w
-        step += g
-        step *= eta
-        w = w - step
-        if t % _EQ_RECORD_EVERY == 0:
-            wnorm = math.sqrt(w.dot(w))
+        scale *= decay
+        record = t % _EQ_RECORD_EVERY == 0
+        if record or not 2.0**-64 <= abs(scale) <= 2.0**64:
+            v *= scale
+            scale = 1.0
+        v -= (eta * x_grad / scale) * u
+        if record:
+            wnorm = math.sqrt(v.dot(v))
             if not math.isfinite(wnorm):
                 raise DivergenceError(f"weight norm diverged at step {t}")
             rec_steps.append(t)

@@ -60,6 +60,18 @@ def test_bad_value_type_reports_line():
     assert err.value.line == 1
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("seed = 1.5", "line 1: value '1.5' for seed is not an int"),
+        ("eta = 0.1\neta = fast", "line 2: value 'fast' for eta is not a float"),
+    ],
+)
+def test_bad_value_type_names_its_type(text, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config(text)
+
+
 def test_missing_equals_reports_line():
     with pytest.raises(ConfigError) as err:
         parse_config("eta 0.1")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from onlinenorm import experiments
 from onlinenorm.cli import write_csv
@@ -118,23 +120,38 @@ def test_doubling_eta_scales_weight_norm_by_sqrt_two():
     assert 1.25 <= ratio <= 1.6
 
 
-def test_pure_decay_without_gradient_is_geometric():
-    eta, l2 = 0.1, 1e-3
-    w = np.array([1.0, -2.0, 0.5])
-    w0 = w.copy()
-    for k in range(1, 8):
-        w = w - eta * (0.0 + l2 * w)
-        assert np.allclose(w, w0 * (1 - eta * l2) ** k, rtol=1e-13)
+def test_pure_decay_without_gradient_is_geometric(monkeypatch):
+    # With x' = 0 the unit only decays, so the norm recorded at step t is
+    # |w0| * |1 - eta * l2| ** (t + 1) across the scale's folds.
+    def no_gradient(*args):
+        eps_y, eps_1, _ = backward_float(*args)
+        return eps_y, eps_1, 0.0
+
+    monkeypatch.setattr(experiments, "backward_float", no_gradient)
+    w0 = np.linalg.norm(make_rng(5).normal(0.0, 1.0 / np.sqrt(16), size=16))
+    for eta, l2 in ((1.0, 0.5), (0.5, 0.6), (1.0, 1.5)):
+        result = equilibrium_experiment(eta, l2, 200, seed=5)
+        expected = w0 * abs(1.0 - eta * l2) ** (result.steps + 1.0)
+        np.testing.assert_allclose(result.weight_norm, expected, rtol=1e-12, atol=0.0)
+        assert np.all(result.grad_norm == 0.0)
+    # eta * l2 = 1 decays w to 0 in one step.
+    assert np.all(equilibrium_experiment(0.5, 2.0, 200, seed=5).weight_norm == 0.0)
 
 
-def reference_equilibrium(eta, l2, steps, seed, block):
+def reference_equilibrium(eta, l2, steps, seed, block, plain=False):
     """The experiment written out in plain floats, without the kernel: per
     whole block of `block` steps, its inputs by rng.normal and then its
     signs by rng.choice; the one-feature normalizer's forward mean and
     variance, eps_y stage, output-RMS divisor, eps_1 stage and mean square
-    update, each in the kernel's order of operations."""
+    update, each in the kernel's order of operations.
+
+    The weights are w = scale * v. The scale takes the L2 decay and is
+    folded into v before the update on every record step and whenever
+    |scale| leaves [2**-64, 2**64]; the gradient norm is |x'| * |u|. With
+    plain=True the update is w <- w - eta * (g + l2 * w) on w itself and
+    |g| = sqrt(g . g), as the law states it."""
     rng = make_rng(seed)
-    w = rng.normal(0.0, 1.0 / np.sqrt(16), size=16)
+    v, scale = rng.normal(0.0, 1.0 / np.sqrt(16), size=16), 1.0
     a_f = a_b = 0.99
     c_f, c_b = 1.0 - a_f, 1.0 - a_b
     mu, var, eps_y, eps_1, ms = 0.0, 1.0, 0.0, 0.0, 1.0
@@ -144,7 +161,7 @@ def reference_equilibrium(eta, l2, steps, seed, block):
             inputs = rng.normal(size=(block, 16))
             signs = rng.choice([-1.0, 1.0], size=block)
         u = inputs[t % block]
-        a = float(np.dot(w, u))
+        a = scale * float(np.dot(v, u))
         # One position per sample, so the sample's own variance is 0.
         y = (a - mu) / max(math.sqrt(var), SIGMA_FLOOR)
         delta = a - mu
@@ -157,9 +174,21 @@ def reference_equilibrium(eta, l2, steps, seed, block):
         eps_1 = eps_1 + x_grad
         ms = a_b * ms + c_b * (x_grad * x_grad)
         g = x_grad * u
-        w = w - eta * (g + l2 * w)
+        gnorm = math.sqrt(np.dot(g, g)) if plain else abs(x_grad) * math.sqrt(np.sum(u * u))
+        if not math.isfinite(gnorm):
+            raise DivergenceError(f"gradient diverged at step {t}")
+        if plain:
+            v = v - eta * (g + l2 * v)
+        else:
+            scale = scale * (1.0 - eta * l2)
+            if t % 10 == 0 or not 2.0**-64 <= abs(scale) <= 2.0**64:
+                v, scale = v * scale, 1.0
+            v = v - (eta * x_grad / scale) * u
         if t % 10 == 0:
-            rec.append((t, float(np.linalg.norm(w)), float(np.linalg.norm(g))))
+            wnorm = math.sqrt(np.dot(v, v))
+            if not math.isfinite(wnorm):
+                raise DivergenceError(f"weight norm diverged at step {t}")
+            rec.append((t, wnorm, gnorm))
     return np.array(rec).T
 
 
@@ -173,6 +202,38 @@ def test_equilibrium_draws_the_reference_stream(seed):
         assert np.array_equal(result.steps, steps)
         assert np.array_equal(result.weight_norm, wnorm)
         assert np.array_equal(result.grad_norm, gnorm)
+
+
+@settings(max_examples=25)
+@given(
+    eta=st.floats(-3.0, 0.0).map(lambda e: 10.0**e),
+    eta_l2=st.floats(-12.0, math.log10(2.0)).map(lambda e: 10.0**e),
+    steps=st.integers(1, 2500),
+    seed=st.integers(0, 2**16),
+)
+@example(eta=0.5, eta_l2=1.0, steps=300, seed=0)
+@example(eta=0.25, eta_l2=0.5, steps=130, seed=1)
+@example(eta=0.1, eta_l2=0.995, steps=1100, seed=2)
+@example(eta=1.0, eta_l2=1.5, steps=200, seed=3)
+def test_equilibrium_records_match_the_plain_update(eta, eta_l2, steps, seed):
+    # Holding w as scale * v and taking |w'| as |x'| * |u| moves only the
+    # last bits of the records, across draw blocks, folds and sign flips.
+    # Beyond eta * l2 = 2 the decay itself grows w, the normalizer's error
+    # terms grow with it, and last-bit differences grow past 1e-10 before
+    # the weight norm overflows.
+    l2 = eta_l2 / eta
+    args = (eta, l2, steps, seed)
+    with np.errstate(all="ignore"):
+        try:
+            expected = reference_equilibrium(*args, experiments._EQ_BLOCK, plain=True)
+        except DivergenceError as exc:
+            with pytest.raises(DivergenceError, match=f"^{exc}$"):
+                equilibrium_experiment(*args)
+            return
+        result = equilibrium_experiment(*args)
+    assert np.array_equal(result.steps, expected[0])
+    np.testing.assert_allclose(result.weight_norm, expected[1], rtol=1e-10, atol=0.0)
+    np.testing.assert_allclose(result.grad_norm, expected[2], rtol=1e-10, atol=0.0)
 
 
 def test_equilibrium_runs_are_prefixes_and_memory_stays_per_block():
