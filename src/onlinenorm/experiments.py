@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -28,14 +29,15 @@ from .net import (
     Conv2D,
     DenseLayer,
     DivergenceError,
+    Mlp,
     Params,
     TrainConfig,
+    sgd_momentum_step,
     softmax_xent_backward,
     softmax_xent_forward,
-    train,
 )
-# forward_sample is not called here; the benchmark tracer's tests read this binding.
-from .online import backward_float, forward_float, forward_sample, layer_scale_forward
+from .online import OnlineNorm, backward_float, backward_sample, forward_float, forward_sample
+from .online import layer_scale_backward, layer_scale_forward
 from .reference import BatchNorm
 from .tensor import SIGMA_FLOOR, make_rng, relu, relu_backward
 
@@ -381,12 +383,17 @@ class SweepResult:
         return rows
 
 
+@np.errstate(all="ignore")  # a divergent cell is recorded, not warned about
 def decay_sweep(
     alpha_f_grid, alpha_b_grid, base_cfg: TrainConfig, train_set: Dataset
 ) -> SweepResult:
     """Final training loss of the streaming-normalizer MLP per decay pair.
 
-    Divergent cells are recorded (loss = inf, diverged = 1), not fatal.
+    The cells run side by side as one stacked network, each with its own
+    weights, decays, layer scaling, loss and divergence, and every per-cell
+    sum in train()'s order: each loss has the bits of its own train() run.
+    A divergent cell is recorded (loss = inf, diverged = 1), not fatal, and
+    zeroed (normalizer var 1) so that it stays finite while the rest go on.
     """
     af = list(alpha_f_grid)
     ab = list(alpha_b_grid)
@@ -396,15 +403,89 @@ def decay_sweep(
         for v in grid:
             if not 0.0 < v < 1.0:
                 raise ValueError(f"decay {v} in {flag} outside (0, 1)")
-    losses = np.empty((len(af), len(ab)))
-    diverged = np.zeros((len(af), len(ab)), dtype=bool)
-    for i, a_f in enumerate(af):
-        for j, a_b in enumerate(ab):
-            cfg = replace(base_cfg, normalizer="online", alpha_f=a_f, alpha_b=a_b)
-            try:
-                records, _ = train(cfg, train_set)
-                losses[i, j] = records[-1].loss
-            except DivergenceError:
-                losses[i, j] = np.inf
-                diverged[i, j] = True
-    return SweepResult(af, ab, losses, diverged)
+    cfg = replace(base_cfg, normalizer="online", alpha_f=af[0], alpha_b=ab[0])
+    cfg.validate()
+    if train_set.n == 0 or train_set.dim == 0:
+        raise ValueError("training set is empty" if train_set.n == 0 else "training set has no features")
+    # Cell i * len(ab) + j has decays (af[i], ab[j]); train(cfg)'s weights and data order serve every cell.
+    C, H, rng = len(af) * len(ab), cfg.hidden, make_rng(cfg.seed)
+    net = Mlp([train_set.dim] + [H] * cfg.depth + [train_set.n_classes], cfg, rng)
+    # Cell-major parameters, dense weights (C, out, in) and normalizer gains (C * H,); owner: each one's cell.
+    dense = [SimpleNamespace(PARAMS=("w", "b"), **{k: np.stack([getattr(d, k)] * C) for k in ("w", "b", "d_w", "d_b")})
+             for d in net.dense]
+    norms = [OnlineNorm(C * H, np.repeat(af, len(ab) * H), np.tile(np.repeat(ab, H), len(af))) for _ in net.norms]
+    params = Params(dense + norms)
+    owner = np.concatenate([np.repeat(np.arange(C), getattr(m, k).size // C) for m in dense + norms for k in m.PARAMS])
+    starts = range(0, train_set.n, cfg.batch_size)
+    every, last_step = cfg.eval_interval or len(starts), cfg.epochs * len(starts)
+    orders = (rng.permutation(train_set.n) for _ in range(cfg.epochs))
+    groups = (order[start : start + cfg.batch_size] for order in orders for start in starts)
+    final, diverged, losses, sizes = np.full(C, np.inf), np.zeros(C, dtype=bool), [], []
+    for step, group in enumerate(groups, 1):
+        loss = _stacked_step(train_set.x[group], train_set.labels[group], dense, norms)
+        sgd_momentum_step(params, cfg.eta, cfg.momentum, cfg.l2)
+        losses.append(loss)
+        sizes.append(group.size)
+        bad = ~np.isfinite(loss) | (np.abs(loss) > cfg.divergence_limit)
+        if step % every == 0 or step == last_step:
+            bad |= ~np.isfinite(np.bincount(owner, weights=params.p * params.p, minlength=C))
+            for m in norms:
+                bad |= ~(np.isfinite(m.state.eps_y) & np.isfinite(m.state.eps_1)).reshape(C, H).all(axis=1)
+            if step == last_step:  # np.average of one cell's losses, as train() takes it of its list
+                final = np.array([np.average(row, weights=sizes) for row in np.array(losses).T])
+            losses, sizes = [], []
+        if bad.any():
+            diverged |= bad
+            params.p[bad[owner]] = params.v[bad[owner]] = 0.0
+            f = np.repeat(bad, H)
+            for m in norms:
+                m.state.mu[f], m.state.var[f], m.state.eps_y[f], m.state.eps_1[f] = 0.0, 1.0, 0.0, 0.0
+            if diverged.all():
+                break
+    final[diverged] = np.inf
+    return SweepResult(af, ab, final.reshape(len(af), len(ab)), diverged.reshape(len(af), len(ab)))
+
+
+def _stacked_step(x, labels, dense, norms) -> np.ndarray:
+    """One training group through every cell, gradients accumulated; the (C,) per-cell losses.
+
+    The kernel takes (n, C * H) blocks, layer scaling (n * C, H) rows, and the dense layers
+    (C, n, F) stacks of contiguous matrices: BLAS gives a strided matrix-vector operand other bits.
+    """
+    n, C = len(labels), dense[0].w.shape[0]
+
+    def cells(a):  # (n, C * F) -> (C, n, F)
+        return np.ascontiguousarray(a.reshape(n, C, -1).transpose(1, 0, 2))
+
+    def samples(a):  # (C, n, F) -> (n, C * F)
+        return a.transpose(1, 0, 2).reshape(n, -1)
+
+    ins, kept = [x], []  # each dense layer's input; the first broadcasts x to every cell
+    for d, m in zip(dense, norms):
+        y = forward_sample(m.state, samples(np.matmul(ins[-1], d.w.transpose(0, 2, 1)) + d.b[:, None]))
+        z, zeta = layer_scale_forward((m.gain * y + m.bias).reshape(n * C, -1))
+        kept.append((y, z, zeta))
+        ins.append(cells(relu(z)))
+    logits = np.matmul(ins[-1], dense[-1].w.transpose(0, 2, 1)) + dense[-1].b[:, None]
+    # softmax_xent_forward and _backward per cell, each cell's samples contiguous.
+    expd = np.exp(logits - np.maximum.reduce(logits, axis=2, keepdims=True))
+    probs = expd / np.add.reduce(expd, axis=2, keepdims=True)
+    picked = np.ascontiguousarray(probs[:, np.arange(n), labels])
+    loss = np.add.reduce(-np.log(np.maximum(picked, 1e-300)), axis=1) / n
+    if n == 1:
+        loss += 0.0  # a one-term loss reads -0.0 as +0.0
+    probs[:, np.arange(n), labels] -= 1.0
+    grad = probs / n * n  # train() sums an online group's gradients: the mean loss's, times n
+    for i in reversed(range(len(dense))):
+        if i < len(norms):  # back through ReLU and normalizer i
+            y, z, zeta = kept[i]
+            gz = layer_scale_backward(relu_backward(g.reshape(z.shape), z), z, zeta).reshape(n, -1)
+            g = backward_sample(norms[i].state, norms[i].gain * gz)
+            norms[i].d_gain += np.add.reduce(gz * y, axis=0)
+            norms[i].d_bias += np.add.reduce(gz, axis=0)
+            grad = cells(g)
+        dense[i].d_w += np.matmul(grad.transpose(0, 2, 1), ins[i])
+        dense[i].d_b += np.add.reduce(grad, axis=1)
+        if i > 0:
+            g = samples(np.matmul(grad, dense[i].w))
+    return loss

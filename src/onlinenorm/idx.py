@@ -1,4 +1,4 @@
-"""Reader and writer for the big-endian IDX container used by MNIST-family data.
+"""Reader for the big-endian IDX container used by MNIST-family data.
 
 Layout: 4-byte big-endian magic (0x00000803 for 3-D uint8 images,
 0x00000801 for 1-D uint8 labels), one big-endian uint32 size per dimension,
@@ -86,18 +86,3 @@ def read_idx(images_path, labels_path) -> Dataset:
     n_classes = int(labels.max()) + 1 if labels.size else 0
     count, rows, cols = images.shape
     return Dataset(images.reshape(count, rows * cols), labels, n_classes)
-
-
-def write_idx_images(path, images: np.ndarray) -> None:
-    """Write uint8 images of shape (count, rows, cols); test-fixture helper."""
-    images = np.asarray(images, dtype=np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">IIII", IMAGES_MAGIC, *images.shape))
-        fh.write(images.tobytes())
-
-
-def write_idx_labels(path, labels: np.ndarray) -> None:
-    labels = np.asarray(labels, dtype=np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">II", LABELS_MAGIC, labels.size))
-        fh.write(labels.tobytes())

@@ -6,8 +6,8 @@ Forward pass, per feature:
     mu_t     = a_f * mu_{t-1} + (1 - a_f) * x_t
     var_t    = a_f * var_{t-1} + a_f * (1 - a_f) * (x_t - mu_{t-1})^2
 
-where a_f is the forward decay factor. The output is computed with the
-pre-update statistics.
+where a_f is the forward decay factor, one value or one per feature, as is
+a_b below. The output is computed with the pre-update statistics.
 
 Layer scaling then divides the whole sample by the RMS over its features,
 which pins the sample's mean square at one and blocks exponential growth
@@ -76,25 +76,36 @@ class OnlineNormState:
     """Per-feature running statistics and backward error accumulators.
 
     Initially: mu = 0, var = 1 (the fixed point of normalized inputs),
-    eps_y = eps_1 = 0, pending = None. Decay factors must lie strictly
-    inside (0, 1). pending is the last forward's (y, sigma) until a
-    backward consumes it. Its sigma, the forward's divisor, is the divisor
-    of the backward's first stage; a caller may replace it in between.
+    eps_y = eps_1 = 0, pending = None. Each decay factor is a float or a
+    (features,) array, every value strictly inside (0, 1). pending is the
+    last forward's (y, sigma) until a backward consumes it. Its sigma, the
+    forward's divisor, is the divisor of the backward's first stage; a
+    caller may replace it in between.
     """
 
-    def __init__(self, features: int, alpha_f: float = 0.999, alpha_b: float = 0.99):
+    def __init__(self, features: int, alpha_f=0.999, alpha_b=0.99):
         if features < 1:
             raise ValueError(f"features must be >= 1, got {features}")
-        if not (0.0 < alpha_f < 1.0) or not (0.0 < alpha_b < 1.0):
-            raise ValueError(f"decay factors must be in (0,1): {alpha_f}, {alpha_b}")
         self.features = int(features)
-        self.alpha_f = float(alpha_f)
-        self.alpha_b = float(alpha_b)
+        self.alpha_f = _decay("alpha_f", alpha_f, self.features)
+        self.alpha_b = _decay("alpha_b", alpha_b, self.features)
         self.mu = np.zeros(features)
         self.var = np.ones(features)
         self.eps_y = np.zeros(features)
         self.eps_1 = np.zeros(features)
         self.pending: tuple[np.ndarray, np.ndarray] | None = None
+
+
+def _decay(name: str, value, features: int):
+    """value as a float, or as a (features,) float64 array; ValueError naming a value outside (0, 1)."""
+    per_feature = np.ndim(value) > 0
+    value = np.array(value, dtype=np.float64) if per_feature else float(value)
+    if per_feature and value.shape != (features,):
+        raise ValueError(f"per-feature {name} must have shape ({features},), got {value.shape}")
+    for k, v in enumerate(np.ravel(value)):
+        if not 0.0 < v < 1.0:
+            raise ValueError(f"decay factor {name}{f'[{k}]' if per_feature else ''} must be in (0,1), got {v}")
+    return value
 
 
 def _block(x, features: int) -> np.ndarray:
@@ -108,14 +119,14 @@ def _scan(a, b: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Run h_t = a_t * h_{t-1} + b_t over axis 0 of the (n, F) array b, from h.
 
     Recursive doubling: ceil(log2 n) vectorized steps, each folding in the
-    partial result from d = 1, 2, 4, ... rows back. a is a scalar, whose
-    powers are carried as scalars, or an (n, F) array. Overwrites b with
-    the h_t and leaves a and h as they were. Returns h_{t-1} for each t and
-    the final h.
+    partial result from d = 1, 2, 4, ... rows back. a is a scalar or an
+    (F,) array, whose powers are carried along, or an (n, F) array.
+    Overwrites b with the h_t and leaves a and h as they were. Returns
+    h_{t-1} for each t and the final h.
     """
     if not len(b):
         return b, h.copy()
-    scalar = not isinstance(a, np.ndarray)
+    scalar = not isinstance(a, np.ndarray) or a.ndim < 2
     b[0] += (a if scalar else a[0]) * h
     if not scalar:
         a = a.copy()
@@ -270,8 +281,11 @@ def save_state(state: OnlineNormState) -> bytes:
     Layout, all little-endian: the 8-byte magic b"ONLNORM\\0", uint32
     version (3), uint64 feature count, float64 forward decay, float64
     backward decay, then four float64 blocks of `features` values each:
-    mu, var, eps_y, eps_1.
+    mu, var, eps_y, eps_1. Raises ValueError for per-feature decays, which
+    the record has no room for.
     """
+    if not isinstance(state.alpha_f, float) or not isinstance(state.alpha_b, float):
+        raise ValueError("save_state records one float decay of each kind, not per-feature decays")
     head = _HEADER.pack(_MAGIC, _VERSION, state.features, state.alpha_f, state.alpha_b)
     body = np.concatenate([state.mu, state.var, state.eps_y, state.eps_1])
     return head + body.astype("<f8").tobytes()

@@ -1,9 +1,11 @@
 """Shared oracles for the test suite."""
 
+import struct
 import tracemalloc
 
 import numpy as np
 
+from onlinenorm.idx import IMAGES_MAGIC, LABELS_MAGIC
 from onlinenorm.net import softmax_xent_backward, softmax_xent_forward
 from onlinenorm.tensor import make_rng
 
@@ -35,3 +37,19 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def write_idx_images(path, images: np.ndarray) -> None:
+    """Write uint8 images of shape (count, rows, cols) as an IDX image file."""
+    images = np.asarray(images, dtype=np.uint8)
+    with open(path, "wb") as fh:
+        fh.write(struct.pack(">IIII", IMAGES_MAGIC, *images.shape))
+        fh.write(images.tobytes())
+
+
+def write_idx_labels(path, labels: np.ndarray) -> None:
+    """Write uint8 labels as an IDX label file."""
+    labels = np.asarray(labels, dtype=np.uint8)
+    with open(path, "wb") as fh:
+        fh.write(struct.pack(">II", LABELS_MAGIC, labels.size))
+        fh.write(labels.tobytes())

@@ -7,7 +7,9 @@ import pytest
 
 from onlinenorm import cli, selftest
 from onlinenorm.cli import main
-from onlinenorm.idx import IMAGES_MAGIC, write_idx_images, write_idx_labels
+from onlinenorm.idx import IMAGES_MAGIC
+
+from helpers import write_idx_images, write_idx_labels
 
 
 def run_cli(args, capsys):

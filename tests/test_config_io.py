@@ -22,10 +22,10 @@ from onlinenorm.idx import (
     read_idx,
     read_idx_images,
     read_idx_labels,
-    write_idx_images,
-    write_idx_labels,
 )
 from onlinenorm.net import NORMALIZER_KINDS, TrainConfig
+
+from helpers import write_idx_images, write_idx_labels
 
 
 # ------------------------------------------------------------------- config

@@ -352,8 +352,6 @@ def test_sweep_determinism():
     assert np.array_equal(a.final_loss, b.final_loss)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_sweep_records_divergent_cell_and_continues():
     data, _ = sweep_setup()
     base = TrainConfig(eta=1.0, momentum=0.0, l2=0.0, batch_size=4, epochs=1,

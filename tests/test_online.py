@@ -1,4 +1,5 @@
 import copy
+import re
 import struct
 
 import numpy as np
@@ -365,6 +366,43 @@ def test_invalid_construction():
         OnlineNormState(1, alpha_f=1.0)
     with pytest.raises(ValueError):
         OnlineNormState(1, alpha_b=0.0)
+
+
+@pytest.mark.parametrize("name", ["alpha_f", "alpha_b"])
+@pytest.mark.parametrize("bad", [np.nan, 1.0, 0.0, -0.5])
+def test_decay_outside_the_unit_interval_is_named(name, bad):
+    with pytest.raises(ValueError, match=re.escape(f"decay factor {name}[1] must be in (0,1), got {bad}")):
+        OnlineNormState(3, **{name: [0.9, bad, 0.9]})
+    with pytest.raises(ValueError, match=re.escape(f"decay factor {name} must be in (0,1), got {bad}")):
+        OnlineNormState(3, **{name: bad})
+    with pytest.raises(ValueError, match=re.escape(f"per-feature {name} must have shape (3,)")):
+        OnlineNormState(3, **{name: [0.9, 0.9]})
+
+
+def test_save_state_refuses_per_feature_decays():
+    # The version-3 record holds one float64 decay of each kind.
+    for decays in ({"alpha_f": [0.9, 0.99]}, {"alpha_b": np.array([0.9, 0.99])}):
+        with pytest.raises(ValueError, match="per-feature decays"):
+            save_state(OnlineNormState(2, **decays))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_per_feature_decays_step_each_feature_group_as_its_own_state(n):
+    # Two feature groups with their own decays in one state give the bits of
+    # two states, for the one-sample step and the scan alike.
+    rng = make_rng(31)
+    cells = [(0.9, 0.5), (0.999, 0.99)]
+    wide = OnlineNormState(6, np.repeat([af for af, _ in cells], 3), np.repeat([ab for _, ab in cells], 3))
+    parts = [OnlineNormState(3, af, ab) for af, ab in cells]
+    for _ in range(4):
+        x, g = rng.normal(2.0, 3.0, size=(2, n, 6))
+        y, xg = forward_sample(wide, x), backward_sample(wide, g)
+        for k, part in enumerate(parts):
+            cols = slice(3 * k, 3 * k + 3)
+            assert forward_sample(part, x[:, cols]).tobytes() == y[:, cols].tobytes()
+            assert backward_sample(part, g[:, cols]).tobytes() == xg[:, cols].tobytes()
+            for name in ("mu", "var", "eps_y", "eps_1"):
+                assert getattr(part, name).tobytes() == getattr(wide, name)[cols].tobytes()
 
 
 def test_var_stays_nonnegative():

@@ -14,13 +14,16 @@ groups of 1 to 4 give the general arithmetic's bits on signed zeros, huge
 values and NaN, the in-place exact-normalization kernel gives the bits of its
 out-of-place form and never writes to its caller's arrays, and train()
 records at the steps its schedule names, each with the mean loss of its
-interval and, without a validation set, its training accuracy, and evaluation
+interval and, without a validation set, its training accuracy, evaluation
 in blocks of 128 samples gives the whole set's accuracy (exact-population,
-whose inference reads the whole set, runs it as one block)."""
+whose inference reads the whole set, runs it as one block), and the decay
+sweep's stacked cells give the final losses and divergences of one train()
+run per cell, bit for bit."""
 
 import copy
 import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,17 +31,20 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from onlinenorm import experiments
 from onlinenorm import net as net_module
 from onlinenorm.datasets import DatasetSpec, generate_dataset
-from onlinenorm.experiments import _CLASSES, _SIDE, _BiasNet, _interleave
+from onlinenorm.experiments import _CLASSES, _SIDE, _BiasNet, _interleave, decay_sweep
 from onlinenorm.net import (
     NORMALIZER_KINDS,
     Conv2D,
     DenseLayer,
+    DivergenceError,
     Mlp,
     Params,
     TrainConfig,
     evaluate_accuracy,
+    scale_hyperparams,
     sgd_momentum_step,
     train,
 )
@@ -817,3 +823,74 @@ def test_train_records_on_schedule_with_interval_mean_losses(
         if not validation:  # the training samples' accuracy over the interval
             assert r.accuracy == sum(step_hits[previous : r.step]) / sum(step_sizes[previous : r.step])
         previous = r.step
+
+
+def one_train_run_per_cell(alpha_f, alpha_b, base, data):
+    """The sweep as separate train() runs: (final losses, diverged), inf where a run diverged."""
+    losses = np.full((len(alpha_f), len(alpha_b)), np.inf)
+    diverged = np.zeros(losses.shape, dtype=bool)
+    for i, af in enumerate(alpha_f):
+        for j, ab in enumerate(alpha_b):
+            try:
+                with np.errstate(all="ignore"):
+                    losses[i, j] = train(replace(base, alpha_f=af, alpha_b=ab), data)[0][-1].loss
+            except DivergenceError:
+                diverged[i, j] = True
+    return losses, diverged
+
+
+@st.composite
+def sweep_groups(draw):
+    """(batch size 1-7, samples): 2-8 full groups and, past batch size 1, a trailing partial one."""
+    batch = draw(st.integers(1, 7))
+    return batch, batch * draw(st.integers(2, 8)) + (draw(st.integers(1, batch - 1)) if batch > 1 else 0)
+
+
+sweep_grids = st.lists(st.sampled_from([0.3, 0.5, 0.9, 0.99, 0.999]), min_size=1, max_size=3, unique=True)
+BENCH_ETA, BENCH_MOMENTUM, _ = scale_hyperparams(0.1, 0.9, 1e-4, 32, 4)
+
+
+@settings(max_examples=40)
+@given(
+    alpha_f=sweep_grids,
+    alpha_b=sweep_grids,
+    groups=sweep_groups(),
+    dim=st.integers(2, 8),
+    depth=st.integers(1, 2),
+    hidden=st.integers(2, 16),
+    epochs=st.integers(1, 2),
+    eval_interval=st.integers(0, 3),
+    eta=st.sampled_from([0.003, 0.03, 0.3]),
+    momentum=st.sampled_from([0.0, 0.9]),
+    seed=st.integers(0, 2**16),
+)
+# test_cli's divergent cell: (0.999, 0.5) diverges and the rest go on.
+@example(alpha_f=[0.9, 0.999], alpha_b=[0.5, 0.99], groups=(16, 200), dim=8, depth=1, hidden=8,
+         epochs=1, eval_interval=0, eta=0.1, momentum=0.9, seed=1)
+# Every cell diverges.
+@example(alpha_f=[0.9, 0.99], alpha_b=[0.5], groups=(4, 120), dim=4, depth=1, hidden=8,
+         epochs=1, eval_interval=0, eta=1.0, momentum=0.0, seed=0)
+# The benchmark's sweep.
+@example(alpha_f=[0.99, 0.999], alpha_b=[0.9, 0.99], groups=(4, 1000), dim=8, depth=1, hidden=16,
+         epochs=1, eval_interval=0, eta=BENCH_ETA, momentum=BENCH_MOMENTUM, seed=13)
+def test_sweep_cells_equal_one_train_run_each(
+    alpha_f, alpha_b, groups, dim, depth, hidden, epochs, eval_interval, eta, momentum, seed
+):
+    batch, samples = groups
+    data = generate_dataset(DatasetSpec(kind="gaussian-blobs", classes=3, samples=samples, dim=dim), seed)
+    base = TrainConfig(eta=eta, momentum=momentum, batch_size=batch, epochs=epochs, seed=seed,
+                       hidden=hidden, depth=depth, eval_interval=eval_interval)
+    stacked = []
+
+    def recording_step(params, *args):
+        stacked.append(params)
+        sgd_momentum_step(params, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "sgd_momentum_step", recording_step)
+        result = decay_sweep(alpha_f, alpha_b, base, data)
+    losses, diverged = one_train_run_per_cell(alpha_f, alpha_b, base, data)
+    assert np.array_equal(result.final_loss, losses)
+    assert np.array_equal(result.diverged, diverged)
+    # A diverged cell is zeroed, so every cell's parameters end finite.
+    assert np.isfinite(stacked[-1].p).all() and np.isfinite(stacked[-1].v).all()
