@@ -38,7 +38,7 @@ from .net import (
 )
 from .online import OnlineNorm, backward_float, backward_sample, forward_float, forward_sample
 from .online import layer_scale_backward, layer_scale_forward
-from .reference import BatchNorm
+from .reference import _normalize, _normalize_backward
 from .tensor import SIGMA_FLOOR, make_rng, relu, relu_backward
 
 # Fixed sizes. The gradient-bias network reads _SIDE x _SIDE single-channel
@@ -83,38 +83,64 @@ def _angle_deg(g: np.ndarray, ref: np.ndarray) -> float:
 
 
 class _BiasNet:
-    """Fixed-weight conv -> batch-normalize -> ReLU -> dense -> softmax.
+    """Fixed-weight conv -> batch-normalize -> ReLU -> dense -> softmax on a
+    fixed dataset.
+
+    The conv weights never change, so the conv runs once, over the whole
+    dataset, when the net is built, and a pass gathers its samples'
+    features: a sample's conv output has the same bits whichever samples it
+    runs with. Each pass works in one workspace allocated then, two flat
+    arrays of one conv output each and one of 1.125 for the conv backward's
+    window copy, so it allocates no conv-output-sized array.
 
     One call takes `groups` equal batches at once, interleaved: sample
-    r * groups + j is sample r of batch j. The conv output of b * groups
-    samples then reshapes to (b, groups * channels, spatial), whose
-    features are (batch, channel) pairs, so one BatchNorm normalizes each
-    batch with its own statistics. With fixed weights the batches are
-    independent, and the result equals the sum of one call per batch to
-    within rounding: the sums over samples run in a different order.
+    r * groups + j is sample r of batch j. Their features are then
+    (b, groups * channels, spatial), whose features are (batch, channel)
+    pairs, so one normalization gives each batch its own statistics. With
+    fixed weights the batches are independent, and the result equals the
+    sum of one call per batch to within rounding: the sums over samples run
+    in a different order. The sums' bits follow the memory layout: one group
+    keeps the conv's channel-major layout, more groups take the C-contiguous
+    one, as the conv, BatchNorm and ReLU layers composed do.
     """
 
-    def __init__(self, rng):
+    def __init__(self, rng, x: np.ndarray):
         self.conv = Conv2D(1, _CHANNELS, 3, rng)
         self.flat = _CHANNELS * (_SIDE - 2) * (_SIDE - 2)
         self.dense = DenseLayer(self.flat, _CLASSES, rng, weight_scale=np.sqrt(1.0 / self.flat))
         self.params = Params([self.conv, self.dense])
-
-    def gradient(self, x: np.ndarray, labels: np.ndarray, groups: int = 1) -> np.ndarray:
-        """Sum over the interleaved batches of each one's mean-loss parameter
-        gradient. Each full-size intermediate is freed after its last read."""
         n = x.shape[0]
-        b = n // groups
-        norm = BatchNorm(groups * _CHANNELS)
+        # The conv emits channel-major output, so (channels, n, spatial) is a view of it.
         a = self.conv.forward(x.reshape(n, 1, _SIDE, _SIDE))
-        an = norm.forward(a.reshape(b, groups * _CHANNELS, -1), training=True)
-        del a
-        logits = self.dense.forward(relu(an).reshape(n, self.flat))
-        _, probs = softmax_xent_forward(logits, labels)
+        self.features = a.transpose(1, 0, 2, 3).reshape(_CHANNELS, n, -1)
+        size = self.features.size
+        self.work = np.empty(size), np.empty(size), np.empty(self.conv.k[0].size * size // _CHANNELS)
+
+    def gradient(self, idx: np.ndarray, labels: np.ndarray, groups: int = 1) -> np.ndarray:
+        """Sum over the interleaved batches of samples idx of each one's
+        mean-loss parameter gradient; labels are those samples' labels."""
+        n, C = idx.size, _CHANNELS
+        b, size = n // groups, C * n * self.features.shape[2]
+        first, second, windows = self.work
+
+        def layout(buf):  # buf's leading conv output in the pass's (b, groups * C, spatial) layout
+            if groups == 1:
+                return buf[:size].reshape(C, n, -1).transpose(1, 0, 2)
+            return buf[:size].reshape(b, groups * C, -1)
+
+        x = layout(first)
+        # Mode "clip" takes straight into out; the default "raise" would buffer it.
+        gathered = np.take(self.features, idx, axis=1, out=windows[:size].reshape(C, n, -1), mode="clip")
+        np.copyto(x.reshape(n, C, -1), gathered.transpose(1, 0, 2))
+        y, _, _, sigma = _normalize(x, (0, 2), out=x, square=layout(second))
+        h = second[:size].reshape(n, self.flat)  # the dense input, then its gradient
+        np.maximum(y, 0.0, out=h.reshape(y.shape))
+        _, probs = softmax_xent_forward(self.dense.forward(h), labels)
         # The loss averages over all n samples; each batch's averages over b.
-        g = softmax_xent_backward(probs, labels) * groups
-        gn = norm.backward(relu_backward(self.dense.backward(g).reshape(an.shape), an))
-        self.conv.backward(gn.reshape(n, _CHANNELS, _SIDE - 2, _SIDE - 2))
+        g = self.dense.backward(softmax_xent_backward(probs, labels) * groups, out=h).reshape(y.shape)
+        np.copyto(g, 0.0, where=~(y > 0.0))  # relu_backward
+        g = _normalize_backward(g, y, sigma, (0, 2), out=g, coupling=windows[:size].reshape(g.shape))
+        self.conv.backward(g.reshape(n, C, _SIDE - 2, _SIDE - 2), idx, (windows, first))
         flat = self.params.g.copy()
         self.params.g[...] = 0.0
         return flat
@@ -139,7 +165,8 @@ def gradient_bias_experiment(
     network; the angle of their summed gradient is that of their average.
     The rows equal those of one gradient call per batch to within rounding.
     The full-dataset batch is always appended, is one group, and must come
-    out at zero angle.
+    out at zero angle; so a batch size may not repeat or equal the dataset
+    size.
     """
     # The full-population batch is batch-normalized too, so it needs two samples.
     if dataset_size < 2:
@@ -149,7 +176,13 @@ def gradient_bias_experiment(
     batch_sizes = list(batch_sizes)
     if not batch_sizes:
         raise ValueError("batch sizes (--batch-sizes) must be nonempty")
+    if len(set(batch_sizes)) < len(batch_sizes):
+        raise ValueError(f"batch sizes (--batch-sizes) {batch_sizes} repeat a size")
     for b in batch_sizes:
+        if b == dataset_size:
+            raise ValueError(
+                f"batch size {b} (--batch-sizes) is the dataset size (--samples), whose row is always appended"
+            )
         if b < 2:
             raise ValueError(
                 f"batch size {b} (--batch-sizes) below the batch-normalization minimum of 2"
@@ -169,8 +202,8 @@ def gradient_bias_experiment(
         brightness=3.0,
     )
     data = make_synthetic_images(spec, seed)
-    net = _BiasNet(rng)
-    truth = net.gradient(data.x, data.labels)
+    net = _BiasNet(rng, data.x)
+    truth = net.gradient(np.arange(dataset_size), data.labels)
 
     sizes = batch_sizes + [dataset_size]
     means, stds = [], []
@@ -178,7 +211,7 @@ def gradient_bias_experiment(
         angles = []
         for _ in range(repetitions):
             sel = _interleave(rng.permutation(dataset_size), b)
-            g = net.gradient(data.x[sel], data.labels[sel], dataset_size // b)
+            g = net.gradient(sel, data.labels[sel], dataset_size // b)
             angles.append(_angle_deg(g, truth))
         means.append(float(np.mean(angles)))
         stds.append(float(np.std(angles)))
@@ -290,8 +323,9 @@ def equilibrium_experiment(eta: float, l2: float, steps: int, seed: int) -> Equi
     equilibrium law directly. Plain SGD with L2 decay; |w'| records the
     loss gradient only. A gradient norm, or a recorded weight norm, that is
     not finite raises DivergenceError. An eta and l2 whose law scale
-    sqrt(eta / (2 * l2)) is not finite and > 0 raise ValueError before any
-    step.
+    sqrt(eta / (2 * l2)) is not finite and > 0, or whose product is 2 or
+    more, where decay multiplies |w| by |1 - eta * l2| >= 1, raise
+    ValueError before any step.
 
     The unit holds w as a float scale times a vector v: L2 decay is one
     float multiply, and the rest of the update one axpy on v. The scale is
@@ -322,6 +356,11 @@ def equilibrium_experiment(eta: float, l2: float, steps: int, seed: int) -> Equi
         raise ValueError(
             f"l2 (--l2) {l2} with eta (--eta) {eta}: the law scale sqrt(eta / (2 * l2)) "
             "must be finite and > 0"
+        )
+    # At eta * l2 >= 2 the decay factor 1 - eta * l2 is <= -1: L2 decay alone no longer shrinks |w|.
+    if not eta * l2 < 2.0:
+        raise ValueError(
+            f"eta (--eta) {eta} times l2 (--l2) {l2} is {eta * l2}: L2 decay shrinks |w| only below 2"
         )
     if steps < 1:
         raise ValueError(f"steps (--steps) must be >= 1, got {steps}")

@@ -144,8 +144,9 @@ class DenseLayer:
             self._x = x
         return self._dot(x, self.w.T) + self.b
 
-    def backward(self, grad: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
-        """Accumulate d_w and d_b; return the input gradient, or None without input_grad."""
+    def backward(self, grad: np.ndarray, input_grad: bool = True, out=None) -> np.ndarray | None:
+        """Accumulate d_w and d_b; return the input gradient, written into out
+        if given (it may be the forward's input), or None without input_grad."""
         if self._x is None:
             raise RuntimeError("backward before forward")
         if grad.shape != (self._x.shape[0], self.w.shape[0]):
@@ -154,16 +155,17 @@ class DenseLayer:
         self._x = None
         # A one-row sum is that row with -0.0 as +0.0, which d_b, only added to from +0.0, cannot tell.
         self.d_b += grad[0] if len(grad) == 1 else np.add.reduce(grad, axis=0)
-        return self._dot(grad, self.w) if input_grad else None
+        return self._dot(grad, self.w, out=out) if input_grad else None
 
 
 class Conv2D:
     """Single valid-padding 2-D convolution layer with a small fixed kernel.
 
     The forward pass and the kernel gradient contract the input's sliding
-    windows with np.tensordot, so they run as BLAS matrix products. The
-    layer is only ever a network's input layer, so its backward forms no
-    input gradient.
+    windows as BLAS matrix products. The forward emits its output
+    channel-major: (n, channels, h, w) strided over (channels, n, h, w)
+    memory. The layer is only ever a network's input layer, so its backward
+    forms no input gradient.
     """
 
     PARAMS = ("k", "b")
@@ -174,24 +176,41 @@ class Conv2D:
         self.b = np.zeros(out_ch)
         self.d_k = np.zeros_like(self.k)
         self.d_b = np.zeros_like(self.b)
-        self._windows = None
+        self._x = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         _, ic, kh, kw = self.k.shape
         if x.ndim != 4 or x.shape[1] != ic or x.shape[2] < kh or x.shape[3] < kw:
             raise ShapeError(f"conv input {x.shape} vs kernel {self.k.shape}")
+        self._x = x
         win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-        self._windows = win
         out = np.tensordot(self.k, win, axes=((1, 2, 3), (1, 4, 5)))  # (oc, b, h, w)
         return out.transpose(1, 0, 2, 3) + self.b[None, :, None, None]
 
-    def backward(self, grad: np.ndarray) -> None:
-        """Accumulate d_k and d_b."""
-        if self._windows is None:
+    def backward(self, grad: np.ndarray, rows=None, work=(None, None)) -> None:
+        """Accumulate d_k and d_b from grad, the output gradient of the last
+        forward's samples `rows` (all of them by default). The product's
+        operands are C-contiguous copies of the (in, kh, kw)-major windows and
+        of the channel-last grad, written into work's two flat arrays if given."""
+        if self._x is None:
             raise RuntimeError("backward before forward")
-        self.d_k += np.tensordot(self._windows, grad, axes=((0, 2, 3), (0, 2, 3))).transpose(3, 0, 1, 2)
+        x = self._x if rows is None else self._x[rows]
+        oc, ic, kh, kw = self.k.shape
+        if grad.shape != (x.shape[0], oc, x.shape[2] - kh + 1, x.shape[3] - kw + 1):
+            raise ShapeError(f"conv gradient {grad.shape} vs input {x.shape}")
+        win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
+        a = _copy_into(work[0], win.transpose(1, 4, 5, 0, 2, 3)).reshape(ic * kh * kw, -1)
+        g = _copy_into(work[1], grad.transpose(0, 2, 3, 1)).reshape(-1, oc)
+        self.d_k += np.dot(a, g).reshape(ic, kh, kw, -1).transpose(3, 0, 1, 2)
         self.d_b += grad.sum(axis=(0, 2, 3))
+
+
+def _copy_into(buf, a: np.ndarray) -> np.ndarray:
+    """A C-contiguous copy of a, in buf's leading elements if buf is given."""
+    out = np.empty(a.shape) if buf is None else buf[: a.size].reshape(a.shape)
+    np.copyto(out, a)
+    return out
 
 
 def softmax_xent_forward(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:

@@ -51,31 +51,35 @@ def _mean(v: np.ndarray, axes) -> np.ndarray:
     return total / (v.size // total.size)
 
 
-def _normalize(x: np.ndarray, axes):
+def _normalize(x: np.ndarray, axes, out=None, square=None):
     """Normalize x over axes: (y, mu, var, sigma) with keepdims, mu the
     effective mean and sigma = sqrt(var) unfloored; y divides by sigma
-    floored at SIGMA_FLOOR. Both kernels work in place only on arrays they
-    allocate: never on x, g or a cached y."""
+    floored at SIGMA_FLOOR. y is written into out, which may be x itself,
+    and the centered square into square; each left None is allocated by its
+    ufunc in its operands' layout. The sums' bits follow the arrays' layout.
+    Neither kernel writes to an array it was not handed as a destination."""
     mu = _mean(x, axes)
-    d = x - mu
+    d = np.subtract(x, mu, out=out)
     r = _mean(d, axes)
     d -= r
-    var = _mean(d * d, axes)
+    var = _mean(np.multiply(d, d, out=square), axes)
     sigma = np.sqrt(var)
     d /= np.maximum(sigma, SIGMA_FLOOR)
     return d, mu + r, var, sigma
 
 
-def _normalize_backward(g: np.ndarray, y: np.ndarray, sigma, axes) -> np.ndarray:
+def _normalize_backward(g: np.ndarray, y: np.ndarray, sigma, axes, out=None, coupling=None) -> np.ndarray:
     """(1/sigma)(I - P_1)(I - P_y) g over axes, given the forward's unfloored
     sigma: the corrected centering of g, then removal of its y component as
     a sum divided by the count. Where sigma < SIGMA_FLOOR the forward divided
-    by the floor, so the y component stays and the division is by the floor."""
+    by the floor, so the y component stays and the division is by the floor.
+    The result is written into out, which may be g itself, and the y
+    coupling into coupling; each left None is allocated as in _normalize."""
     if g.shape != y.shape:
         raise ShapeError(f"gradient shape {g.shape} vs output {y.shape}")
-    w = g - _mean(g, axes)
+    w = np.subtract(g, _mean(g, axes), out=out)
     w -= _mean(w, axes)
-    t = w * y
+    t = np.multiply(w, y, out=coupling)
     np.multiply(np.where(sigma < SIGMA_FLOOR, 0.0, _mean(t, axes)), y, out=t)
     w -= t
     w /= np.maximum(sigma, SIGMA_FLOOR)

@@ -129,6 +129,8 @@ def test_emulate_check_runs_steps_that_are_not_a_multiple_of_n(n, steps, capsys)
         (["equilibrium", "--l2", "inf"], "--l2"),
         (["grad-bias", "--batch-sizes", ","], "--batch-sizes"),
         (["equilibrium", "--l2", "1e-320"], "--l2"),
+        (["grad-bias", "--samples", "64", "--batch-sizes", "64"], "--batch-sizes"),
+        (["grad-bias", "--samples", "32", "--batch-sizes", "2,2"], "--batch-sizes"),
     ],
 )
 def test_out_of_range_flag_values_exit_three_naming_the_flag(argv, flag, tmp_path, capsys):
@@ -246,8 +248,8 @@ NON_FINITE_RUNS = {
     "growth-noise": (["growth", "--depth", "3", "--noise", "1e300"], None, 3, None),
     "growth-sigma-down": (["growth", "--depth", "64", "--sigma-down", "0.999999"], None, 3, None),
     "growth-zero-rms": (["growth", "--depth", "3", "--width", "1", "--noise", "200", "--seed", "0"], None, 3, None),
-    "equilibrium-1-step": (["equilibrium", "--eta", "1e300", "--steps", "1"], None, 3, None),
-    "equilibrium-10-steps": (["equilibrium", "--eta", "1e300", "--steps", "10"], None, 3, None),
+    "equilibrium-1-step": (["equilibrium", "--eta", "1e154", "--l2", "1e-154", "--steps", "1"], None, 3, None),
+    "equilibrium-10-steps": (["equilibrium", "--eta", "1e154", "--l2", "1e-154", "--steps", "10"], None, 3, None),
     "emulate-check-alpha": (["emulate-check", "--alpha", "1e-300"], None, 3, None),
     "sweep-divergent-cell": (
         ["sweep", "--alpha-f-grid", "0.9,0.999", "--alpha-b-grid", "0.5,0.99", "--seed", "1"],
@@ -266,6 +268,15 @@ def test_non_finite_runs_exit_by_their_code_without_warnings(argv, config, code,
     assert got == code, err
     if sweep_row is not None:
         assert sweep_row in (out / "sweep.csv").read_text().splitlines()
+
+
+def test_equilibrium_at_eta_l2_of_two_exits_three_naming_both_flags(tmp_path, capsys):
+    # At eta * l2 = 2 L2 decay flips w's sign without shrinking it.
+    code, _, err = run_cli(["equilibrium", "--eta", "1", "--l2", "2", "--out", str(tmp_path / "o")], capsys)
+    assert code == 3
+    assert err.startswith("runtime error: ")
+    assert "--eta" in err and "--l2" in err and " is 2.0: " in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_growth_subcommand_writes_csv(tmp_path, capsys):

@@ -44,17 +44,30 @@ def test_bias_experiment_is_pure_function_of_seed():
     assert a.std_angle_deg == b.std_angle_deg
 
 
-@pytest.mark.parametrize("groups", [1, 512])
+_BIAS_SAMPLES = 1024
+_CONV_OUTPUT = _BIAS_SAMPLES * experiments._CHANNELS * (experiments._SIDE - 2) ** 2 * 8
+
+
+@pytest.mark.parametrize("groups", [1, 16, 512])
 def test_bias_gradient_peaks_at_few_conv_outputs(groups):
-    # The grouped pass drops each full-size intermediate after its last
-    # read, so a 1024-sample call holds a few conv outputs at once.
+    # A pass works in the workspace the net allocated, so once the net is
+    # built a 1024-sample call allocates under half a conv output, its ReLU
+    # mask, whatever the grouping.
     rng = make_rng(81)
-    net = experiments._BiasNet(rng)
-    n = 1024
-    x = rng.normal(size=(n, experiments._SIDE**2))
-    labels = rng.integers(0, experiments._CLASSES, size=n)
-    conv_output = n * experiments._CHANNELS * (experiments._SIDE - 2) ** 2 * 8
-    assert traced_peak(lambda: net.gradient(x, labels, groups)) <= 5 * conv_output
+    x = rng.normal(size=(_BIAS_SAMPLES, experiments._SIDE**2))
+    labels = rng.integers(0, experiments._CLASSES, size=_BIAS_SAMPLES)
+    net = experiments._BiasNet(rng, x)
+    sel = experiments._interleave(rng.permutation(_BIAS_SAMPLES), _BIAS_SAMPLES // groups)
+    net.gradient(sel, labels[sel], groups)
+    assert traced_peak(lambda: net.gradient(sel, labels[sel], groups)) <= 0.5 * _CONV_OUTPUT
+
+
+def test_bias_experiment_peaks_at_few_conv_outputs():
+    # The conv's features of every sample and the workspace, about 4.1 conv
+    # outputs, are held through the run; the conv's own temporaries are gone
+    # before the workspace is allocated.
+    run = lambda: gradient_bias_experiment(0, _BIAS_SAMPLES, (2, 4, 8, 16, 32, 64), repetitions=1)
+    assert traced_peak(run) <= 5 * _CONV_OUTPUT
 
 
 def test_bias_experiment_preconditions():
@@ -207,7 +220,7 @@ def test_equilibrium_draws_the_reference_stream(seed):
 @settings(max_examples=25)
 @given(
     eta=st.floats(-3.0, 0.0).map(lambda e: 10.0**e),
-    eta_l2=st.floats(-12.0, math.log10(2.0)).map(lambda e: 10.0**e),
+    eta_l2=st.floats(-12.0, math.log10(1.999)).map(lambda e: 10.0**e),
     steps=st.integers(1, 2500),
     seed=st.integers(0, 2**16),
 )
@@ -218,9 +231,7 @@ def test_equilibrium_draws_the_reference_stream(seed):
 def test_equilibrium_records_match_the_plain_update(eta, eta_l2, steps, seed):
     # Holding w as scale * v and taking |w'| as |x'| * |u| moves only the
     # last bits of the records, across draw blocks, folds and sign flips.
-    # Beyond eta * l2 = 2 the decay itself grows w, the normalizer's error
-    # terms grow with it, and last-bit differences grow past 1e-10 before
-    # the weight norm overflows.
+    # The range ends below eta * l2 = 2, which the experiment refuses.
     l2 = eta_l2 / eta
     args = (eta, l2, steps, seed)
     with np.errstate(all="ignore"):
@@ -277,15 +288,20 @@ def test_equilibrium_preconditions():
     for eta, l2 in ((0.1, 1e-320), (1.7e308, 1e-3), (5e-324, 1e300)):
         with pytest.raises(ValueError, match="--l2"):
             equilibrium_experiment(eta, l2, 10, 0)
+    # From eta * l2 = 2 on, decay alone does not shrink |w|: no equilibrium to show.
+    for eta, l2 in ((1.0, 2.0), (2.0, 1.0), (1e3, 50.0), (1.7e308, 1.0)):
+        with pytest.raises(ValueError, match=r"--eta.*--l2.* is [0-9.e+]+: "):
+            equilibrium_experiment(eta, l2, 10, 0)
+    equilibrium_experiment(1.0, np.nextafter(2.0, 0.0), 10, 0)
 
 
 @pytest.mark.parametrize(
     "eta, l2, steps, seed, message",
     [
-        (1e5, 1e-3, 200, 0, "gradient diverged at step 38"),
-        (1e3, 50.0, 200, 2, "gradient diverged at step 34"),
-        (0.1, 1e10, 50, 0, "gradient diverged at step 18"),
-        (1.7e308, 1.0, 5, 0, "weight norm diverged at step 0"),
+        (1e5, 1e-6, 200, 0, "gradient diverged at step 38"),
+        (1e3, 1.9e-3, 200, 2, "gradient diverged at step 65"),
+        (1e10, 1e-11, 200, 0, "gradient diverged at step 18"),
+        (1e154, 1e-154, 5, 0, "weight norm diverged at step 0"),
     ],
 )
 def test_equilibrium_diverges_at_the_pinned_step(eta, l2, steps, seed, message):

@@ -2,7 +2,8 @@
 samples to within rounding, the scan behind it matches a plain loop, the
 streaming state keeps its invariants over random shapes and decays, the conv
 layer matches its einsum formulas, the gradient-bias network's grouped pass
-matches one call per batch, the parameter store steps like one update per
+matches one call per batch and any sequence of its workspace passes gives
+the bits of its layers composed, the parameter store steps like one update per
 array, a one-sample OnlineNorm step gives the bits of its written-out
 arithmetic, the one-value float steps that the equilibrium experiment takes
 give the array step's bits on signed zeros, infinities and zero divisors, and
@@ -34,7 +35,7 @@ from hypothesis.extra import numpy as hnp
 from onlinenorm import experiments
 from onlinenorm import net as net_module
 from onlinenorm.datasets import DatasetSpec, generate_dataset
-from onlinenorm.experiments import _CLASSES, _SIDE, _BiasNet, _interleave, decay_sweep
+from onlinenorm.experiments import _CHANNELS, _CLASSES, _SIDE, _BiasNet, _interleave, decay_sweep
 from onlinenorm.net import (
     NORMALIZER_KINDS,
     Conv2D,
@@ -46,6 +47,8 @@ from onlinenorm.net import (
     evaluate_accuracy,
     scale_hyperparams,
     sgd_momentum_step,
+    softmax_xent_backward,
+    softmax_xent_forward,
     train,
 )
 from onlinenorm.online import (
@@ -71,7 +74,7 @@ from onlinenorm.reference import (
     exact_normalize,
 )
 from onlinenorm.selftest import group_deviation
-from onlinenorm.tensor import SIGMA_FLOOR, make_rng
+from onlinenorm.tensor import SIGMA_FLOOR, make_rng, relu, relu_backward
 
 decays = st.floats(0.5, 0.9999)
 seeds = st.integers(0, 2**32 - 1)
@@ -672,16 +675,54 @@ def test_grouped_bias_gradient_matches_one_call_per_batch(b, groups, seed):
     n = b * groups
     x = rng.normal(size=(n, _SIDE * _SIDE))
     labels = rng.integers(0, _CLASSES, size=n)
-    net = _BiasNet(rng)
+    net = _BiasNet(rng, x)
     order = rng.permutation(n)
     sel = _interleave(order, b)
-    got = net.gradient(x[sel], labels[sel], groups)
+    got = net.gradient(sel, labels[sel], groups)
     # The reference: one call per contiguous batch of the permutation, summed.
     want = np.zeros_like(got)
     for start in range(0, n, b):
         batch = order[start : start + b]
-        want += net.gradient(x[batch], labels[batch])
+        want += net.gradient(batch, labels[batch])
     assert_close(got, want)
+
+
+def composed_bias_gradient(net, x, labels, groups):
+    """The gradient-bias pass as its layers composed, each allocating its own
+    arrays: the conv run on the pass's samples, BatchNorm, relu, the dense
+    layer and softmax, then back through BatchNorm, relu and the conv."""
+    n = labels.size
+    norm = BatchNorm(groups * _CHANNELS)
+    a = net.conv.forward(x.reshape(n, 1, _SIDE, _SIDE))
+    an = norm.forward(a.reshape(n // groups, groups * _CHANNELS, -1), training=True)
+    _, probs = softmax_xent_forward(net.dense.forward(relu(an).reshape(n, net.flat)), labels)
+    g = net.dense.backward(softmax_xent_backward(probs, labels) * groups)
+    gn = norm.backward(relu_backward(g.reshape(an.shape), an))
+    net.conv.backward(gn.reshape(n, _CHANNELS, _SIDE - 2, _SIDE - 2))
+    flat = net.params.g.copy()
+    net.params.g[...] = 0.0
+    return flat
+
+
+@settings(max_examples=30)
+@given(
+    passes=st.lists(st.tuples(st.integers(1, 4), st.integers(2, 6)), min_size=1, max_size=4),
+    seed=seeds,
+)
+@example(passes=[(4, 6), (1, 24), (3, 2), (1, 2)], seed=0)
+def test_bias_workspace_passes_give_the_composed_layers_bits(passes, seed):
+    # One net runs the drawn passes in order, each of `groups` batches of b
+    # of its 24 samples, in one workspace: a buffer left stale by an earlier
+    # pass, of another size or layout, or a gathered feature that is not the
+    # conv's own on the pass's samples, moves bits.
+    n, rng = 24, make_rng(seed)
+    x = rng.normal(size=(n, _SIDE * _SIDE))
+    labels = rng.integers(0, _CLASSES, size=n)
+    net, layers = _BiasNet(make_rng(seed), x), _BiasNet(make_rng(seed), x)
+    for groups, b in passes:
+        sel = _interleave(rng.permutation(n)[: groups * b], b)
+        want = composed_bias_gradient(layers, x[sel], labels[sel], groups)
+        assert np.array_equal(net.gradient(sel, labels[sel], groups), want)
 
 
 def assert_layers_view_the_store(params, layers):
