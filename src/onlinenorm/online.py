@@ -47,7 +47,10 @@ h_t = a_t h_{t-1} + b_t: mu and var with a = a_f (var once mu is known),
 eps_y with a_t = 1 - (1 - a_b) y_t^2 and b_t = y'_t y_t, and eps_1 with
 a = a_b and b_t = xt_t / sigma_{t-1}. A block of n >= 2 runs each one as a
 log-depth scan over the block (recursive doubling, as in Hillis & Steele
-1986 and Blelloch 1990), vectorized across features, and is equal to n
+1986 and Blelloch 1990), vectorized across features, in place in one
+(n + 1, features) buffer: row 0 holds the state's h, the caller writes
+the b_t into rows 1..n, and the new state is a copy of the last row, so
+no state array keeps the buffer alive. Such a block is equal to n
 single-sample calls to within rounding (<= 1e-10 relative). A block of
 n = 1 takes one step in the order written above; forward_float and
 backward_float take that step for one feature in Python floats, with its
@@ -115,22 +118,26 @@ def _block(x, features: int) -> np.ndarray:
     return x
 
 
-def _scan(a, b: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Run h_t = a_t * h_{t-1} + b_t over axis 0 of the (n, F) array b, from h.
+def _scan(a, buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Run h_t = a_t * h_{t-1} + b_t in place over the (n + 1, F) buffer buf.
 
-    Recursive doubling: ceil(log2 n) vectorized steps, each folding in the
-    partial result from d = 1, 2, 4, ... rows back. a is a scalar or an
-    (F,) array, whose powers are carried along, or an (n, F) array.
-    Overwrites b with the h_t and leaves a and h as they were. Returns
-    h_{t-1} for each t and the final h.
+    Row 0 of buf holds h, rows 1..n the b_t; each row t becomes h_t.
+    Recursive doubling: ceil(log2 n) vectorized steps over rows 1..n, each
+    folding in the partial result from d = 1, 2, 4, ... rows back. a is a
+    scalar or an (F,) array, whose powers are carried along, or an (n, F)
+    array, which the scan overwrites: its running products alternate
+    between a and one work array, so no product reads the rows it writes.
+    Returns buf[:-1], h_{t-1} for each t, and a copy of the final h, which
+    shares no memory with buf.
     """
-    if not len(b):
-        return b, h.copy()
-    scalar = not isinstance(a, np.ndarray) or a.ndim < 2
-    b[0] += (a if scalar else a[0]) * h
-    if not scalar:
-        a = a.copy()
+    b = buf[1:]
     n, d = b.shape[0], 1
+    if not n:
+        return buf[:0], buf[0].copy()
+    scalar = not isinstance(a, np.ndarray) or a.ndim < 2
+    b[0] += (a if scalar else a[0]) * buf[0]
+    if not scalar:
+        spare = np.empty_like(a)
     while d < n:
         if scalar:
             b[d:] += a * b[:-d]
@@ -138,9 +145,12 @@ def _scan(a, b: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         else:
             b[d:] += a[d:] * b[:-d]
             if 2 * d < n:  # the last step's products would go unread
-                a[d:] *= a[:-d]
+                # Row t now needs the product of the 2d coefficients up to t
+                # only for t >= 2d; the rows below go unread.
+                np.multiply(a[2 * d :], a[d:-d], out=spare[2 * d :])
+                a, spare = spare, a
         d *= 2
-    return np.concatenate((h[None], b[:-1])), b[-1].copy()
+    return buf[:-1], buf[-1].copy()
 
 
 def forward_float(mu: float, var: float, x: float, alpha_f: float) -> tuple[float, float, float, float]:
@@ -187,9 +197,15 @@ def forward_sample(state: OnlineNormState, x: np.ndarray) -> np.ndarray:
         y = (delta / sigma)[None]
         sigma_used = sigma[None]
     else:
-        mu, state.mu = _scan(af, cf * x, state.mu)
+        buf = np.empty((len(x) + 1, state.features))
+        buf[0] = state.mu
+        np.multiply(cf, x, out=buf[1:])
+        mu, state.mu = _scan(af, buf)
         delta = x - mu
-        var, state.var = _scan(af, af * cf * delta * delta, state.var)
+        buf[0] = state.var
+        np.multiply(af * cf, delta, out=buf[1:])
+        buf[1:] *= delta
+        var, state.var = _scan(af, buf)
         sigma_used = np.maximum(np.sqrt(var), SIGMA_FLOOR)
         y = delta / sigma_used
     state.pending = (y, sigma_used)
@@ -261,10 +277,14 @@ def backward_sample(state: OnlineNormState, y_grad: np.ndarray) -> np.ndarray:
         state.eps_1 = state.eps_1 + xg
         xg = xg[None]
     else:
-        eps_y, state.eps_y = _scan(1.0 - cb * (y * y), y_grad * y, state.eps_y)
+        buf = np.empty((len(y) + 1, state.features))
+        buf[0] = state.eps_y
+        np.multiply(y_grad, y, out=buf[1:])
+        eps_y, state.eps_y = _scan(1.0 - cb * (y * y), buf)
         xs = (y_grad - cb * eps_y * y) / sigma_used
-        # _scan overwrites its b, and xs is still needed.
-        eps_1, state.eps_1 = _scan(ab, xs.copy(), state.eps_1)
+        buf[0] = state.eps_1
+        buf[1:] = xs  # the scan overwrites it, and xs is still needed
+        eps_1, state.eps_1 = _scan(ab, buf)
         xg = xs - cb * eps_1
     state.pending = None
     return xg

@@ -66,10 +66,18 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def relu_backward(grad: np.ndarray, pre: np.ndarray) -> np.ndarray:
-    """Mask the gradient where the pre-activation was <= 0."""
-    if np.shape(grad) != np.shape(pre):
-        raise ShapeError(f"relu_backward shapes {np.shape(grad)} vs {np.shape(pre)}")
-    return np.where(pre > 0.0, grad, 0.0)
+    """The gradient, read as float64, where pre > 0.0, and +0.0 elsewhere.
+
+    A NaN pre is masked; grad passes through bit for bit, NaN payloads and
+    -0.0 included, as np.where(pre > 0.0, grad, 0.0) gives them. The mask
+    multiplies grad's bits as integers: a per-element branch on a mask
+    that is about half set mispredicts, and a float product would turn
+    -0.0 and NaN into other values.
+    """
+    grad, mask = np.asarray(grad, dtype=np.float64), np.greater(pre, 0.0)
+    if grad.shape != mask.shape:
+        raise ShapeError(f"relu_backward shapes {grad.shape} vs {mask.shape}")
+    return np.multiply(grad.view(np.int64), mask).view(np.float64)
 
 
 def make_rng(seed: int) -> np.random.Generator:

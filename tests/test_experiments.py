@@ -50,16 +50,18 @@ _CONV_OUTPUT = _BIAS_SAMPLES * experiments._CHANNELS * (experiments._SIDE - 2) *
 
 @pytest.mark.parametrize("groups", [1, 16, 512])
 def test_bias_gradient_peaks_at_few_conv_outputs(groups):
-    # A pass works in the workspace the net allocated, so once the net is
-    # built a 1024-sample call allocates under half a conv output, its ReLU
-    # mask, whatever the grouping.
+    # A pass works in the workspace the net allocated, its ReLU mask
+    # included, so once the net is built a 1024-sample call peaks at about
+    # 0.26-0.28 conv outputs whatever the grouping: Conv2D.backward's copy of
+    # the pass's input rows (64 values a sample against the conv output's
+    # 288, 0.22) on top of the logit-sized arrays still held.
     rng = make_rng(81)
     x = rng.normal(size=(_BIAS_SAMPLES, experiments._SIDE**2))
     labels = rng.integers(0, experiments._CLASSES, size=_BIAS_SAMPLES)
     net = experiments._BiasNet(rng, x)
     sel = experiments._interleave(rng.permutation(_BIAS_SAMPLES), _BIAS_SAMPLES // groups)
     net.gradient(sel, labels[sel], groups)
-    assert traced_peak(lambda: net.gradient(sel, labels[sel], groups)) <= 0.5 * _CONV_OUTPUT
+    assert traced_peak(lambda: net.gradient(sel, labels[sel], groups)) <= 0.3 * _CONV_OUTPUT
 
 
 def test_bias_experiment_peaks_at_few_conv_outputs():

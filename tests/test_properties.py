@@ -1,5 +1,8 @@
 """Property tests: a block of n samples is the same stream as n single
-samples to within rounding, the scan behind it matches a plain loop, the
+samples to within rounding, the scan behind it matches a plain loop and
+gives, in its one buffer, the bits of the doubling over separate arrays,
+leaving state arrays that own their memory, the ReLU gradient mask gives
+np.where's bits on every float64 bit pattern and layout, the
 streaming state keeps its invariants over random shapes and decays, the conv
 layer matches its einsum formulas, the gradient-bias network's grouped pass
 matches one call per batch and any sequence of its workspace passes gives
@@ -141,19 +144,127 @@ def test_scan_matches_a_sequential_loop(n, features, scalar, alpha, seed):
     a = alpha if scalar else rng.uniform(-2.0, 1.0, size=(n, features))
     b = rng.normal(size=(n, features))
     h = rng.normal(size=features)
-    a_in, b_in, h_in = np.copy(a), b.copy(), h.copy()
-    prev, last = _scan(a, b, h)
+    buf = np.concatenate((h[None], b))
+    prev, last = _scan(np.copy(a), buf)
 
     want = np.empty((n + 1, features))
-    want[0] = h_in
+    want[0] = h
     for t in range(n):
-        want[t + 1] = (a_in if scalar else a_in[t]) * want[t] + b_in[t]
+        want[t + 1] = (a if scalar else a[t]) * want[t] + b[t]
     scale = max(1.0, np.abs(want).max())
     assert np.abs(prev - want[:-1]).max() <= 1e-10 * scale
     assert np.abs(last - want[-1]).max() <= 1e-10 * scale
-    # b alone is overwritten, with h_t; a and h are left as they were.
-    assert np.array_equal(np.copy(a), a_in) and np.array_equal(h, h_in)
-    assert np.abs(b - want[1:]).max() <= 1e-10 * scale
+    # Every row of the buffer becomes its h_t; h_{t-1} is a view of it, the final h a copy.
+    assert np.abs(buf - want).max() <= 1e-10 * scale
+    assert np.shares_memory(prev, buf) and not np.shares_memory(last, buf)
+
+
+def _doubling_scan(a, b, h):
+    """The scan as it ran over a separate (n, F) b and h, before it took one
+    (n + 1, F) buffer: the oracle for the buffer form's bits."""
+    if not len(b):
+        return b, h.copy()
+    scalar = not isinstance(a, np.ndarray) or a.ndim < 2
+    b[0] += (a if scalar else a[0]) * h
+    if not scalar:
+        a = a.copy()
+    n, d = b.shape[0], 1
+    while d < n:
+        if scalar:
+            b[d:] += a * b[:-d]
+            a = a * a
+        else:
+            b[d:] += a[d:] * b[:-d]
+            if 2 * d < n:
+                a[d:] *= a[:-d]
+        d *= 2
+    return np.concatenate((h[None], b[:-1])), b[-1].copy()
+
+
+@pytest.mark.parametrize("coefficient", ["scalar", "per-feature", "per-step"])
+def test_scan_buffer_gives_the_bits_of_the_doubling_over_separate_arrays(coefficient):
+    rng = make_rng(17)
+    for n in range(65):
+        for features in (1, 3, 16):
+            a = {
+                "scalar": float(rng.uniform(0.0, 1.0)),
+                "per-feature": rng.uniform(0.0, 1.0, size=features),
+                "per-step": rng.uniform(-2.0, 1.0, size=(n, features)),
+            }[coefficient]
+            b = rng.normal(size=(n, features))
+            h = rng.normal(size=features)
+            want_prev, want_last = _doubling_scan(np.copy(a), b.copy(), h.copy())
+            buf = np.concatenate((h[None], b))
+            prev, last = _scan(np.copy(a), buf)
+            assert prev.tobytes() == want_prev.tobytes() and last.tobytes() == want_last.tobytes(), (n, features)
+            assert not np.shares_memory(last, buf)
+
+
+@settings(max_examples=20)
+@given(n=st.integers(0, 64), features=st.integers(1, 16), seed=seeds)
+def test_state_arrays_own_their_memory_after_a_block(n, features, seed):
+    # The scan's buffer lives only as long as the call: a state array that
+    # viewed its last row would keep the whole buffer alive.
+    rng = make_rng(seed)
+    state = OnlineNormState(features)
+    y = forward_sample(state, rng.normal(size=(n, features)))
+    backward_sample(state, rng.normal(size=(n, features)))
+    for name in STATE_ARRAYS:
+        value = getattr(state, name)
+        assert value.base is None and value.flags.owndata, name
+        assert not np.shares_memory(value, y), name
+
+
+# Bit patterns beyond plain floats: signed zeros, infinities, NaNs of either
+# sign with other payloads (a signalling one too), and subnormals.
+SPECIAL_BITS = [
+    0x0000000000000000,
+    0x8000000000000000,
+    0x7FF0000000000000,
+    0xFFF0000000000000,
+    0x7FF8000000000000,
+    0xFFF8000000000000,
+    0x7FF0000000000001,
+    0xFFF80000DEADBEEF,
+    0x7FFFFFFFFFFFFFFF,
+    0x0000000000000001,
+    0x800FFFFFFFFFFFFF,
+    0x3FF0000000000000,
+    0xBFF0000000000000,
+]
+float_bits = st.one_of(st.sampled_from(SPECIAL_BITS), st.integers(0, 2**64 - 1))
+relu_shapes = st.one_of(
+    st.tuples(st.just(1), st.integers(1, 16)),
+    st.tuples(st.integers(2, 40), st.integers(1, 16)),
+    st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)),
+)
+
+
+def _laid_out(draw, shape, layout):
+    """A float64 array of the given shape, drawn as bit patterns, in the given layout."""
+    if layout == "transposed":
+        stored = shape[::-1]
+    elif layout == "strided":
+        stored = shape[:-1] + (2 * shape[-1],)
+    else:
+        stored = shape
+    a = draw(hnp.arrays(np.uint64, stored, elements=float_bits)).view(np.float64)
+    if layout == "transposed":
+        return a.T
+    if layout == "strided":
+        return a[..., ::2]
+    return a.tolist() if layout == "list" else a
+
+
+@settings(max_examples=200)
+@given(data=st.data(), shape=relu_shapes, layouts=st.tuples(*[st.sampled_from(["contiguous", "transposed", "strided", "list"])] * 2))
+def test_relu_backward_gives_the_bits_of_where(data, shape, layouts):
+    grad = _laid_out(data.draw, shape, layouts[0])
+    pre = _laid_out(data.draw, shape, layouts[1])
+    got = relu_backward(grad, pre)
+    want = np.where(np.greater(pre, 0.0), grad, 0.0)
+    assert got.shape == want.shape and got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=60)
