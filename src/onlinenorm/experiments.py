@@ -140,7 +140,8 @@ class _BiasNet:
         g = self.dense.backward(softmax_xent_backward(probs, labels) * groups, out=h).reshape(y.shape)
         # relu_backward in place, its 0/1 mask in the free window buffer
         bits = g.view(np.int64)
-        np.multiply(bits, np.greater(y, 0.0, out=windows[:size].view(np.int64).reshape(g.shape)), out=bits)
+        mask = np.greater(y, 0.0, out=windows[:size].view(np.int64).reshape(g.shape))
+        np.multiply(bits, mask, out=bits)
         g = _normalize_backward(g, y, sigma, (0, 2), out=g, coupling=windows[:size].reshape(g.shape))
         self.conv.backward(g.reshape(n, C, _SIDE - 2, _SIDE - 2), idx, (windows, first))
         flat = self.params.g.copy()
