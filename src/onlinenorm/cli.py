@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
@@ -40,7 +41,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared: parsing leaves it unchanged."""
     parser = _Parser(prog="onlinenorm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -93,15 +93,15 @@ class _BiasNet:
     arrays of one conv output each and one of 1.125 for the conv backward's
     window copy, so it allocates no conv-output-sized array.
 
-    One call takes `groups` equal batches at once, interleaved: sample
-    r * groups + j is sample r of batch j. Their features are then
-    (b, groups * channels, spatial), whose features are (batch, channel)
-    pairs, so one normalization gives each batch its own statistics. With
-    fixed weights the batches are independent, and the result equals the
-    sum of one call per batch to within rounding: the sums over samples run
-    in a different order. The sums' bits follow the memory layout: one group
-    keeps the conv's channel-major layout, more groups take the C-contiguous
-    one, as the conv, BatchNorm and ReLU layers composed do.
+    One call takes `groups` equal batches at once, batch j being the
+    contiguous run idx[j * b:(j + 1) * b]. The pass keeps the conv's
+    channel-major layout, so each (channel, batch) pair is one contiguous
+    row, normalized alone with the sums, in order, that BatchNorm takes
+    over that batch's channel-major conv output: each batch gets its own
+    BatchNorm's bits, forward and backward. A transposing ReLU writes the
+    dense input, (n, channels * spatial), and a transposing copy reads its
+    gradient back. The result equals the sum of one call per batch to
+    within rounding.
     """
 
     def __init__(self, rng, x: np.ndarray):
@@ -117,41 +117,33 @@ class _BiasNet:
         self.work = np.empty(size), np.empty(size), np.empty(self.conv.k[0].size * size // _CHANNELS)
 
     def gradient(self, idx: np.ndarray, labels: np.ndarray, groups: int = 1) -> np.ndarray:
-        """Sum over the interleaved batches of samples idx of each one's
+        """Sum over the contiguous batches of samples idx of each one's
         mean-loss parameter gradient; labels are those samples' labels."""
         n, C = idx.size, _CHANNELS
-        b, size = n // groups, C * n * self.features.shape[2]
+        size = C * n * self.features.shape[2]
         first, second, windows = self.work
-
-        def layout(buf):  # buf's leading conv output in the pass's (b, groups * C, spatial) layout
-            if groups == 1:
-                return buf[:size].reshape(C, n, -1).transpose(1, 0, 2)
-            return buf[:size].reshape(b, groups * C, -1)
-
-        x = layout(first)
         # Mode "clip" takes straight into out; the default "raise" would buffer it.
-        gathered = np.take(self.features, idx, axis=1, out=windows[:size].reshape(C, n, -1), mode="clip")
-        np.copyto(x.reshape(n, C, -1), gathered.transpose(1, 0, 2))
-        y, _, _, sigma = _normalize(x, (0, 2), out=x, square=layout(second))
-        h = second[:size].reshape(n, self.flat)  # the dense input, then its gradient
-        np.maximum(y, 0.0, out=h.reshape(y.shape))
+        x = np.take(self.features, idx, axis=1, out=first[:size].reshape(C, n, -1), mode="clip")
+        x = x.reshape(C * groups, -1)  # one row per (channel, batch)
+        y, _, _, sigma = _normalize(x, 1, out=x, square=second[:size].reshape(x.shape))
+        h = second[:size].reshape(n, self.flat)  # the dense input, then the channel-major gradient
+        np.maximum(y.reshape(C, n, -1).transpose(1, 0, 2), 0.0, out=h.reshape(n, C, -1))
         _, probs = softmax_xent_forward(self.dense.forward(h), labels)
         # The loss averages over all n samples; each batch's averages over b.
-        g = self.dense.backward(softmax_xent_backward(probs, labels) * groups, out=h).reshape(y.shape)
+        d_h = windows[:size].reshape(h.shape)
+        self.dense.backward(softmax_xent_backward(probs, labels) * groups, out=d_h)
+        g = h.reshape(y.shape)
+        np.copyto(g.reshape(C, n, -1), d_h.reshape(n, C, -1).transpose(1, 0, 2))
         # relu_backward in place, its 0/1 mask in the free window buffer
         bits = g.view(np.int64)
         mask = np.greater(y, 0.0, out=windows[:size].view(np.int64).reshape(g.shape))
         np.multiply(bits, mask, out=bits)
-        g = _normalize_backward(g, y, sigma, (0, 2), out=g, coupling=windows[:size].reshape(g.shape))
-        self.conv.backward(g.reshape(n, C, _SIDE - 2, _SIDE - 2), idx, (windows, first))
+        g = _normalize_backward(g, y, sigma, 1, out=g, coupling=windows[:size].reshape(g.shape))
+        g = g.reshape(C, n, _SIDE - 2, _SIDE - 2).transpose(1, 0, 2, 3)  # (n, C, h, w), channel-major
+        self.conv.backward(g, idx, (windows, first))
         flat = self.params.g.copy()
         self.params.g[...] = 0.0
         return flat
-
-
-def _interleave(order: np.ndarray, b: int) -> np.ndarray:
-    """Reorder so that sample r * groups + j is order[j * b + r], sample r of batch j."""
-    return order.reshape(-1, b).T.ravel()
 
 
 def gradient_bias_experiment(
@@ -165,8 +157,9 @@ def gradient_bias_experiment(
     Weights stay fixed so the angle isolates the estimation bias of
     normalizing per batch. Each repetition splits a fresh permutation into
     contiguous batches and runs them all through one grouped pass of the
-    network; the angle of their summed gradient is that of their average.
-    The rows equal those of one gradient call per batch to within rounding.
+    network, each batch normalized with the bits of its own BatchNorm; the
+    angle of their summed gradient is that of their average. The rows equal
+    those of one gradient call per batch to within rounding.
     The full-dataset batch is always appended, is one group, and must come
     out at zero angle; so a batch size may not repeat or equal the dataset
     size.
@@ -213,7 +206,7 @@ def gradient_bias_experiment(
     for b in sizes:
         angles = []
         for _ in range(repetitions):
-            sel = _interleave(rng.permutation(dataset_size), b)
+            sel = rng.permutation(dataset_size)
             g = net.gradient(sel, data.labels[sel], dataset_size // b)
             angles.append(_angle_deg(g, truth))
         means.append(float(np.mean(angles)))
@@ -267,11 +260,15 @@ def activation_growth_experiment(
                 if noise > 0.0:
                     sigma = sigma * np.exp(noise * rng.normal(size=width))
                     mu = mu + noise * sigmas[i] * rng.normal(size=width)
+                d = a - mu
             else:
-                mu, sigma = a.mean(axis=0), np.maximum(a.std(axis=0), SIGMA_FLOOR)
+                # a.mean(0) and a.std(0): numpy's own sums and divisions, from one centered d.
+                mu = np.add.reduce(a, 0) / _GROWTH_SAMPLES
+                d = a - mu
+                sigma = np.maximum(np.sqrt(np.add.reduce(d * d, 0) / _GROWTH_SAMPLES), SIGMA_FLOOR)
                 mus.append(mu)
                 sigmas.append(sigma)
-            y = (a - mu) / np.maximum(sigma, SIGMA_FLOOR)
+            y = d / np.maximum(sigma, SIGMA_FLOOR)
             if layer_scaling:
                 y = layer_scale_forward(y)[0]
             if perturbed:
@@ -307,10 +304,10 @@ class EquilibriumResult:
 
         The ratio is NaN where |w'| is 0.
         """
-        scale = self.law_scale
-        for t, wn, gn in zip(self.steps, self.weight_norm, self.grad_norm):
-            ratio = float(wn / (scale * gn)) if gn > 0 else float("nan")
-            yield int(t), float(wn), float(gn), ratio
+        wn, gn = self.weight_norm, self.grad_norm
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(gn > 0, wn / (self.law_scale * gn), np.nan)
+        return zip(self.steps.tolist(), wn.tolist(), gn.tolist(), ratio.tolist())
 
 
 def equilibrium_experiment(eta: float, l2: float, steps: int, seed: int) -> EquilibriumResult:

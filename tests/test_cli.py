@@ -29,6 +29,32 @@ def test_unknown_subcommand_exits_one(capsys):
     assert code == 1
 
 
+def test_back_to_back_calls_behave_as_with_a_parser_of_their_own(tmp_path, capsys, monkeypatch):
+    # main builds its parser once per process; no call may see what an
+    # earlier one parsed: a flag, a seed, a usage error.
+    growth = ["growth", "--depth", "8", "--width", "16"]
+    calls = [
+        growth + ["--layer-scaling", "--seed", "3"],
+        growth,
+        ["growth", "--depth"],
+        ["grad-bias", "--samples", "32", "--batch-sizes", "4", "--reps", "1"],
+    ]
+
+    def outcomes(tag):
+        found = []
+        for i, argv in enumerate(calls):
+            out = tmp_path / f"{tag}{i}"
+            code, stdout, stderr = run_cli(argv + ["--out", str(out)], capsys)
+            found.append((code, stdout, stderr, {p.name: p.read_bytes() for p in out.glob("*.csv")}))
+        return found
+
+    shared = outcomes("shared")
+    assert [code for code, *_ in shared] == [0, 0, 1, 0]
+    assert shared[0][3] != shared[1][3]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert outcomes("fresh") == shared
+
+
 SELFTEST_CHECKS = [
     "forward mean control/estimator equivalence",
     "backward control/estimator equivalence",

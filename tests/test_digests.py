@@ -3,9 +3,10 @@
 digests.json, beside this module, maps each output's name to the sha256 of
 its bytes: the records, final parameters and momentum of train() for each
 normalizer kind at three batch sizes with a validation set and at one
-without, and the standard output and CSV of grad-bias, growth (with and
-without layer scaling), equilibrium, sweep and emulate-check, each on two
-seeds at reduced sizes, and of selftest. A
+without, the exit code, standard output and CSV of the train, grad-bias,
+growth (with and without layer scaling), equilibrium, sweep and
+emulate-check commands, each on two seeds at reduced sizes, and the
+standard output of selftest. A
 change meant to keep every output byte-identical must leave them all as
 they are. The manifest also records the numpy and BLAS versions it was
 written with, since another stack may round differently.
@@ -39,9 +40,14 @@ TRAIN_RUNS = [
     for b in (1, 7, 32)
     if (kind, b) != ("batch", 1)  # BatchNorm needs two samples
 ] + [(kind, 7, False) for kind in ("online", "batch", "layer", "none", "exact-population")]
-SWEEP_CONFIG = "samples = 160\nepochs = 1\nhidden = 8\nbatch_size = 16\n"
+# The config files of the commands that read one.
+CONFIGS = {
+    "train": "samples = 240\nepochs = 2\nhidden = 16\nbatch_size = 8\neval_interval = 10\n",
+    "sweep": "samples = 160\nepochs = 1\nhidden = 8\nbatch_size = 16\n",
+}
 GROWTH = ["growth", "--depth", "8", "--width", "16", "--noise", "0.1"]
 COMMANDS = {
+    "train": (["train"], "metrics.csv"),
     "grad-bias": (["grad-bias", "--samples", "256", "--batch-sizes", "4,32", "--reps", "2"], "grad_bias.csv"),
     "growth": (GROWTH, "growth.csv"),
     "growth-scaled": (GROWTH + ["--layer-scaling"], "growth.csv"),
@@ -90,9 +96,9 @@ def run(name: str, argv: list) -> dict:
 def command_digests(command: str, seed: int, out: Path) -> dict:
     argv, csv = COMMANDS[command]
     argv = argv + ["--seed", str(seed), "--out", str(out)]
-    if command == "sweep":
-        config = out / "sweep.conf"
-        config.write_text(SWEEP_CONFIG, encoding="utf-8")
+    if command in CONFIGS:
+        config = out / f"{command}.conf"
+        config.write_text(CONFIGS[command], encoding="utf-8")
         argv += ["--config", str(config)]
     found = run(f"{command}/seed{seed}", argv)
     if csv is not None:

@@ -5,8 +5,9 @@ leaving state arrays that own their memory, the ReLU gradient mask gives
 np.where's bits on every float64 bit pattern and layout, the
 streaming state keeps its invariants over random shapes and decays, the conv
 layer matches its einsum formulas, the gradient-bias network's grouped pass
-matches one call per batch and any sequence of its workspace passes gives
-the bits of its layers composed, the parameter store steps like one update per
+matches one call per batch, normalizes each batch with the bits of its own
+BatchNorm, and any sequence of its workspace passes gives the bits of its
+layers composed, the parameter store steps like one update per
 array, a one-sample OnlineNorm step gives the bits of its written-out
 arithmetic, the one-value float steps that the equilibrium experiment takes
 give the array step's bits on signed zeros, infinities and zero divisors, and
@@ -28,6 +29,7 @@ import copy
 import functools
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,7 +40,7 @@ from hypothesis.extra import numpy as hnp
 from onlinenorm import experiments
 from onlinenorm import net as net_module
 from onlinenorm.datasets import DatasetSpec, generate_dataset
-from onlinenorm.experiments import _CHANNELS, _CLASSES, _SIDE, _BiasNet, _interleave, decay_sweep
+from onlinenorm.experiments import _CHANNELS, _CLASSES, _SIDE, _BiasNet, decay_sweep
 from onlinenorm.net import (
     NORMALIZER_KINDS,
     Conv2D,
@@ -788,8 +790,7 @@ def test_grouped_bias_gradient_matches_one_call_per_batch(b, groups, seed):
     labels = rng.integers(0, _CLASSES, size=n)
     net = _BiasNet(rng, x)
     order = rng.permutation(n)
-    sel = _interleave(order, b)
-    got = net.gradient(sel, labels[sel], groups)
+    got = net.gradient(order, labels[order], groups)
     # The reference: one call per contiguous batch of the permutation, summed.
     want = np.zeros_like(got)
     for start in range(0, n, b):
@@ -800,19 +801,57 @@ def test_grouped_bias_gradient_matches_one_call_per_batch(b, groups, seed):
 
 def composed_bias_gradient(net, x, labels, groups):
     """The gradient-bias pass as its layers composed, each allocating its own
-    arrays: the conv run on the pass's samples, BatchNorm, relu, the dense
-    layer and softmax, then back through BatchNorm, relu and the conv."""
+    arrays: the conv run on the pass's samples, then per contiguous batch a
+    BatchNorm over its slice of the conv's channel-major output and relu,
+    the batches side by side in the dense layer and softmax, then back
+    through each batch's relu and BatchNorm and the conv. The gradient of
+    the conv output takes the conv output's layout."""
     n = labels.size
-    norm = BatchNorm(groups * _CHANNELS)
-    a = net.conv.forward(x.reshape(n, 1, _SIDE, _SIDE))
-    an = norm.forward(a.reshape(n // groups, groups * _CHANNELS, -1), training=True)
-    _, probs = softmax_xent_forward(net.dense.forward(relu(an).reshape(n, net.flat)), labels)
+    b = n // groups
+    a = net.conv.forward(x.reshape(n, 1, _SIDE, _SIDE)).reshape(n, _CHANNELS, -1)
+    batches = [slice(j * b, (j + 1) * b) for j in range(groups)]
+    norms = [BatchNorm(_CHANNELS) for _ in batches]
+    an = [norm.forward(a[s], training=True) for norm, s in zip(norms, batches)]
+    h = np.concatenate([relu(y).reshape(b, net.flat) for y in an])
+    _, probs = softmax_xent_forward(net.dense.forward(h), labels)
     g = net.dense.backward(softmax_xent_backward(probs, labels) * groups)
-    gn = norm.backward(relu_backward(g.reshape(an.shape), an))
-    net.conv.backward(gn.reshape(n, _CHANNELS, _SIDE - 2, _SIDE - 2))
+    d_a = np.empty_like(a)  # order "K": channel-major, as a
+    d_a[...] = g.reshape(a.shape)
+    for norm, y, s in zip(norms, an, batches):
+        d_a[s] = norm.backward(relu_backward(d_a[s], y))
+    net.conv.backward(d_a.reshape(n, _CHANNELS, _SIDE - 2, _SIDE - 2))
     flat = net.params.g.copy()
     net.params.g[...] = 0.0
     return flat
+
+
+@settings(max_examples=30)
+@given(b=st.integers(2, 8), groups=st.integers(1, 8), seed=seeds)
+@example(b=64, groups=3, seed=0)
+def test_bias_pass_normalizes_each_batch_as_its_own_batch_norm(b, groups, seed):
+    # The pass's normalized features, batch by batch, are BatchNorm's
+    # forward on that batch's conv output alone, bit for bit.
+    rng = make_rng(seed)
+    n = b * groups
+    x = rng.normal(size=(n, _SIDE * _SIDE))
+    labels = rng.integers(0, _CLASSES, size=n)
+    net = _BiasNet(rng, x)
+    sel = rng.permutation(n)
+    seen = []
+
+    def recorded(*args, **kwargs):
+        result = _normalize(*args, **kwargs)
+        seen.append(result[0].copy())
+        return result
+
+    with mock.patch.object(experiments, "_normalize", recorded):
+        net.gradient(sel, labels[sel], groups)
+    (y,) = seen
+    for j in range(groups):
+        batch = sel[j * b : (j + 1) * b]
+        a = net.conv.forward(x[batch].reshape(b, 1, _SIDE, _SIDE)).reshape(b, _CHANNELS, -1)
+        got = y.reshape(_CHANNELS, groups, b, -1)[:, j].transpose(1, 0, 2)
+        assert np.array_equal(got, BatchNorm(_CHANNELS).forward(a))
 
 
 @settings(max_examples=30)
@@ -831,7 +870,7 @@ def test_bias_workspace_passes_give_the_composed_layers_bits(passes, seed):
     labels = rng.integers(0, _CLASSES, size=n)
     net, layers = _BiasNet(make_rng(seed), x), _BiasNet(make_rng(seed), x)
     for groups, b in passes:
-        sel = _interleave(rng.permutation(n)[: groups * b], b)
+        sel = rng.permutation(n)[: groups * b]
         want = composed_bias_gradient(layers, x[sel], labels[sel], groups)
         assert np.array_equal(net.gradient(sel, labels[sel], groups), want)
 
