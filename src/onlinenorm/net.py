@@ -220,8 +220,8 @@ def softmax_xent_forward(logits: np.ndarray, labels: np.ndarray) -> tuple[float,
     expd = np.exp(shifted)
     probs = expd / np.add.reduce(expd, axis=1, keepdims=True)
     if len(labels) == 1:
-        # Adding +0.0 gives a one-term sum's bits: it turns -0.0 into +0.0.
-        return float(-np.log(np.maximum(probs[0, labels[0]], 1e-300))) + 0.0, probs
+        # max keeps a NaN as np.maximum does; adding +0.0 gives a one-term sum's bits (-0.0 to +0.0).
+        return -float(np.log(max(probs[0, labels[0]], 1e-300))) + 0.0, probs
     labels = np.asarray(labels)
     picked = probs[np.arange(labels.size), labels]
     loss = float(np.add.reduce(-np.log(np.maximum(picked, 1e-300))) / labels.size)

@@ -52,9 +52,11 @@ log-depth scan over the block (recursive doubling, as in Hillis & Steele
 the b_t into rows 1..n, and the new state is a copy of the last row, so
 no state array keeps the buffer alive. Such a block is equal to n
 single-sample calls to within rounding (<= 1e-10 relative). A block of
-n = 1 takes one step in the order written above; forward_float and
-backward_float take that step for one feature in Python floats, with its
-bits NaN signs aside, for their one caller, the equilibrium experiment.
+n = 1 takes one step in the order written above, written once with layer
+scaling on (features,) rows: the block functions and OnlineNorm's one-sample
+pass call the same private row functions. forward_float and backward_float
+take that step for one feature in Python floats, with its bits NaN signs
+aside, for their one caller, the equilibrium experiment.
 Training may run a whole block forward before its backward because the
 forward statistics never read the backward accumulators, and the weights
 feeding the layer change only between blocks. Values are not checked for
@@ -184,30 +186,56 @@ def backward_float(
     return eps_y + xt * y, eps_1 + x_grad, x_grad
 
 
+def _forward_row(state: OnlineNormState, x: np.ndarray) -> np.ndarray:
+    """The n = 1 forward step on a (features,) row; records (y, sigma) as one-row blocks, returns y's."""
+    af, cf = state.alpha_f, 1.0 - state.alpha_f
+    delta, sigma = x - state.mu, np.maximum(np.sqrt(state.var), SIGMA_FLOOR)
+    state.mu = af * state.mu + cf * x
+    state.var = af * state.var + af * cf * delta * delta
+    state.pending = ((delta / sigma)[None], sigma[None])
+    return state.pending[0]
+
+
+def _backward_row(state: OnlineNormState, y: np.ndarray, sigma: np.ndarray, y_grad: np.ndarray) -> np.ndarray:
+    """The n = 1 two-stage backward step on (features,) rows of the pending record, which it consumes."""
+    cb = 1.0 - state.alpha_b
+    xt = y_grad - cb * state.eps_y * y
+    state.eps_y = state.eps_y + xt * y
+    x_grad = xt / sigma - cb * state.eps_1
+    state.eps_1 = state.eps_1 + x_grad
+    state.pending = None
+    return x_grad
+
+
+def _scale_row(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Layer scaling of one sample's (features,) row: z and zeta shaped (1, features) and (1,)."""
+    zeta = math.sqrt(np.add.reduce(y * y) / len(y))  # a sum of squares: NaN or >= 0
+    return (y / max(zeta, SIGMA_FLOOR))[None], np.array([zeta])
+
+
+def _scale_backward_row(z_grad: np.ndarray, z: np.ndarray, zeta) -> np.ndarray:
+    """The gradient of _scale_row at its (z, zeta), on (features,) rows."""
+    coupling = np.add.reduce(z * z_grad) / len(z)
+    return z_grad / SIGMA_FLOOR if zeta < SIGMA_FLOOR else (z_grad - z * coupling) / zeta
+
+
 def forward_sample(state: OnlineNormState, x: np.ndarray) -> np.ndarray:
     """Normalize each sample of a block with the running statistics, then advance them."""
     x = _block(x, state.features)
-    af, cf = state.alpha_f, 1.0 - state.alpha_f
     if len(x) == 1:
-        x0, mu, var = x[0], state.mu, state.var
-        state.mu = af * mu + cf * x0
-        delta = x0 - mu
-        state.var = af * var + af * cf * delta * delta
-        sigma = np.maximum(np.sqrt(var), SIGMA_FLOOR)
-        y = (delta / sigma)[None]
-        sigma_used = sigma[None]
-    else:
-        buf = np.empty((len(x) + 1, state.features))
-        buf[0] = state.mu
-        np.multiply(cf, x, out=buf[1:])
-        mu, state.mu = _scan(af, buf)
-        delta = x - mu
-        buf[0] = state.var
-        np.multiply(af * cf, delta, out=buf[1:])
-        buf[1:] *= delta
-        var, state.var = _scan(af, buf)
-        sigma_used = np.maximum(np.sqrt(var), SIGMA_FLOOR)
-        y = delta / sigma_used
+        return _forward_row(state, x[0])
+    af, cf = state.alpha_f, 1.0 - state.alpha_f
+    buf = np.empty((len(x) + 1, state.features))
+    buf[0] = state.mu
+    np.multiply(cf, x, out=buf[1:])
+    mu, state.mu = _scan(af, buf)
+    delta = x - mu
+    buf[0] = state.var
+    np.multiply(af * cf, delta, out=buf[1:])
+    buf[1:] *= delta
+    var, state.var = _scan(af, buf)
+    sigma_used = np.maximum(np.sqrt(var), SIGMA_FLOOR)
+    y = delta / sigma_used
     state.pending = (y, sigma_used)
     return y
 
@@ -228,9 +256,11 @@ def layer_scale_forward(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 2:
         raise ShapeError(f"expected an (n, features) block, got shape {y.shape}")
+    if len(y) == 1:
+        return _scale_row(y[0])
     m = y.shape[1]
     zeta = np.sqrt(np.add.reduce(y * y, axis=1) / m)
-    z = y / (max(zeta[0], SIGMA_FLOOR) if len(y) == 1 else np.maximum(zeta, SIGMA_FLOOR)[:, None])
+    z = y / np.maximum(zeta, SIGMA_FLOOR)[:, None]
     return z, zeta
 
 
@@ -244,11 +274,10 @@ def layer_scale_backward(z_grad: np.ndarray, z: np.ndarray, zeta: np.ndarray) ->
     z_grad, z, zeta = (np.asarray(a, dtype=np.float64) for a in (z_grad, z, zeta))
     if z_grad.shape != z.shape or z.ndim != 2:
         raise ShapeError(f"expected an (n, features) gradient shaped like its output {z.shape}, got {z_grad.shape}")
+    if len(z) == 1:
+        return _scale_backward_row(z_grad[0], z[0], zeta[0])[None]
     m = z.shape[1]
     coupling = np.add.reduce(z * z_grad, axis=1)
-    if len(z) == 1:
-        zeta = zeta[0]
-        return z_grad / SIGMA_FLOOR if zeta < SIGMA_FLOOR else (z_grad - z * (coupling[0] / m)) / zeta
     scaled = zeta >= SIGMA_FLOOR
     coupling = np.where(scaled, coupling / m, 0.0)
     divisor = np.where(scaled, zeta, SIGMA_FLOOR)
@@ -268,24 +297,18 @@ def backward_sample(state: OnlineNormState, y_grad: np.ndarray) -> np.ndarray:
     if y_grad.shape != y.shape:
         raise ShapeError(f"gradient shape {y_grad.shape} vs output {y.shape}")
 
-    ab, cb = state.alpha_b, 1.0 - state.alpha_b
     if len(y) == 1:
-        y0 = y[0]
-        xt = y_grad[0] - cb * state.eps_y * y0
-        state.eps_y = state.eps_y + xt * y0
-        xg = xt / sigma_used[0] - cb * state.eps_1
-        state.eps_1 = state.eps_1 + xg
-        xg = xg[None]
-    else:
-        buf = np.empty((len(y) + 1, state.features))
-        buf[0] = state.eps_y
-        np.multiply(y_grad, y, out=buf[1:])
-        eps_y, state.eps_y = _scan(1.0 - cb * (y * y), buf)
-        xs = (y_grad - cb * eps_y * y) / sigma_used
-        buf[0] = state.eps_1
-        buf[1:] = xs  # the scan overwrites it, and xs is still needed
-        eps_1, state.eps_1 = _scan(ab, buf)
-        xg = xs - cb * eps_1
+        return _backward_row(state, y[0], sigma_used[0], y_grad[0])[None]
+    ab, cb = state.alpha_b, 1.0 - state.alpha_b
+    buf = np.empty((len(y) + 1, state.features))
+    buf[0] = state.eps_y
+    np.multiply(y_grad, y, out=buf[1:])
+    eps_y, state.eps_y = _scan(1.0 - cb * (y * y), buf)
+    xs = (y_grad - cb * eps_y * y) / sigma_used
+    buf[0] = state.eps_1
+    buf[1:] = xs  # the scan overwrites it, and xs is still needed
+    eps_1, state.eps_1 = _scan(ab, buf)
+    xg = xs - cb * eps_1
     state.pending = None
     return xg
 
@@ -359,24 +382,31 @@ class OnlineNorm:
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
         """Training advances the statistics; evaluation freezes them and keeps no record."""
-        y = forward_sample(self.state, x) if training else forward_inference(self.state, x)
-        z, zeta = layer_scale_forward(self.gain * y + self.bias)
-        if training:
-            self._scaled = (z, zeta)
-        return z
+        if not training:
+            return layer_scale_forward(self.gain * forward_inference(self.state, x) + self.bias)[0]
+        y = forward_sample(self.state, x)
+        if len(y) == 1:  # one sample: gain, bias and layer scaling on its row
+            self._scaled = _scale_row(self.gain * y[0] + self.bias)
+        else:
+            self._scaled = layer_scale_forward(self.gain * y + self.bias)
+        return self._scaled[0]
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._scaled is None:
             raise InterleaveError("backward before any forward")
-        grad = layer_scale_backward(np.asarray(grad, dtype=np.float64), *self._scaled)
-        pending = self.state.pending
+        grad = np.asarray(grad, dtype=np.float64)
+        (z, zeta), pending = self._scaled, self.state.pending
+        if len(z) == 1 and pending is not None and grad.shape == z.shape == pending[0].shape:
+            # One sample on its rows; a call the block functions refuse raises in them below.
+            grad, y = _scale_backward_row(grad[0], z[0], zeta[0]), pending[0][0]
+            out = _backward_row(self.state, y, pending[1][0], self.gain * grad)[None]
+            self.d_gain += grad * y
+            self.d_bias += grad
+            return out
+        grad = layer_scale_backward(grad, z, zeta)
         out = backward_sample(self.state, self.gain * grad)
         # Accumulated only once backward_sample has consumed the pending
         # record, so a refused backward leaves the gradients as they were.
-        if len(grad) == 1:  # one row, as in DenseLayer.backward
-            self.d_gain += grad[0] * pending[0][0]
-            self.d_bias += grad[0]
-        else:
-            self.d_gain += np.add.reduce(grad * pending[0], axis=0)
-            self.d_bias += np.add.reduce(grad, axis=0)
+        self.d_gain += np.add.reduce(grad * pending[0], axis=0)
+        self.d_bias += np.add.reduce(grad, axis=0)
         return out

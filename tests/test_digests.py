@@ -3,13 +3,13 @@
 digests.json, beside this module, maps each output's name to the sha256 of
 its bytes: the records, final parameters and momentum of train() for each
 normalizer kind at three batch sizes with a validation set and at one
-without, the exit code, standard output and CSV of the train, grad-bias,
-growth (with and without layer scaling), equilibrium, sweep and
-emulate-check commands, each on two seeds at reduced sizes, and the
-standard output of selftest. A
-change meant to keep every output byte-identical must leave them all as
-they are. The manifest also records the numpy and BLAS versions it was
-written with, since another stack may round differently.
+without (online and none also at batch size 1 without), the exit code,
+standard output and CSV of the train, grad-bias, growth (with and without
+layer scaling), equilibrium, sweep and emulate-check commands, each on two
+seeds at reduced sizes, and the standard output of selftest. A change
+meant to keep every output byte-identical must leave them all as they are.
+The manifest also records the numpy and BLAS versions it was written with,
+since another stack may round differently.
 
 Rewrite the manifest, after a change that moves outputs on purpose, with
 
@@ -40,6 +40,8 @@ TRAIN_RUNS = [
     for b in (1, 7, 32)
     if (kind, b) != ("batch", 1)  # BatchNorm needs two samples
 ] + [(kind, 7, False) for kind in ("online", "batch", "layer", "none", "exact-population")]
+# Without a validation set train() counts training hits on every step.
+TRAIN_RUNS += [(kind, 1, False) for kind in ("online", "none")]
 # The config files of the commands that read one.
 CONFIGS = {
     "train": "samples = 240\nepochs = 2\nhidden = 16\nbatch_size = 8\neval_interval = 10\n",

@@ -158,37 +158,53 @@ def test_list_blocks_give_the_array_bits(name, takes_state, gradient):
         call(block[0].tolist())
 
 
+def assert_unmoved(layer, before):
+    """layer's statistics, accumulators, parameters and gradients equal before's."""
+    for name in ("mu", "var", "eps_y", "eps_1"):
+        assert np.array_equal(getattr(layer.state, name), getattr(before.state, name)), name
+    for name in ("gain", "bias", "d_gain", "d_bias"):
+        assert np.array_equal(getattr(layer, name), getattr(before, name)), name
+
+
 def test_spatial_blocks_are_refused_and_leave_the_state_alone():
     # The kernel and layer scaling take (n, features) blocks only. A 3-D
     # block, even of spatial size 1, raises before anything moves: layer
-    # scaling must not reduce it over the features axis alone.
+    # scaling must not reduce it over the features axis alone. So does a
+    # block or gradient with one feature too many, whether the pending
+    # forward was a block or one sample, whose pass runs on rows. A backward
+    # with no forward pending, the first or a second, moves nothing either.
     rng = make_rng(28)
-    layer = OnlineNorm(3, alpha_f=0.9, alpha_b=0.9)
-    layer.forward(rng.normal(size=(2, 3)))
-    layer.backward(rng.normal(size=(2, 3)))
-    layer.forward(rng.normal(size=(2, 3)))  # leaves a forward pending
-    before = copy.deepcopy(layer)
-    pending, scaled = layer.state.pending, layer._scaled
-    for shape in ((1, 3, 1), (4, 3, 2)):
-        x = rng.normal(size=shape)
-        calls = (
-            lambda: forward_sample(layer.state, x),
-            lambda: forward_inference(layer.state, x),
-            lambda: layer_scale_forward(x),
-            lambda: layer_scale_backward(x, x, np.ones(len(x))),
-            lambda: layer.forward(x, training=True),
-            lambda: layer.forward(x, training=False),
-        )
-        for call in calls:
-            with pytest.raises(ShapeError):
-                call()
-    assert layer.state.pending is pending and layer._scaled is scaled
-    for name in ("mu", "var", "eps_y", "eps_1"):
-        assert np.array_equal(getattr(layer.state, name), getattr(before.state, name))
-    for name in ("gain", "bias", "d_gain", "d_bias"):
-        assert np.array_equal(getattr(layer, name), getattr(before, name))
-    g = rng.normal(size=(2, 3))
-    assert np.array_equal(layer.backward(g), before.backward(g))
+    for rows in (2, 1):
+        layer = OnlineNorm(3, alpha_f=0.9, alpha_b=0.9)
+        layer.forward(rng.normal(size=(rows, 3)))
+        layer.backward(rng.normal(size=(rows, 3)))
+        layer.forward(rng.normal(size=(rows, 3)))  # leaves a forward pending
+        before = copy.deepcopy(layer)
+        pending, scaled = layer.state.pending, layer._scaled
+        for shape in ((1, 3, 1), (4, 3, 2), (1, 4)):
+            x = rng.normal(size=shape)
+            calls = [
+                lambda: forward_sample(layer.state, x),
+                lambda: forward_inference(layer.state, x),
+                lambda: layer.forward(x, training=True),
+                lambda: layer.forward(x, training=False),
+                lambda: layer.backward(x),
+            ]
+            if x.ndim == 3:  # layer scaling reads no feature count
+                calls += [lambda: layer_scale_forward(x), lambda: layer_scale_backward(x, x, np.ones(len(x)))]
+            for call in calls:
+                with pytest.raises(ShapeError):
+                    call()
+        assert layer.state.pending is pending and layer._scaled is scaled
+        assert_unmoved(layer, before)
+        g = rng.normal(size=(rows, 3))
+        assert np.array_equal(layer.backward(g), before.backward(g))
+        assert_unmoved(layer, before)
+        for stream in (layer, OnlineNorm(3, alpha_f=0.9, alpha_b=0.9)):
+            unmoved = copy.deepcopy(stream)
+            with pytest.raises(InterleaveError):
+                stream.backward(g)
+            assert_unmoved(stream, unmoved)
 
 
 # ---------------------------------------------------------- layer scaling

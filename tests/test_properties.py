@@ -9,7 +9,10 @@ matches one call per batch, normalizes each batch with the bits of its own
 BatchNorm, and any sequence of its workspace passes gives the bits of its
 layers composed, the parameter store steps like one update per
 array, a one-sample OnlineNorm step gives the bits of its written-out
-arithmetic, the one-value float steps that the equilibrium experiment takes
+arithmetic, and its row pass the bits, records included, of the block
+functions' one-row arithmetic composed, on NaNs of both signs, infinities,
+signed zeros, subnormals and floored divisors, the one-value float steps
+that the equilibrium experiment takes
 give the array step's bits on signed zeros, infinities and zero divisors, and
 its NaN-ness where a NaN enters, a fully connected (n, F) block gives
 the bits of the same block as (n, F, 1) in BatchNorm and LayerNorm and no
@@ -528,6 +531,107 @@ def test_one_sample_online_norm_parameter_gradients_give_the_general_bits(
 # edge_floats, with a negative NaN, infinities and a square that underflows.
 stream_values = st.one_of(edge_floats, st.sampled_from([-np.nan, np.inf, -np.inf, 1e-300]))
 nonzero_values = stream_values.filter(lambda v: v != 0.0)
+
+
+def _composed_one_sample_pass(ref, x, g, gain, bias, alpha_f, alpha_b):
+    """OnlineNorm's one-sample training pass as a composition of the block
+    functions: forward_sample, gain * y + bias, layer_scale_forward, then
+    layer_scale_backward, gain *, backward_sample and the d_gain and d_bias
+    row adds, each function's one-row arithmetic written out on (1, F)
+    blocks. ref holds the state and the sums and receives the pending and
+    scaled records; returns (z, x')."""
+    af, cf = alpha_f, 1.0 - alpha_f
+    x0, mu, var = x[0], ref["mu"], ref["var"]
+    ref["mu"] = af * mu + cf * x0
+    delta = x0 - mu
+    ref["var"] = af * var + af * cf * delta * delta
+    sigma = np.maximum(np.sqrt(var), SIGMA_FLOOR)
+    y = (delta / sigma)[None]
+    ref["pending"] = y, sigma_used = (y, sigma[None])
+
+    h = gain * y + bias
+    m = h.shape[1]
+    zeta = np.sqrt(np.add.reduce(h * h, axis=1) / m)
+    z = h / max(zeta[0], SIGMA_FLOOR)
+    ref["scaled"] = (z, zeta)
+
+    coupling = np.add.reduce(z * g, axis=1)
+    gz = g / SIGMA_FLOOR if zeta[0] < SIGMA_FLOOR else (g - z * (coupling[0] / m)) / zeta[0]
+    y_grad = gain * gz
+    cb = 1.0 - alpha_b
+    y0 = y[0]
+    xt = y_grad[0] - cb * ref["eps_y"] * y0
+    ref["eps_y"] = ref["eps_y"] + xt * y0
+    xg = xt / sigma_used[0] - cb * ref["eps_1"]
+    ref["eps_1"] = ref["eps_1"] + xg
+    ref["d_gain"] += gz[0] * y0
+    ref["d_bias"] += gz[0]
+    return z, xg[None]
+
+
+# stream_values with subnormals and a var whose root falls under the floor.
+row_values = st.one_of(stream_values, st.sampled_from([5e-324, -5e-324, 2.5e-310, 1e-12]))
+
+
+@st.composite
+def one_sample_streams(draw):
+    """Scalar or per-feature decays, a starting state, gain, bias and 1-4 (x, z')
+    rows. Each value is a random normal one, whose rounding a reordered
+    product would show; in half the cases a quarter of the values are
+    row_values instead, which would turn every value after them NaN or
+    infinite in the other half too."""
+    features = draw(st.integers(1, 9))
+    rng = make_rng(draw(seeds))
+    edges = st.one_of(st.none(), st.none(), st.none(), row_values) if draw(st.booleans()) else st.none()
+
+    def row(positive=False):
+        picks = draw(st.lists(edges, min_size=features, max_size=features))
+        ordinary = 3.0 * rng.normal(size=features)
+        ordinary = np.abs(ordinary) if positive else ordinary
+        return np.array([ordinary[k] if v is None else v for k, v in enumerate(picks)])
+
+    per_feature = draw(st.booleans())
+    alpha_f, alpha_b = (rng.uniform(0.5, 0.9999, features if per_feature else None) for _ in range(2))
+    start = {name: row(positive=name == "var") for name in STATE_ARRAYS}
+    steps = [(row(), row()) for _ in range(draw(st.integers(1, 4)))]
+    return alpha_f, alpha_b, start, row(), row(), steps
+
+
+@settings(max_examples=150)
+@given(case=one_sample_streams())
+# Zero gain and bias, so zeta is 0, under the floor, and a var of 0, so is sigma.
+@example(case=(0.9, 0.99, {"mu": np.zeros(3), "var": np.zeros(3), "eps_y": np.ones(3), "eps_1": np.ones(3)},
+               np.zeros(3), np.zeros(3), [(np.array([1.0, -0.0, 2.0]), np.array([0.5, 1.0, -1.0]))] * 2))
+# NaNs of both signs in the input and the gradient, and infinities.
+@example(case=(np.array([0.9, 0.5]), np.array([0.99, 0.6]),
+               {"mu": np.zeros(2), "var": np.ones(2), "eps_y": np.zeros(2), "eps_1": np.zeros(2)}, np.ones(2),
+               np.zeros(2), [(np.array([np.nan, -np.nan]), np.array([-np.nan, np.inf])),
+                             (np.array([np.inf, -np.inf]), np.array([1.0, -np.nan]))]))
+def test_one_sample_pass_gives_the_bits_of_the_composed_block_functions(case):
+    alpha_f, alpha_b, start, gain, bias, steps = case
+    features = len(gain)
+    layer = OnlineNorm(features, alpha_f=alpha_f, alpha_b=alpha_b)
+    layer.gain[:], layer.bias[:] = gain, bias
+    ref = {"d_gain": np.zeros(features), "d_bias": np.zeros(features)}
+    for name, value in start.items():
+        setattr(layer.state, name, value.copy())
+        ref[name] = value.copy()
+    for x, g in steps:
+        x, g = x[None], g[None]
+        with np.errstate(all="ignore"):
+            want_z, want_xg = _composed_one_sample_pass(ref, x, g, gain, bias, alpha_f, alpha_b)
+            z = layer.forward(x)
+            records = [*layer.state.pending, *layer._scaled]
+            xg = layer.backward(g)
+        assert same_bits(z, want_z)
+        for got, want in zip(records, [*ref["pending"], *ref["scaled"]], strict=True):
+            assert same_bits(got, want)
+        assert same_bits(xg, want_xg)
+        assert layer.state.pending is None
+        for name in STATE_ARRAYS:
+            assert same_bits(getattr(layer.state, name), ref[name]), name
+        assert same_bits(layer.d_gain, ref["d_gain"])
+        assert same_bits(layer.d_bias, ref["d_bias"])
 
 
 @st.composite
